@@ -16,7 +16,8 @@ import json
 import sys
 
 from . import bench, wire
-from .groups import SeededRandomness, UnknownBackendError, setup_group
+from .groups import (_BACKENDS, SeededRandomness, UnknownBackendError,
+                     setup_group)
 from .scheme import (Ring, SignerWindow, adapt, ext, keygen, gen_r, link,
                      presign, preverify, verify)
 from .swap import CORRUPTIONS, FaultPlan, Phase, swap_demo
@@ -226,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, fn, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
-        p.add_argument("--group", choices=("prod", "toy"), default="prod",
+        p.add_argument("--group", choices=tuple(_BACKENDS), default="prod",
                        help="group backend (default prod)")
         p.add_argument("--seed", type=int, default=None,
                        help="deterministic randomness for tests")

@@ -96,10 +96,8 @@ class MockLedger:
         self._confirmed_digests: set[bytes] = set()
 
     def has_confirmed(self, tx: SwapTransaction) -> bool:
-        return self._tx_digest(tx) in self._confirmed_digests
-
-    def _tx_digest(self, tx: SwapTransaction) -> bytes:
-        return hashlib.sha256(wire.encode_transaction(self.ctx, tx)).digest()
+        message = wire.encode_transaction(self.ctx, tx)
+        return hashlib.sha256(message).digest() in self._confirmed_digests
 
 
 def ledger_submit(ledger: MockLedger, tx: SwapTransaction, sig) -> SubmitResult:
@@ -114,12 +112,13 @@ def ledger_submit(ledger: MockLedger, tx: SwapTransaction, sig) -> SubmitResult:
     if tx.chain_id != ledger.chain_id:
         return SubmitResult(False, REJECT_MALFORMED)
     message = wire.encode_transaction(ctx, tx)
+    digest = hashlib.sha256(message).digest()
     if ledger.chain_id == CHAIN_PLAIN:
         if not isinstance(sig, schnorr.PlainSignature):
             return SubmitResult(False, REJECT_MALFORMED)
         if not schnorr.verify(ctx, tx.payer_key, sig, message):
             return SubmitResult(False, REJECT_BAD_SIGNATURE)
-        if ledger.has_confirmed(tx):
+        if digest in ledger._confirmed_digests:
             return SubmitResult(False, REJECT_DOUBLE_SPEND)
     else:
         try:
@@ -130,14 +129,14 @@ def ledger_submit(ledger: MockLedger, tx: SwapTransaction, sig) -> SubmitResult:
             return SubmitResult(False, REJECT_MALFORMED)
         if not verify(ctx, ring, sig, tx.threshold, message):
             return SubmitResult(False, REJECT_BAD_SIGNATURE)
-        if ledger.has_confirmed(tx):
+        if digest in ledger._confirmed_digests:
             return SubmitResult(False, REJECT_DOUBLE_SPEND)
         tag_encodings = {ctx.encode_element(tag) for tag in sig.tags}
         if tag_encodings & ledger.published_tags:
             return SubmitResult(False, REJECT_DOUBLE_SPEND)
         ledger.published_tags |= tag_encodings
     ledger.confirmed.append((tx, sig))
-    ledger._confirmed_digests.add(ledger._tx_digest(tx))
+    ledger._confirmed_digests.add(digest)
     return SubmitResult(True)
 
 

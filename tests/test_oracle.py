@@ -1,9 +1,13 @@
 """Main implementation vs the straight-line oracle, intermediate by
 intermediate."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import straightline as oracle
 from conftest import build_ring, build_window
-from ringadapt import SeededRandomness, adapt, ext, gen_r, verify
+from ringadapt import (PreSignature, SeededRandomness, Signature, adapt, ext,
+                       gen_r, presign, preverify, verify)
 from ringadapt.scheme import _presign_body
 
 
@@ -68,3 +72,55 @@ def test_oracle_agrees_on_rejections(toy):
     theirs = oracle.verify(ring.keys, bad_z, list(sig.challenges),
                            list(sig.tags), window.width, message)
     assert ours == theirs is False
+
+
+# How the differential test builds its input from an honest signature.
+MUTATIONS = ("honest", "random-challenges", "random-tags", "split-tags",
+             "zero-challenge-sum")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 8), st.data())
+def test_folded_verification_agrees_with_oracle(toy, n, data):
+    """Folded verify/preverify against the per-window oracle: the verdicts
+    agree on every input, honest or adversarial."""
+    t = data.draw(st.integers(1, n))
+    start = data.draw(st.integers(0, n - t))
+    mutation = data.draw(st.sampled_from(MUTATIONS))
+    rng = SeededRandomness(data.draw(st.integers(0, 2**32)))
+    ring, members = build_ring(toy, n, rng)
+    window = build_window(toy, ring, members, start, t)
+    statement, w = gen_r(toy, rng)
+    psig = presign(toy, ring, window, b"diff", statement, rng)
+    z_tilde, challenges, tags = psig.z_tilde, list(psig.challenges), \
+        list(psig.tags)
+    scalar = st.integers(0, oracle.ORDER - 1)
+    if mutation == "random-challenges":
+        challenges = data.draw(st.lists(scalar, min_size=n, max_size=n))
+    elif mutation == "random-tags":
+        tags = [pow(oracle.H, k, oracle.MODULUS)
+                for k in data.draw(st.lists(scalar, min_size=t,
+                                            max_size=t))]
+    elif mutation == "split-tags":
+        # Offsets h^r_k that cancel keep the tag product, the only thing
+        # the equation over T checks.
+        offsets = data.draw(st.lists(scalar, min_size=t, max_size=t))
+        offsets[-1] = -sum(offsets[:-1]) % oracle.ORDER
+        tags = [tag * pow(oracle.H, r, oracle.MODULUS) % oracle.MODULUS
+                for tag, r in zip(tags, offsets)]
+    elif mutation == "zero-challenge-sum":
+        challenges = data.draw(st.lists(scalar, min_size=n, max_size=n))
+        challenges[-1] = -sum(challenges[:-1]) % oracle.ORDER
+        z_tilde = data.draw(scalar)
+    z = (z_tilde + w) % oracle.ORDER
+    ours = (preverify(toy, ring, PreSignature(z_tilde, tuple(challenges),
+                                              tuple(tags)),
+                      t, b"diff", statement),
+            verify(toy, ring, Signature(z, tuple(challenges), tuple(tags)),
+                   t, b"diff"))
+    theirs = (oracle.preverify(ring.keys, z_tilde, challenges, tags, t,
+                               b"diff", statement.w1, statement.w2),
+              oracle.verify(ring.keys, z, challenges, tags, t, b"diff"))
+    assert ours == theirs
+    if mutation == "honest":
+        assert ours == (True, True)
