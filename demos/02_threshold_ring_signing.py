@@ -4,12 +4,12 @@
 The signer controls t consecutive ring positions (a "window").  The
 verifier learns that *some* width-t window signed, never which one: the
 verification equations range over every window's aggregated key
-y_i = prod pk^d, so each of the n windows is equally plausible.
+y_i = prod_{k=i..i+t-1} pk_k^d (with wraparound), each weighted by its
+own challenge c_i, so each of the n windows is equally plausible.
 """
 
 from ringadapt import (Ring, SeededRandomness, SignerWindow, adapt, gen_r,
-                       keygen, presign, preverify, setup_group,
-                       swt_aggregate, verify, wire)
+                       keygen, presign, preverify, setup_group, verify, wire)
 
 ctx = setup_group("prod")
 rng = SeededRandomness(7)
@@ -28,13 +28,6 @@ presig = presign(ctx, ring, window, message, statement, rng)
 print(f"\npre-signature: 1+{n} scalars and {t} link tags")
 print("pre-verifies:  ",
       preverify(ctx, ring, presig, t, message, statement))
-
-print("\nevery window is equally plausible to the verifier;")
-print("the aggregation covers all of them (with wraparound):")
-agg = swt_aggregate(ctx, ring, t, presig.tags)
-for i, y in enumerate(agg.window_products[:4]):
-    print(f"  y_{i} = {ctx.encode_element(y).hex()[:24]}...")
-print("  ...")
 
 sig = adapt(ctx, presig, witness)
 print("\nadapted; verifies:", verify(ctx, ring, sig, t, message))

@@ -5,8 +5,7 @@ Public surface:
 * :mod:`ringadapt.groups`  -- group backends ("prod" ristretto255, "toy"
   order-101) behind one context interface;
 * :mod:`ringadapt.scheme`  -- the nine-algorithm threshold ring adaptor
-  scheme (keygen, gen_r, presign, preverify, adapt, verify, ext, link
-  plus the sliding-window aggregation);
+  scheme (keygen, gen_r, presign, preverify, adapt, verify, ext, link);
 * :mod:`ringadapt.schnorr` -- the single-key adaptor counterpart;
 * :mod:`ringadapt.wire`    -- canonical byte formats;
 * :mod:`ringadapt.swap`    -- mock ledgers and the atomic-swap state
@@ -17,20 +16,18 @@ Public surface:
 from . import bench, groups, schnorr, swap, wire
 from .groups import (GroupContext, SeededRandomness, SystemRandomness,
                      UnknownBackendError, setup_group)
-from .scheme import (AggregateSet, KeyMismatchError, KeyPair, PreSignature,
-                     PresignTrace, Ring, Signature, SignerWindow,
-                     StatementPair, adapt, ext, gen_r, keygen, link, presign,
-                     presign_with_trace, preverify, swt_aggregate, verify,
-                     verify_relation)
+from .scheme import (KeyMismatchError, KeyPair, PreSignature, PresignTrace,
+                     Ring, Signature, SignerWindow, StatementPair, adapt, ext,
+                     gen_r, keygen, link, presign, presign_with_trace,
+                     preverify, verify, verify_relation)
 
 __all__ = [
-    "AggregateSet", "GroupContext", "KeyMismatchError", "KeyPair",
-    "PreSignature", "PresignTrace", "Ring", "SeededRandomness", "Signature",
-    "SignerWindow", "StatementPair", "SystemRandomness",
-    "UnknownBackendError", "adapt", "bench", "ext", "gen_r", "groups",
-    "keygen", "link", "presign", "presign_with_trace", "preverify",
-    "schnorr", "setup_group", "swap", "swt_aggregate", "verify",
-    "verify_relation", "wire",
+    "GroupContext", "KeyMismatchError", "KeyPair", "PreSignature",
+    "PresignTrace", "Ring", "SeededRandomness", "Signature", "SignerWindow",
+    "StatementPair", "SystemRandomness", "UnknownBackendError", "adapt",
+    "bench", "ext", "gen_r", "groups", "keygen", "link", "presign",
+    "presign_with_trace", "preverify", "schnorr", "setup_group", "swap",
+    "verify", "verify_relation", "wire",
 ]
 
 __version__ = "0.1.0"

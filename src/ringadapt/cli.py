@@ -39,6 +39,10 @@ def _write(path: str, data: bytes):
 
 def _load_key(ctx, path: str) -> tuple[int, object]:
     doc = json.loads(_read(path))
+    if not (isinstance(doc, dict) and isinstance(doc.get("sk"), str)
+            and isinstance(doc.get("pk"), str)):
+        raise ValueError(f"key file {path} is not an object with hex "
+                         "'sk' and 'pk' strings")
     if doc.get("group") != ctx.label:
         raise ValueError(f"key file {path} was made for group "
                          f"{doc.get('group')!r}, not {ctx.label!r}")

@@ -90,9 +90,6 @@ class GroupContext:
     def mul(self, a: Element, b: Element) -> Element:
         raise NotImplementedError
 
-    def inv(self, a: Element) -> Element:
-        raise NotImplementedError
-
     def exp(self, a: Element, k: int) -> Element:
         raise NotImplementedError
 
@@ -160,9 +157,6 @@ class ToyGroup(GroupContext):
     def mul(self, a: int, b: int) -> int:
         return a * b % TOY_MODULUS
 
-    def inv(self, a: int) -> int:
-        return pow(a, TOY_MODULUS - 2, TOY_MODULUS)
-
     def exp(self, a: int, k: int) -> int:
         return pow(a, k % TOY_ORDER, TOY_MODULUS)
 
@@ -225,12 +219,6 @@ class _Sodium:
             raise ValueError("invalid ristretto255 point")
         return out.raw
 
-    def sub(self, a: bytes, b: bytes) -> bytes:
-        out = ctypes.create_string_buffer(32)
-        if self._lib.crypto_core_ristretto255_sub(out, a, b) != 0:
-            raise ValueError("invalid ristretto255 point")
-        return out.raw
-
     def scalarmult(self, k: bytes, point: bytes) -> bytes:
         out = ctypes.create_string_buffer(32)
         rc = self._lib.crypto_scalarmult_ristretto255(out, k, point)
@@ -275,11 +263,6 @@ class RistrettoGroup(GroupContext):
 
     def mul(self, a: bytes, b: bytes) -> bytes:
         return _sodium().add(a, b)
-
-    def inv(self, a: bytes) -> bytes:
-        if a == self.identity:
-            return a
-        return _sodium().sub(self.identity, a)
 
     def exp(self, a: bytes, k: int) -> bytes:
         k %= RISTRETTO_ORDER

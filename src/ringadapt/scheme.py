@@ -24,8 +24,7 @@ The algebra (all indices mod n, all scalar arithmetic mod p):
 
 Both compute prod_i y_i^{c_i} folded, as prod_k pk_k^{d*e_k} where e_k
 sums c_i over the t windows holding key k, and l^{sum(C)} as
-(prod_k tag_k)^{d*sum(C)}: n+3 scalar multiplications and no inversion,
-against 2n+t+2 when every y_i is built first.
+(prod_k tag_k)^{d*sum(C)}: n+3 scalar multiplications.
 """
 
 from __future__ import annotations
@@ -126,15 +125,6 @@ class SignerWindow:
 
 
 @dataclass(frozen=True)
-class AggregateSet:
-    """Sliding-window aggregation output: per-index window products y_i
-    and the tag product l."""
-
-    window_products: tuple
-    tag_product: Element
-
-
-@dataclass(frozen=True)
 class PreSignature:
     z_tilde: int
     challenges: tuple  # c_0 .. c_{n-1}
@@ -161,8 +151,6 @@ class PresignTrace:
     """Every intermediate of one presign run, for oracle comparison."""
 
     d: int
-    window_products: tuple
-    tag_product: Element
     tags: tuple
     nonce: int
     commit_g: Element   # R
@@ -191,37 +179,6 @@ def verify_relation(ctx: GroupContext, statement: StatementPair, w: int) -> bool
             and statement.w2 == ctx.exp(ctx.generator_h, w))
 
 
-def swt_aggregate(ctx: GroupContext, ring: Ring, t: int, tags) -> AggregateSet:
-    """Aggregate width-t key windows (with wraparound) and the link tags.
-
-    y_i = prod_{k=i..i+t-1 mod n} pk_k^d and l = prod_k tag_k^d, with d
-    recomputed from the ring rather than trusted from input.  The paper's
-    reference form, used by presign_with_trace only: signing and verifying
-    compute prod_i y_i^{c_i} folded, as prod_k pk_k^{d*e_k} (``_commit``),
-    in n+3 scalar multiplications where building every y_i took 2n+t+2.
-    """
-    n = len(ring)
-    if not 1 <= t <= n:
-        raise ValueError(f"threshold {t} out of range for ring of {n}")
-    tags = tuple(tags)
-    if len(tags) != t:
-        raise ValueError("tag count must equal the threshold")
-    d = ring.d
-    raised = [ctx.exp(pk, d) for pk in ring.keys]
-    first = reduce(ctx.mul, raised[:t], ctx.identity)
-    products = [first]
-    cur = first
-    # Slide the window one step at a time: divide out the key that leaves,
-    # multiply in the key that enters.
-    for i in range(1, n):
-        cur = ctx.mul(ctx.mul(cur, ctx.inv(raised[i - 1])),
-                      raised[(i + t - 1) % n])
-        products.append(cur)
-    tag_product = reduce(ctx.mul, (ctx.exp(tag, d) for tag in tags),
-                         ctx.identity)
-    return AggregateSet(tuple(products), tag_product)
-
-
 def _commit(ctx: GroupContext, ring: Ring, base: int, challenges, tags,
             statement: Optional[StatementPair], message: bytes
             ) -> tuple[Element, Element, int]:
@@ -248,11 +205,11 @@ def _commit(ctx: GroupContext, ring: Ring, base: int, challenges, tags,
     return commit_g, commit_h, ctx.hash_to_scalar(DOMAIN_CHALLENGE, parts)
 
 
-def _presign_core(ctx: GroupContext, ring: Ring, window: SignerWindow,
+def _presign_body(ctx: GroupContext, ring: Ring, window: SignerWindow,
                   message: bytes, statement: StatementPair, nonce: int,
                   decoy_challenges: dict[int, int]
-                  ) -> tuple[PreSignature, Element, Element, int]:
-    """Presign from explicit randomness, also returning R, T and c.
+                  ) -> tuple[PreSignature, PresignTrace]:
+    """Presign from explicit randomness, with every intermediate.
 
     ``decoy_challenges`` maps every ring index but the window start to c_i.
     """
@@ -266,22 +223,8 @@ def _presign_core(ctx: GroupContext, ring: Ring, window: SignerWindow,
     challenges[j] = (challenge - sum(challenges)) % p
     z_tilde = (nonce - challenges[j] * ring.d * sum(window.secrets)) % p
     psig = PreSignature(z_tilde, tuple(challenges), window.tags)
-    return psig, commit_g, commit_h, challenge
-
-
-def _presign_body(ctx: GroupContext, ring: Ring, window: SignerWindow,
-                  message: bytes, statement: StatementPair, nonce: int,
-                  decoy_challenges: dict[int, int]
-                  ) -> tuple[PreSignature, PresignTrace]:
-    """Presign from explicit randomness, with every intermediate.  The
-    window and tag products come from ``swt_aggregate``, so checking them
-    and R, T, c against an oracle also checks the folded equation."""
-    psig, commit_g, commit_h, challenge = _presign_core(
-        ctx, ring, window, message, statement, nonce, decoy_challenges)
-    agg = swt_aggregate(ctx, ring, window.width, psig.tags)
-    trace = PresignTrace(ring.d, agg.window_products, agg.tag_product,
-                         psig.tags, nonce, commit_g, commit_h, challenge,
-                         psig.challenges[window.start], psig.z_tilde)
+    trace = PresignTrace(ring.d, window.tags, nonce, commit_g, commit_h,
+                         challenge, challenges[j], z_tilde)
     return psig, trace
 
 
@@ -309,7 +252,7 @@ def presign_with_trace(ctx: GroupContext, ring: Ring, window: SignerWindow,
 def presign(ctx: GroupContext, ring: Ring, window: SignerWindow,
             message: bytes, statement: StatementPair, rng=None) -> PreSignature:
     """Produce a pre-signature on ``message`` bound to ``statement``."""
-    return _presign_core(ctx, ring, window, message, statement,
+    return _presign_body(ctx, ring, window, message, statement,
                          *_draw(ctx, ring, window, rng))[0]
 
 

@@ -38,8 +38,8 @@ from typing import Optional
 
 from . import schnorr, wire
 from .groups import GroupContext, SeededRandomness
-from .scheme import (KeyPair, PreSignature, Ring, SignerWindow, adapt, ext,
-                     gen_r, keygen, presign, preverify, verify)
+from .scheme import (KeyPair, PreSignature, Ring, Signature, SignerWindow,
+                     adapt, ext, gen_r, keygen, presign, preverify, verify)
 from .wire import CHAIN_PLAIN, CHAIN_RING, SwapTransaction
 
 TAMPER_PRESIG_A = "tamper-presig-a"
@@ -111,26 +111,28 @@ def ledger_submit(ledger: MockLedger, tx: SwapTransaction, sig) -> SubmitResult:
     ctx = ledger.ctx
     if tx.chain_id != ledger.chain_id:
         return SubmitResult(False, REJECT_MALFORMED)
-    message = wire.encode_transaction(ctx, tx)
-    digest = hashlib.sha256(message).digest()
+    # Keys and signature type are checked first: encoding needs valid keys.
     if ledger.chain_id == CHAIN_PLAIN:
-        if not isinstance(sig, schnorr.PlainSignature):
+        if not (isinstance(sig, schnorr.PlainSignature)
+                and ctx.is_element(tx.payer_key)):
             return SubmitResult(False, REJECT_MALFORMED)
-        if not schnorr.verify(ctx, tx.payer_key, sig, message):
-            return SubmitResult(False, REJECT_BAD_SIGNATURE)
-        if digest in ledger._confirmed_digests:
-            return SubmitResult(False, REJECT_DOUBLE_SPEND)
+        message = wire.encode_transaction(ctx, tx)
+        valid = schnorr.verify(ctx, tx.payer_key, sig, message)
     else:
         try:
             ring = Ring(ctx, tx.ring_keys)
         except ValueError:
             return SubmitResult(False, REJECT_MALFORMED)
-        if not hasattr(sig, "tags"):
+        if not isinstance(sig, Signature):
             return SubmitResult(False, REJECT_MALFORMED)
-        if not verify(ctx, ring, sig, tx.threshold, message):
-            return SubmitResult(False, REJECT_BAD_SIGNATURE)
-        if digest in ledger._confirmed_digests:
-            return SubmitResult(False, REJECT_DOUBLE_SPEND)
+        message = wire.encode_transaction(ctx, tx)
+        valid = verify(ctx, ring, sig, tx.threshold, message)
+    if not valid:
+        return SubmitResult(False, REJECT_BAD_SIGNATURE)
+    digest = hashlib.sha256(message).digest()
+    if digest in ledger._confirmed_digests:
+        return SubmitResult(False, REJECT_DOUBLE_SPEND)
+    if ledger.chain_id == CHAIN_RING:
         tag_encodings = {ctx.encode_element(tag) for tag in sig.tags}
         if tag_encodings & ledger.published_tags:
             return SubmitResult(False, REJECT_DOUBLE_SPEND)

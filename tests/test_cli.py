@@ -244,3 +244,14 @@ def test_bench_csv_schema(capsys):
     assert presign_rows[0][1:3] == ["10", "5"]
     assert presign_rows[0][5] == "32"
     assert all(int(r[4]) >= 10 for r in body)
+
+
+@pytest.mark.parametrize("doc", ["[]", '{"group": "toy-607", "sk": 5, '
+                                       '"pk": "0031"}'])
+def test_malformed_key_file_exits_2(capsys, tmp_path, doc):
+    key = tmp_path / "key.json"
+    key.write_text(doc)
+    code = main(["ring-build", "--group", "toy", "--key", str(key),
+                 "--out", str(tmp_path / "r.bin")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")

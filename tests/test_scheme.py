@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import straightline as oracle
 from conftest import build_ring, build_window
 from ringadapt import (KeyMismatchError, PreSignature, Ring, SeededRandomness,
                        Signature, SignerWindow, StatementPair, adapt, ext,
                        gen_r, keygen, link, presign, presign_with_trace,
-                       preverify, swt_aggregate, verify, verify_relation)
+                       preverify, verify, verify_relation)
 from ringadapt.scheme import _presign_body
 
 # Ring used by the frozen vectors: secrets (2, 3, 7) under g = 7 mod 607.
@@ -82,49 +81,6 @@ class TestKeygenAndRelation:
         assert not verify_relation(toy, StatementPair(8, 212), 14)
 
 
-class TestAggregation:
-    def test_width_one(self, toy, rng):
-        ring, members = build_ring(toy, 5, rng)
-        tags = (toy.exp(toy.generator_h, members[0].sk),)
-        agg = swt_aggregate(toy, ring, 1, tags)
-        assert agg.window_products == tuple(toy.exp(pk, ring.d)
-                                            for pk in ring.keys)
-
-    def test_full_width(self, toy, rng):
-        ring, members = build_ring(toy, 4, rng)
-        tags = tuple(toy.exp(toy.generator_h, kp.sk) for kp in members)
-        agg = swt_aggregate(toy, ring, 4, tags)
-        everything = toy.identity
-        for pk in ring.keys:
-            everything = toy.mul(everything, toy.exp(pk, ring.d))
-        assert all(y == everything for y in agg.window_products)
-
-    def test_frozen_three_ring(self, toy):
-        # d = 40 for this ring; windows wrap circularly.
-        ring = _vector_ring(toy)
-        assert ring.d == 40
-        agg = swt_aggregate(toy, ring, 2, (64, 512))  # tags h^2, h^3
-        assert agg.window_products == (223, 562, 388)
-        assert agg.tag_product == 313
-
-    def test_wraparound_products_match_oracle(self, toy, rng):
-        ring, _ = build_ring(toy, 6, rng)
-        tags = tuple(toy.exp(toy.generator_h, k) for k in (5, 9, 11))
-        agg = swt_aggregate(toy, ring, 3, tags)
-        assert list(agg.window_products) == oracle.window_products(
-            ring.keys, 3, ring.d)
-        assert agg.tag_product == oracle.tag_product(tags, ring.d)
-
-    def test_threshold_out_of_range(self, toy, rng):
-        ring, _ = build_ring(toy, 3, rng)
-        with pytest.raises(ValueError):
-            swt_aggregate(toy, ring, 4, (1, 1, 1, 1))
-        with pytest.raises(ValueError):
-            swt_aggregate(toy, ring, 0, ())
-        with pytest.raises(ValueError):
-            swt_aggregate(toy, ring, 2, (64,))  # tag count mismatch
-
-
 class TestPresignFrozen:
     MESSAGE = b"toy message"
 
@@ -141,8 +97,6 @@ class TestPresignFrozen:
         # c_j comes out 0 for these inputs; the scheme accepts that.
         psig, trace = self._run(toy, 0, {1: 4, 2: 9}, nonce=11)
         assert trace.d == 40
-        assert trace.window_products == (223, 562, 388)
-        assert trace.tag_product == 313
         assert (trace.commit_g, trace.commit_h) == (573, 64)
         assert trace.challenge == 13
         assert trace.window_challenge == 0
@@ -160,7 +114,6 @@ class TestPresignFrozen:
         psig, trace = self._run(toy, 1, {0: 8, 2: 31}, nonce=23,
                                 message=b"toy message 2")
         assert psig.tags == (512, 574)  # h^3, h^7
-        assert trace.tag_product == 242
         assert (trace.commit_g, trace.commit_h) == (565, 451)
         assert (trace.challenge, trace.window_challenge) == (10, 72)
         assert trace.z_tilde == 8
@@ -350,6 +303,8 @@ class TestTamper:
                              PreSignature(psig.z_tilde, psig.challenges,
                                           psig.tags[:1]), 2, b"m", statement)
         assert not verify(toy, ring, sig, 4, b"m")  # t out of range
+        assert not verify(toy, ring, sig, 0, b"m")
+        assert not preverify(toy, ring, psig, 0, b"m", statement)
         assert not verify(toy, ring,
                           Signature(sig.z + toy.order, sig.challenges,
                                     sig.tags), 2, b"m")

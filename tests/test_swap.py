@@ -6,7 +6,8 @@ import itertools
 import pytest
 
 from conftest import build_ring, build_window
-from ringadapt import adapt, gen_r, keygen, presign, schnorr, wire
+from ringadapt import (PreSignature, SeededRandomness, adapt, gen_r, keygen,
+                       presign, schnorr, setup_group, wire)
 from ringadapt.swap import (CORRUPTIONS, FaultPlan, MockLedger, Phase,
                             SwapTransaction, ledger_submit, make_demo_parties,
                             run_swap, swap_demo)
@@ -73,6 +74,34 @@ class TestLedger:
         tx_a = SwapTransaction("A", b"y", 1, 2, payer_key=bob.pk)
         assert ledger_submit(ledger_b, tx_a, sig_b).reason == "malformed"
         assert ledger_submit(ledger_b, tx_b, "junk").reason == "malformed"
+        psig_b = PreSignature(sig_b.z, sig_b.challenges, sig_b.tags)
+        assert ledger_submit(ledger_b, tx_b, psig_b).reason == "malformed"
+
+    @pytest.mark.parametrize("backend, junk",
+                             [("toy", 2), ("prod", b"\xff" * 32)],
+                             ids=["toy", "prod"])
+    def test_non_element_keys_are_malformed(self, backend, junk):
+        ctx = setup_group(backend)
+        rng = SeededRandomness(21)
+        ledger_a = MockLedger(ctx, "A")
+        ledger_b = MockLedger(ctx, "B")
+        ring, members = build_ring(ctx, 3, rng)
+        window = build_window(ctx, ring, members, 0, 1)
+        _, sig_b = _signed_ring_tx(ctx, ring, window, b"x", 1, rng)
+        bad_ring = SwapTransaction("B", b"x", 1, 1,
+                                   ring_keys=(junk, *ring.keys[1:]),
+                                   threshold=1)
+        assert ledger_submit(ledger_b, bad_ring, sig_b).reason == "malformed"
+        bob = keygen(ctx, rng)
+        statement, w = gen_r(ctx, rng)
+        tx_a = SwapTransaction("A", b"y", 1, 2, payer_key=bob.pk)
+        sig_a = schnorr.adapt(ctx, schnorr.presign(
+            ctx, bob, wire.encode_transaction(ctx, tx_a), statement.w1, rng), w)
+        bad_payer = SwapTransaction("A", b"y", 1, 2, payer_key=junk)
+        assert ledger_submit(ledger_a, bad_payer, sig_a).reason == "malformed"
+        for ledger in (ledger_a, ledger_b):
+            assert not ledger.confirmed
+            assert not ledger.published_tags
 
     def test_tampered_ring_signature_rejected(self, toy, rng):
         ledger = MockLedger(toy, "B")
