@@ -37,7 +37,7 @@ from enum import Enum
 from typing import Optional
 
 from . import schnorr, wire
-from .groups import GroupContext, SeededRandomness
+from .groups import Element, GroupContext, SeededRandomness
 from .scheme import (KeyPair, PreSignature, Ring, Signature, SignerWindow,
                      adapt, ext, gen_r, keygen, presign, preverify, verify)
 from .wire import CHAIN_PLAIN, CHAIN_RING, SwapTransaction
@@ -84,20 +84,16 @@ class SubmitResult:
 
 
 class MockLedger:
-    """Append-only confirmed log; chain B also tracks published link tags."""
+    """Confirmed transactions, keyed by value and mapped to their
+    signatures in admission order; chain B also tracks published link tags."""
 
     def __init__(self, ctx: GroupContext, chain_id: str):
         if chain_id not in (CHAIN_PLAIN, CHAIN_RING):
             raise ValueError(f"unknown chain id {chain_id!r}")
         self.ctx = ctx
         self.chain_id = chain_id
-        self.confirmed: list[tuple[SwapTransaction, object]] = []
-        self.published_tags: set[bytes] = set()
-        self._confirmed_digests: set[bytes] = set()
-
-    def has_confirmed(self, tx: SwapTransaction) -> bool:
-        message = wire.encode_transaction(self.ctx, tx)
-        return hashlib.sha256(message).digest() in self._confirmed_digests
+        self.confirmed: dict[SwapTransaction, object] = {}
+        self.published_tags: set[Element] = set()
 
 
 def ledger_submit(ledger: MockLedger, tx: SwapTransaction, sig) -> SubmitResult:
@@ -116,8 +112,8 @@ def ledger_submit(ledger: MockLedger, tx: SwapTransaction, sig) -> SubmitResult:
         if not (isinstance(sig, schnorr.PlainSignature)
                 and ctx.is_element(tx.payer_key)):
             return SubmitResult(False, REJECT_MALFORMED)
-        message = wire.encode_transaction(ctx, tx)
-        valid = schnorr.verify(ctx, tx.payer_key, sig, message)
+        valid = schnorr.verify(ctx, tx.payer_key, sig,
+                               wire.encode_transaction(ctx, tx))
     else:
         try:
             ring = Ring(ctx, tx.ring_keys)
@@ -125,20 +121,21 @@ def ledger_submit(ledger: MockLedger, tx: SwapTransaction, sig) -> SubmitResult:
             return SubmitResult(False, REJECT_MALFORMED)
         if not isinstance(sig, Signature):
             return SubmitResult(False, REJECT_MALFORMED)
-        message = wire.encode_transaction(ctx, tx)
-        valid = verify(ctx, ring, sig, tx.threshold, message)
+        valid = verify(ctx, ring, sig, tx.threshold,
+                       wire.encode_transaction(ctx, tx))
+    # The signature is checked first, so a forged copy of a confirmed
+    # transaction is reported as bad-signature, not as a double spend.
     if not valid:
         return SubmitResult(False, REJECT_BAD_SIGNATURE)
-    digest = hashlib.sha256(message).digest()
-    if digest in ledger._confirmed_digests:
+    if tx in ledger.confirmed:
         return SubmitResult(False, REJECT_DOUBLE_SPEND)
     if ledger.chain_id == CHAIN_RING:
-        tag_encodings = {ctx.encode_element(tag) for tag in sig.tags}
-        if tag_encodings & ledger.published_tags:
+        # The rule link() applies; verify has checked that every tag is
+        # a group element, and elements compare by canonical value.
+        if not sig.tag_set.isdisjoint(ledger.published_tags):
             return SubmitResult(False, REJECT_DOUBLE_SPEND)
-        ledger.published_tags |= tag_encodings
-    ledger.confirmed.append((tx, sig))
-    ledger._confirmed_digests.add(digest)
+        ledger.published_tags |= sig.tag_set
+    ledger.confirmed[tx] = sig
     return SubmitResult(True)
 
 
@@ -149,6 +146,8 @@ class SwapState:
     statement: Optional[object] = None
     tx_plain: Optional[SwapTransaction] = None   # Bob pays Alice on chain A
     tx_ring: Optional[SwapTransaction] = None    # Alice pays Bob on chain B
+    msg_plain: Optional[bytes] = None            # encoded tx_plain
+    msg_ring: Optional[bytes] = None             # encoded tx_ring
     presig_plain: Optional[object] = None        # as received by Alice
     presig_ring_local: Optional[object] = None   # Alice's own copy
     presig_ring_sent: Optional[object] = None    # as received by Bob
@@ -195,6 +194,25 @@ class SwapRun:
     def digest(self, data: bytes) -> str:
         return hashlib.sha256(data).hexdigest()
 
+    @property
+    def confirmed_plain(self) -> bool:
+        return self.state.tx_plain in self.ledger_plain.confirmed
+
+    @property
+    def confirmed_ring(self) -> bool:
+        return self.state.tx_ring in self.ledger_ring.confirmed
+
+    def outcome(self) -> str:
+        if self.confirmed_plain and self.confirmed_ring:
+            return "both-confirmed"
+        if not self.confirmed_plain and not self.confirmed_ring:
+            return "neither-confirmed"
+        return "mixed"
+
+    def transcript_jsonl(self) -> str:
+        return "\n".join(json.dumps(rec, sort_keys=True)
+                         for rec in self.transcript)
+
 
 def step1_bob_commit(run: SwapRun):
     """Bob samples (W, w), builds tx on chain A and pre-signs it."""
@@ -206,8 +224,8 @@ def step1_bob_commit(run: SwapRun):
                          run.rng.randbelow(2**64),
                          payer_key=run.bob_keypair.pk)
     run.state.tx_plain = tx
-    psig = schnorr.presign(ctx, run.bob_keypair,
-                           wire.encode_transaction(ctx, tx),
+    run.state.msg_plain = wire.encode_transaction(ctx, tx)
+    psig = schnorr.presign(ctx, run.bob_keypair, run.state.msg_plain,
                            statement.w1, run.rng)
     if run.fault.corruption == TAMPER_PRESIG_B:
         psig = schnorr.PlainPreSignature(
@@ -218,7 +236,7 @@ def step1_bob_commit(run: SwapRun):
     run.record(1, "bob", "committed statement, chain-A tx and pre-signature",
                artifacts={
                    "statement": run.digest(wire.encode_statement(ctx, statement)),
-                   "tx_plain": run.digest(wire.encode_transaction(ctx, tx)),
+                   "tx_plain": run.digest(run.state.msg_plain),
                    "presig_plain": run.digest(
                        wire.encode_plain_presignature(ctx, psig)),
                })
@@ -238,8 +256,7 @@ def step3_alice_presign(run: SwapRun):
     """Alice checks Bob's pre-signature, then pre-signs her chain-B tx."""
     ctx = run.ctx
     ok = schnorr.preverify(ctx, run.bob_keypair.pk, run.state.presig_plain,
-                           wire.encode_transaction(ctx, run.state.tx_plain),
-                           run.state.statement.w1)
+                           run.state.msg_plain, run.state.statement.w1)
     run.record(3, "alice", "checked plain pre-signature", verdict=ok)
     if not ok:
         run.abort(3, "alice", "preverify_plain")
@@ -249,9 +266,9 @@ def step3_alice_presign(run: SwapRun):
                          ring_keys=run.ring.keys,
                          threshold=run.window.width)
     run.state.tx_ring = tx
-    psig = presign(ctx, run.ring, run.window,
-                   wire.encode_transaction(ctx, tx), run.state.statement,
-                   run.rng)
+    run.state.msg_ring = wire.encode_transaction(ctx, tx)
+    psig = presign(ctx, run.ring, run.window, run.state.msg_ring,
+                   run.state.statement, run.rng)
     run.state.presig_ring_local = psig
     if run.fault.corruption == TAMPER_PRESIG_A:
         psig = PreSignature((psig.z_tilde + 1) % ctx.order,
@@ -261,7 +278,7 @@ def step3_alice_presign(run: SwapRun):
     run.state.phase = Phase.ALICE_COMMITTED
     run.record(3, "alice", "committed chain-B tx and ring pre-signature",
                artifacts={
-                   "tx_ring": run.digest(wire.encode_transaction(ctx, tx)),
+                   "tx_ring": run.digest(run.state.msg_ring),
                    "presig_ring": run.digest(
                        wire.encode_presignature(ctx, psig)),
                })
@@ -270,9 +287,8 @@ def step3_alice_presign(run: SwapRun):
 def step4_bob_adapt_and_claim(run: SwapRun):
     """Bob checks Alice's pre-signature and adapts it with his witness."""
     ctx = run.ctx
-    message = wire.encode_transaction(ctx, run.state.tx_ring)
     ok = preverify(ctx, run.ring, run.state.presig_ring_sent,
-                   run.window.width, message, run.state.statement)
+                   run.window.width, run.state.msg_ring, run.state.statement)
     run.record(4, "bob", "checked ring pre-signature", verdict=ok)
     if not ok:
         run.abort(4, "bob", "preverify_ring")
@@ -343,57 +359,25 @@ _STEPS = (
 )
 
 
-@dataclass
-class SwapResult:
-    state: SwapState
-    transcript: list[dict]
-    ledger_plain: MockLedger
-    ledger_ring: MockLedger
-    bob_witness: Optional[int]
-
-    @property
-    def confirmed_plain(self) -> bool:
-        return (self.state.tx_plain is not None
-                and self.ledger_plain.has_confirmed(self.state.tx_plain))
-
-    @property
-    def confirmed_ring(self) -> bool:
-        return (self.state.tx_ring is not None
-                and self.ledger_ring.has_confirmed(self.state.tx_ring))
-
-    def outcome(self) -> str:
-        if self.confirmed_plain and self.confirmed_ring:
-            return "both-confirmed"
-        if not self.confirmed_plain and not self.confirmed_ring:
-            return "neither-confirmed"
-        return "mixed"
-
-    def transcript_jsonl(self) -> str:
-        return "\n".join(json.dumps(rec, sort_keys=True)
-                         for rec in self.transcript)
-
-
 def run_swap(ctx: GroupContext, *, ring: Ring, window: SignerWindow,
              bob_keypair: KeyPair, amount_plain: int = 1,
              amount_ring: int = 1, fault: Optional[FaultPlan] = None,
-             seed: int = 0, ledger_plain: Optional[MockLedger] = None,
-             ledger_ring: Optional[MockLedger] = None) -> SwapResult:
-    """Execute the six-step swap under an optional fault plan.
+             seed: int = 0,
+             ledger_ring: Optional[MockLedger] = None) -> SwapRun:
+    """Execute the six-step swap under an optional fault plan; return the run.
 
     Without a fault the run terminates in phase alice-claimed with both
     chains confirmed.  With a fault it terminates aborted with neither
     of the swap's transactions confirmed.
     """
     fault = fault or FaultPlan()
-    if window.ring is not ring and window.ring != ring:
-        raise ValueError("window was built for a different ring")
     if not 0 < amount_plain < 2**64 or not 0 < amount_ring < 2**64:
         raise ValueError("amounts must be positive 64-bit integers")
     run = SwapRun(
         ctx=ctx, ring=ring, window=window, bob_keypair=bob_keypair,
         amount_plain=amount_plain, amount_ring=amount_ring, fault=fault,
         rng=SeededRandomness(seed),
-        ledger_plain=ledger_plain or MockLedger(ctx, CHAIN_PLAIN),
+        ledger_plain=MockLedger(ctx, CHAIN_PLAIN),
         ledger_ring=ledger_ring or MockLedger(ctx, CHAIN_RING),
     )
     if fault.corruption == REPLAY_WINDOW:
@@ -405,8 +389,7 @@ def run_swap(ctx: GroupContext, *, ring: Ring, window: SignerWindow,
         if fault.abort_after == number:
             run.abort(number, "adversary", f"abort-after-step{number}")
             break
-    return SwapResult(run.state, run.transcript, run.ledger_plain,
-                      run.ledger_ring, run.bob_witness)
+    return run
 
 
 def _prepublish_window(run: SwapRun):
@@ -421,19 +404,17 @@ def _prepublish_window(run: SwapRun):
                          run.rng.randbelow(2**64),
                          ring_keys=run.ring.keys,
                          threshold=run.window.width)
-    psig = presign(ctx, run.ring, run.window,
-                   wire.encode_transaction(ctx, tx), statement, run.rng)
+    message = wire.encode_transaction(ctx, tx)
+    psig = presign(ctx, run.ring, run.window, message, statement, run.rng)
     sig = adapt(ctx, psig, witness)
     result = ledger_submit(run.ledger_ring, tx, sig)
     assert result.accepted, "window replay setup must confirm"
     run.record(0, "adversary", "window already spent in a prior transaction",
-               artifacts={"tx_prior": run.digest(
-                   wire.encode_transaction(ctx, tx))})
+               artifacts={"tx_prior": run.digest(message)})
 
 
 def make_demo_parties(ctx: GroupContext, ring_size: int, threshold: int,
-                      seed: int = 0, window_start: Optional[int] = None
-                      ) -> tuple[Ring, SignerWindow, KeyPair]:
+                      seed: int = 0) -> tuple[Ring, SignerWindow, KeyPair]:
     """Deterministically build Alice's ring and window plus Bob's keypair."""
     rng = SeededRandomness(2 * seed)
     members = []
@@ -445,16 +426,15 @@ def make_demo_parties(ctx: GroupContext, ring_size: int, threshold: int,
             seen.add(kp.pk)
             members.append(kp)
     ring = Ring(ctx, [kp.pk for kp in members])
-    if window_start is None:
-        window_start = rng.randbelow(ring_size - threshold + 1)
-    secrets = [members[window_start + i].sk for i in range(threshold)]
-    window = SignerWindow(ctx, ring, window_start, secrets)
+    start = rng.randbelow(ring_size - threshold + 1)
+    secrets = [members[start + i].sk for i in range(threshold)]
+    window = SignerWindow(ctx, ring, start, secrets)
     bob = keygen(ctx, rng)
     return ring, window, bob
 
 
 def swap_demo(ctx: GroupContext, ring_size: int = 4, threshold: int = 2,
-              seed: int = 0, fault: Optional[FaultPlan] = None) -> SwapResult:
+              seed: int = 0, fault: Optional[FaultPlan] = None) -> SwapRun:
     """Self-contained demo run with deterministically generated parties."""
     ring, window, bob = make_demo_parties(ctx, ring_size, threshold, seed)
     return run_swap(ctx, ring=ring, window=window, bob_keypair=bob,

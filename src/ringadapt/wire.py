@@ -265,6 +265,8 @@ class SwapTransaction:
         elif self.chain_id == CHAIN_RING:
             if self.payer_key is not None or not self.ring_keys:
                 raise ValueError("chain-B transaction needs a payer ring")
+            if len(self.ring_keys) > 0xFFFF:
+                raise ValueError("payer ring too large")
             if not 1 <= (self.threshold or 0) <= len(self.ring_keys):
                 raise ValueError("chain-B threshold out of range")
         else:

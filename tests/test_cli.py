@@ -167,6 +167,33 @@ def test_link_subcommand(workspace, capsys, tmp_path):
                     "--sig-a", str(sig_b), "--sig-b", str(sig_c),
                     "--threshold-b", "1")
     assert (code, out.strip()) == (1, "0")
+    # a second ring (new, key 2, new) whose window covers the shared key 2
+    ring_d = tmp_path / "ring_d.bin"
+    args = ["ring-build", "--group", "toy", "--out", str(ring_d)]
+    for i, seed in enumerate((105, None, 106)):
+        key_path = workspace["keys"][2]
+        if seed is not None:
+            key_path = tmp_path / f"ring_d_key{i}.json"
+            assert main(["keygen", "--group", "toy", "--seed", str(seed),
+                         "--out", str(key_path)]) == 0
+        args += ["--key", str(key_path)]
+    assert main(args) == 0
+    presig_d = tmp_path / "presig_d.bin"
+    sig_d = tmp_path / "sig_d.bin"
+    run(capsys, "presign", "--group", "toy", "--seed", "13",
+        "--ring", str(ring_d), "--window", "1,1",
+        "--key", str(workspace["keys"][2]),
+        "--message", str(workspace["message"]),
+        "--statement", str(workspace["statement"]),
+        "--out", str(presig_d))
+    run(capsys, "adapt", "--group", "toy", "--ring", str(ring_d),
+        "--threshold", "1", "--presig", str(presig_d),
+        "--witness", str(workspace["witness"]), "--out", str(sig_d))
+    code, out = run(capsys, "link", "--group", "toy",
+                    "--ring", str(workspace["ring"]), "--threshold", "2",
+                    "--sig-a", str(workspace["sig"]), "--sig-b", str(sig_d),
+                    "--ring-b", str(ring_d), "--threshold-b", "1")
+    assert (code, out.strip()) == (0, "1")
 
 
 def test_decode_failure_exits_2(workspace, capsys, tmp_path):

@@ -18,6 +18,13 @@ def _ring_tx(ring, t, payee, nonce):
                            threshold=t)
 
 
+def _copy_by_value(ctx, tx):
+    """A distinct object equal to tx, as a miner decodes it from the wire."""
+    copy = wire.decode_transaction(ctx, wire.encode_transaction(ctx, tx))
+    assert copy == tx and copy is not tx
+    return copy
+
+
 def _signed_ring_tx(ctx, ring, window, payee, nonce, rng):
     statement, w = gen_r(ctx, rng)
     tx = _ring_tx(ring, window.width, payee, nonce)
@@ -39,6 +46,8 @@ class TestLedger:
         # replaying a confirmed transaction is a double spend
         again = ledger_submit(ledger, tx, sig)
         assert (again.accepted, again.reason) == (False, "double-spend-link")
+        again = ledger_submit(ledger, _copy_by_value(toy, tx), sig)
+        assert (again.accepted, again.reason) == (False, "double-spend-link")
         bad = schnorr.PlainSignature(sig.challenge,
                                      (sig.response + 1) % toy.order)
         tx2 = SwapTransaction("A", b"alice", 3, 8, payer_key=bob.pk)
@@ -51,8 +60,9 @@ class TestLedger:
         w_a = build_window(toy, ring, members, 0, 2)
         tx1, sig1 = _signed_ring_tx(toy, ring, w_a, b"x", 1, rng)
         assert ledger_submit(ledger, tx1, sig1).accepted
-        assert ledger.published_tags == {toy.encode_element(t)
-                                         for t in sig1.tags}
+        assert ledger.published_tags == set(sig1.tags)
+        again = ledger_submit(ledger, _copy_by_value(toy, tx1), sig1)
+        assert (again.accepted, again.reason) == (False, "double-spend-link")
         # overlapping window: shares member 1
         w_b = build_window(toy, ring, members, 1, 2)
         tx2, sig2 = _signed_ring_tx(toy, ring, w_b, b"y", 2, rng)
@@ -204,6 +214,27 @@ class TestSwapRuns:
         with pytest.raises(ValueError):
             run_swap(toy, ring=ring, window=window, bob_keypair=bob,
                      amount_plain=0)
+
+    @pytest.mark.parametrize("plan, during_run", [
+        (None, 4),
+        (FaultPlan(corruption="replay-window"), 5),
+    ], ids=["happy", "replay-window"])
+    def test_each_transaction_is_encoded_once(self, toy, monkeypatch, plan,
+                                              during_run):
+        # Each party encodes the transaction it builds, each miner the one
+        # it admits; the outcome is read from the ledgers, not re-encoded.
+        calls = []
+        encode = wire.encode_transaction
+
+        def counting(ctx, tx):
+            calls.append(tx)
+            return encode(ctx, tx)
+
+        monkeypatch.setattr(wire, "encode_transaction", counting)
+        result = swap_demo(toy, ring_size=4, threshold=2, seed=3, fault=plan)
+        assert len(calls) == during_run
+        result.outcome()
+        assert len(calls) == during_run
 
     def test_witness_is_published_only_after_confirmation(self, toy):
         # Until step 5 confirms, no transcript record carries a witness.

@@ -171,6 +171,10 @@ class TestRejection:
                                  threshold=4)
         with pytest.raises(ValueError):
             wire.SwapTransaction("A", b"x", 1, 1)
+        with pytest.raises(ValueError):
+            wire.SwapTransaction("B", b"x", 1, 1,
+                                 ring_keys=ring.keys[:1] * 0x10000,
+                                 threshold=1)
 
     @settings(max_examples=150)
     @given(st.binary(max_size=64))
