@@ -107,9 +107,11 @@ def ledger_submit(ledger: MockLedger, tx: SwapTransaction, sig) -> SubmitResult:
     ctx = ledger.ctx
     if tx.chain_id != ledger.chain_id:
         return SubmitResult(False, REJECT_MALFORMED)
-    # Keys and signature type are checked first: encoding needs valid keys.
+    # Checked before encoding: valid keys, signature type, and empty fields
+    # outside the encoding (else an unequal copy carries the same signature).
     if ledger.chain_id == CHAIN_PLAIN:
         if not (isinstance(sig, schnorr.PlainSignature)
+                and tx.ring_keys is None and tx.threshold is None
                 and ctx.is_element(tx.payer_key)):
             return SubmitResult(False, REJECT_MALFORMED)
         valid = schnorr.verify(ctx, tx.payer_key, sig,
@@ -119,7 +121,7 @@ def ledger_submit(ledger: MockLedger, tx: SwapTransaction, sig) -> SubmitResult:
             ring = Ring(ctx, tx.ring_keys)
         except ValueError:
             return SubmitResult(False, REJECT_MALFORMED)
-        if not isinstance(sig, Signature):
+        if not isinstance(sig, Signature) or tx.payer_key is not None:
             return SubmitResult(False, REJECT_MALFORMED)
         valid = verify(ctx, ring, sig, tx.threshold,
                        wire.encode_transaction(ctx, tx))
@@ -203,11 +205,10 @@ class SwapRun:
         return self.state.tx_ring in self.ledger_ring.confirmed
 
     def outcome(self) -> str:
-        if self.confirmed_plain and self.confirmed_ring:
-            return "both-confirmed"
-        if not self.confirmed_plain and not self.confirmed_ring:
-            return "neither-confirmed"
-        return "mixed"
+        plain, ring = self.confirmed_plain, self.confirmed_ring
+        if plain != ring:
+            return "mixed"
+        return "both-confirmed" if plain else "neither-confirmed"
 
     def transcript_jsonl(self) -> str:
         return "\n".join(json.dumps(rec, sort_keys=True)

@@ -259,9 +259,11 @@ class SwapTransaction:
         if self.ring_keys is not None:
             object.__setattr__(self, "ring_keys", tuple(self.ring_keys))
         object.__setattr__(self, "payee", bytes(self.payee))
+        # Fields the encoding leaves out stay empty: equal iff same bytes.
         if self.chain_id == CHAIN_PLAIN:
-            if self.payer_key is None or self.ring_keys is not None:
-                raise ValueError("chain-A transaction needs exactly one payer key")
+            if (self.payer_key is None or self.ring_keys is not None
+                    or self.threshold is not None):
+                raise ValueError("chain-A transaction needs only a payer key")
         elif self.chain_id == CHAIN_RING:
             if self.payer_key is not None or not self.ring_keys:
                 raise ValueError("chain-B transaction needs a payer ring")

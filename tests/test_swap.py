@@ -1,6 +1,7 @@
 """Mock ledgers and the six-step swap: admission rules, fault matrix,
 atomicity, determinism."""
 
+import copy
 import itertools
 
 import pytest
@@ -20,9 +21,19 @@ def _ring_tx(ring, t, payee, nonce):
 
 def _copy_by_value(ctx, tx):
     """A distinct object equal to tx, as a miner decodes it from the wire."""
-    copy = wire.decode_transaction(ctx, wire.encode_transaction(ctx, tx))
-    assert copy == tx and copy is not tx
-    return copy
+    decoded = wire.decode_transaction(ctx, wire.encode_transaction(ctx, tx))
+    assert decoded == tx and decoded is not tx
+    return decoded
+
+
+def _forged_copy(tx, **fields):
+    """tx with fields its encoding leaves out set past the constructor's
+    checks: the same signed bytes, but not equal to tx."""
+    forged = copy.copy(tx)
+    for name, value in fields.items():
+        object.__setattr__(forged, name, value)
+    assert forged != tx
+    return forged
 
 
 def _signed_ring_tx(ctx, ring, window, payee, nonce, rng):
@@ -48,6 +59,9 @@ class TestLedger:
         assert (again.accepted, again.reason) == (False, "double-spend-link")
         again = ledger_submit(ledger, _copy_by_value(toy, tx), sig)
         assert (again.accepted, again.reason) == (False, "double-spend-link")
+        for fields in (dict(threshold=1), dict(ring_keys=(bob.pk,))):
+            again = ledger_submit(ledger, _forged_copy(tx, **fields), sig)
+            assert (again.accepted, again.reason) == (False, "malformed")
         bad = schnorr.PlainSignature(sig.challenge,
                                      (sig.response + 1) % toy.order)
         tx2 = SwapTransaction("A", b"alice", 3, 8, payer_key=bob.pk)
@@ -63,6 +77,9 @@ class TestLedger:
         assert ledger.published_tags == set(sig1.tags)
         again = ledger_submit(ledger, _copy_by_value(toy, tx1), sig1)
         assert (again.accepted, again.reason) == (False, "double-spend-link")
+        again = ledger_submit(ledger, _forged_copy(tx1, payer_key=ring.keys[0]),
+                              sig1)
+        assert (again.accepted, again.reason) == (False, "malformed")
         # overlapping window: shares member 1
         w_b = build_window(toy, ring, members, 1, 2)
         tx2, sig2 = _signed_ring_tx(toy, ring, w_b, b"y", 2, rng)

@@ -171,6 +171,13 @@ class TestRejection:
                                  threshold=4)
         with pytest.raises(ValueError):
             wire.SwapTransaction("A", b"x", 1, 1)
+        # Fields the chain-A encoding leaves out would give unequal
+        # transactions the same signed bytes.
+        pk = ring.keys[0]
+        for bad in (dict(threshold=1), dict(ring_keys=ring.keys),
+                    dict(threshold=1, ring_keys=ring.keys)):
+            with pytest.raises(ValueError):
+                wire.SwapTransaction("A", b"x", 1, 1, payer_key=pk, **bad)
         with pytest.raises(ValueError):
             wire.SwapTransaction("B", b"x", 1, 1,
                                  ring_keys=ring.keys[:1] * 0x10000,
