@@ -17,10 +17,9 @@ from __future__ import annotations
 import csv
 import statistics
 import time
-from dataclasses import dataclass
 from typing import IO, Iterable
 
-from .groups import GroupContext, SeededRandomness, setup_group
+from .groups import GroupContext, Record, SeededRandomness, setup_group
 from .scheme import (Ring, SignerWindow, adapt, ext, gen_r, keygen, link,
                      presign, preverify, verify)
 from .wire import HEADER_SIZE, encode_presignature, encode_signature
@@ -31,8 +30,7 @@ CSV_COLUMNS = ("algorithm", "n", "t", "mean_ns", "reps", "bytes",
 MIN_REPS = 10
 
 
-@dataclass(frozen=True)
-class BenchRecord:
+class BenchRecord(Record):
     algorithm: str
     n: int
     t: int

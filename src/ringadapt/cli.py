@@ -15,16 +15,13 @@ import argparse
 import json
 import sys
 
-from . import bench, wire
+from . import wire
 from .groups import (_BACKENDS, SeededRandomness, UnknownBackendError,
                      setup_group)
 from .scheme import (Ring, SignerWindow, adapt, ext, keygen, gen_r, link,
                      presign, preverify, verify)
-from .swap import CORRUPTIONS, FaultPlan, Phase, swap_demo
 
 FAILURE_MARK = "⊥"  # printed when extraction returns no witness
-
-FAULT_NAMES = tuple(f"abort{i}" for i in range(1, 6)) + CORRUPTIONS
 
 
 def _read(path: str) -> bytes:
@@ -64,11 +61,14 @@ def _rng(args):
     return SeededRandomness(args.seed) if args.seed is not None else None
 
 
-def _fault_plan(name: str | None) -> FaultPlan | None:
-    if name is None or name == "none":
+def _fault_plan(name: str):
+    """'none', 'abortK' or a corruption name; FaultPlan rejects the rest."""
+    from .swap import FaultPlan
+    if name == "none":
         return None
-    if name.startswith("abort"):
-        return FaultPlan(abort_after=int(name[len("abort"):]))
+    step = name[len("abort"):]
+    if name.startswith("abort") and step.isdecimal():
+        return FaultPlan(abort_after=int(step))
     return FaultPlan(corruption=name)
 
 
@@ -186,6 +186,7 @@ def cmd_link(args) -> int:
 
 
 def cmd_swap_demo(args) -> int:
+    from .swap import Phase, swap_demo
     ctx = setup_group(args.group)
     fault = _fault_plan(args.fault)
     result = swap_demo(ctx, ring_size=args.ring_size,
@@ -211,8 +212,10 @@ def cmd_swap_demo(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from . import bench
     sizes = range(args.min_n, args.max_n + 1, args.step)
-    records = bench.run_bench(args.group, sizes, args.reps, args.seed or 0)
+    reps = bench.MIN_REPS if args.reps is None else args.reps
+    records = bench.run_bench(args.group, sizes, reps, args.seed or 0)
     if args.out:
         with open(args.out, "w", newline="") as fh:
             bench.write_csv(records, fh)
@@ -298,14 +301,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("swap-demo", cmd_swap_demo, help="run the two-ledger atomic swap")
     p.add_argument("--ring-size", type=int, default=4)
     p.add_argument("--threshold", type=int, default=2)
-    p.add_argument("--fault", choices=("none",) + FAULT_NAMES, default="none")
+    p.add_argument("--fault", default="none",
+                   help="none, abort1..abort5 or a corruption name")
     p.add_argument("--out", help="transcript file (default: stdout)")
 
     p = add("bench", cmd_bench, help="sweep ring sizes and emit a CSV")
     p.add_argument("--min-n", type=int, default=10)
     p.add_argument("--max-n", type=int, default=100)
     p.add_argument("--step", type=int, default=10)
-    p.add_argument("--reps", type=int, default=bench.MIN_REPS)
+    p.add_argument("--reps", type=int,
+                   help="repetitions per cell (default bench.MIN_REPS)")
     p.add_argument("--out", help="CSV file (default: stdout)")
 
     return parser

@@ -19,12 +19,12 @@ across threads.
 from __future__ import annotations
 
 import ctypes
-import ctypes.util
 import functools
 import hashlib
 import random
 import secrets
 import struct
+from operator import attrgetter
 from typing import Iterable, Sequence, Union
 
 Element = Union[bytes, int]
@@ -32,6 +32,55 @@ Element = Union[bytes, int]
 # Nothing-up-my-sleeve seed for the second generator: h must not have a
 # discrete log relative to g that anyone could know.
 H_DERIVATION_STRING = b"LTRAS-generator-h-v1"
+
+
+class Record:
+    """Immutable value, the package's stand-in for a frozen dataclass.
+
+    Fields are the class annotations, in order; a class attribute gives a
+    default and ``__post_init__`` runs after construction.  Records with
+    the same exact type and field values are equal and hash alike."""
+
+    _fields = ()
+
+    def __init_subclass__(cls):
+        cls._fields += tuple(cls.__dict__.get("__annotations__", ()))
+        cls._values = attrgetter(*cls._fields)
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        if len(args) > len(cls._fields):
+            raise TypeError(f"{cls.__qualname__}: too many arguments")
+        values = dict(zip(cls._fields, args))
+        for name, value in kwargs.items():
+            if name not in cls._fields or name in values:
+                raise TypeError(f"{cls.__qualname__}: bad argument {name!r}")
+            values[name] = value
+        for name in cls._fields:
+            if name not in values and not hasattr(cls, name):
+                raise TypeError(f"{cls.__qualname__}: missing {name!r}")
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash((type(self), self._values(self)))
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__qualname__} is immutable")
+
+    __delattr__ = __setattr__
 
 
 class UnknownBackendError(ValueError):
@@ -190,13 +239,19 @@ class ToyGroup(GroupContext):
 RISTRETTO_ORDER = 2**252 + 27742317777372353535851937790883648493
 
 
+def _sodium_names():
+    yield "libsodium.so.23"
+    yield "libsodium.so"
+    from ctypes.util import find_library  # imports subprocess; last resort
+    yield find_library("sodium")
+
+
 class _Sodium:
     """Thin ctypes layer over the ristretto255 primitives of libsodium."""
 
     def __init__(self):
-        name = ctypes.util.find_library("sodium")
         lib = None
-        for candidate in filter(None, (name, "libsodium.so.23", "libsodium.so")):
+        for candidate in filter(None, _sodium_names()):
             try:
                 lib = ctypes.CDLL(candidate)
                 break

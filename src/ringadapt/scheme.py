@@ -29,11 +29,10 @@ sums c_i over the t windows holding key k, and l^{sum(C)} as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Optional
 
-from .groups import Element, GroupContext
+from .groups import Element, GroupContext, Record
 
 DOMAIN_RING_DIGEST = b"LTRAS/d"
 DOMAIN_CHALLENGE = b"LTRAS/c"
@@ -43,14 +42,12 @@ class KeyMismatchError(ValueError):
     """A supplied secret key does not match its ring position."""
 
 
-@dataclass(frozen=True)
-class KeyPair:
+class KeyPair(Record):
     sk: int
     pk: Element
 
 
-@dataclass(frozen=True)
-class StatementPair:
+class StatementPair(Record):
     """The hard-relation statement (W1, W2) = (g^w, h^w)."""
 
     w1: Element
@@ -124,8 +121,7 @@ class SignerWindow:
         self.tags = tuple(ctx.exp(ctx.generator_h, sk) for sk in secrets)
 
 
-@dataclass(frozen=True)
-class PreSignature:
+class PreSignature(Record):
     z_tilde: int
     challenges: tuple  # c_0 .. c_{n-1}
     tags: tuple        # window order, one per signing key
@@ -135,8 +131,7 @@ class PreSignature:
         return frozenset(self.tags)
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Record):
     z: int
     challenges: tuple
     tags: tuple
@@ -146,8 +141,7 @@ class Signature:
         return frozenset(self.tags)
 
 
-@dataclass(frozen=True)
-class PresignTrace:
+class PresignTrace(Record):
     """Every intermediate of one presign run, for oracle comparison."""
 
     d: int

@@ -11,23 +11,20 @@ adapting adds the witness to the response: s = s~ + w.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .groups import Element, GroupContext
+from .groups import Element, GroupContext, Record
 from .scheme import KeyPair
 
 DOMAIN_CHALLENGE = b"schnorr-adaptor/c"
 
 
-@dataclass(frozen=True)
-class PlainPreSignature:
+class PlainPreSignature(Record):
     challenge: int        # c
     masked_response: int  # s~
 
 
-@dataclass(frozen=True)
-class PlainSignature:
+class PlainSignature(Record):
     challenge: int  # c
     response: int   # s
 

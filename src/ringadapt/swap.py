@@ -32,12 +32,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
 from . import schnorr, wire
-from .groups import Element, GroupContext, SeededRandomness
+from .groups import Element, GroupContext, Record, SeededRandomness
 from .scheme import (KeyPair, PreSignature, Ring, Signature, SignerWindow,
                      adapt, ext, gen_r, keygen, presign, preverify, verify)
 from .wire import CHAIN_PLAIN, CHAIN_RING, SwapTransaction
@@ -61,8 +62,7 @@ class Phase(str, Enum):
     ABORTED = "aborted"
 
 
-@dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(Record):
     """At most one fault per run: an abort point or a corruption."""
 
     abort_after: Optional[int] = None
@@ -77,8 +77,7 @@ class FaultPlan:
             raise ValueError("at most one fault per run")
 
 
-@dataclass(frozen=True)
-class SubmitResult:
+class SubmitResult(Record):
     accepted: bool
     reason: Optional[str] = None
 
@@ -114,8 +113,6 @@ def ledger_submit(ledger: MockLedger, tx: SwapTransaction, sig) -> SubmitResult:
                 and tx.ring_keys is None and tx.threshold is None
                 and ctx.is_element(tx.payer_key)):
             return SubmitResult(False, REJECT_MALFORMED)
-        valid = schnorr.verify(ctx, tx.payer_key, sig,
-                               wire.encode_transaction(ctx, tx))
     else:
         try:
             ring = Ring(ctx, tx.ring_keys)
@@ -123,8 +120,13 @@ def ledger_submit(ledger: MockLedger, tx: SwapTransaction, sig) -> SubmitResult:
             return SubmitResult(False, REJECT_MALFORMED)
         if not isinstance(sig, Signature) or tx.payer_key is not None:
             return SubmitResult(False, REJECT_MALFORMED)
-        valid = verify(ctx, ring, sig, tx.threshold,
-                       wire.encode_transaction(ctx, tx))
+    try:
+        message = wire.encode_transaction(ctx, tx)
+    except (struct.error, TypeError):  # forced past the constructor's checks
+        return SubmitResult(False, REJECT_MALFORMED)
+    valid = (schnorr.verify(ctx, tx.payer_key, sig, message)
+             if ledger.chain_id == CHAIN_PLAIN
+             else verify(ctx, ring, sig, tx.threshold, message))
     # The signature is checked first, so a forged copy of a confirmed
     # transaction is reported as bad-signature, not as a double spend.
     if not valid:

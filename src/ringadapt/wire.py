@@ -20,11 +20,10 @@ threshold from context.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from typing import Optional
 
 from . import schnorr
-from .groups import Element, GroupContext
+from .groups import Element, GroupContext, Record
 from .scheme import PreSignature, Ring, Signature, StatementPair
 
 VERSION = 1
@@ -239,8 +238,7 @@ def decode_plain_signature(ctx: GroupContext,
 
 # --- swap transactions -------------------------------------------------------
 
-@dataclass(frozen=True)
-class SwapTransaction:
+class SwapTransaction(Record):
     """Mock-ledger transfer; its canonical encoding is the signed message.
 
     Chain A transactions name a single payer key; chain B transactions
@@ -269,12 +267,14 @@ class SwapTransaction:
                 raise ValueError("chain-B transaction needs a payer ring")
             if len(self.ring_keys) > 0xFFFF:
                 raise ValueError("payer ring too large")
-            if not 1 <= (self.threshold or 0) <= len(self.ring_keys):
-                raise ValueError("chain-B threshold out of range")
+            if not (type(self.threshold) is int
+                    and 1 <= self.threshold <= len(self.ring_keys)):
+                raise ValueError("chain-B threshold must be an int in range")
         else:
             raise ValueError(f"unknown chain id {self.chain_id!r}")
-        if not 0 <= self.amount < 2**64 or not 0 <= self.nonce < 2**64:
-            raise ValueError("amount and nonce must fit in 64 bits")
+        if not all(type(v) is int and 0 <= v < 2**64
+                   for v in (self.amount, self.nonce)):
+            raise ValueError("amount and nonce must be 64-bit ints")
         if len(self.payee) > 0xFFFF:
             raise ValueError("payee identifier too long")
 

@@ -3,6 +3,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -256,6 +260,17 @@ def test_swap_demo_happy_and_faulty(capsys, tmp_path):
     assert records[-1]["phase"] == "aborted"
 
 
+@pytest.mark.parametrize("fault", ["bogus", "abortx", "abort", "abort0",
+                                   "abort6"])
+def test_swap_demo_unknown_fault_exits_2(capsys, fault):
+    code = main(["swap-demo", "--group", "toy", "--fault", fault])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert fault in captured.err or "abort point" in captured.err
+
+
 def test_bench_csv_schema(capsys):
     code, out = run(capsys, "bench", "--group", "toy", "--min-n", "10",
                     "--max-n", "20", "--step", "10", "--reps", "10",
@@ -273,6 +288,15 @@ def test_bench_csv_schema(capsys):
     assert all(int(r[4]) >= 10 for r in body)
 
 
+def test_bench_default_reps(capsys):
+    from ringadapt.bench import MIN_REPS
+    code, out = run(capsys, "bench", "--group", "toy", "--min-n", "2",
+                    "--max-n", "2")
+    assert code == 0
+    body = list(csv.reader(io.StringIO(out)))[1:]
+    assert body and all(int(r[4]) == MIN_REPS for r in body)
+
+
 @pytest.mark.parametrize("doc", ["[]", '{"group": "toy-607", "sk": 5, '
                                        '"pk": "0031"}'])
 def test_malformed_key_file_exits_2(capsys, tmp_path, doc):
@@ -282,3 +306,44 @@ def test_malformed_key_file_exits_2(capsys, tmp_path, doc):
                  "--out", str(tmp_path / "r.bin")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _child(code: str) -> str:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+# Looked up on ringadapt.cli and replaced there by perfbench/tracing.py.
+TRACED_CLI_NAMES = ("verify", "presign", "preverify", "adapt", "ext", "gen_r",
+                    "setup_group")
+
+
+def test_cli_import_loads_only_the_scheme():
+    heavy = ("ringadapt.bench", "ringadapt.swap", "dataclasses", "inspect",
+             "ctypes.util", "subprocess", "statistics", "csv")
+    # Modules the interpreter's start-up already loaded do not count.
+    out = _child("import sys\n"
+                 "before = set(sys.modules)\n"
+                 "import ringadapt.cli\n"
+                 f"print(sorted(m for m in {heavy!r}\n"
+                 "             if m in sys.modules and m not in before))\n"
+                 f"print(all(callable(getattr(ringadapt.cli, n)) "
+                 f"for n in {TRACED_CLI_NAMES!r}))")
+    assert out.split("\n")[:2] == ["[]", "True"]
+
+
+def test_lazy_modules_still_resolve():
+    out = _child("from ringadapt import *\n"
+                 "print(bench.MIN_REPS, swap.MockLedger.__name__)")
+    assert out == "10 MockLedger\n"
+    out = _child("import ringadapt\n"
+                 "print(ringadapt.bench.MIN_REPS)\n"
+                 "from ringadapt import swap\n"
+                 "print(swap is ringadapt.swap, hasattr(ringadapt, 'nope'))")
+    assert out == "10\nTrue False\n"

@@ -1,12 +1,14 @@
 """Group backend contracts: laws, encodings, hashing, sampling."""
 
+import ctypes
+import ctypes.util
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringadapt import SeededRandomness, setup_group
+from ringadapt import SeededRandomness, groups, setup_group
 from ringadapt.groups import (TOY_MODULUS, TOY_ORDER, UnknownBackendError,
                               frame_parts)
 
@@ -172,3 +174,45 @@ def test_random_scalar_nonzero(toy):
 def test_keygen_distinct_under_live_randomness(prod):
     from ringadapt import keygen
     assert keygen(prod).sk != keygen(prod).sk
+
+
+@pytest.fixture
+def no_sonames(monkeypatch):
+    """ctypes.CDLL fails on every name except "found-by-search", which
+    loads the real library; returns the names find_library was asked for."""
+    real_cdll = ctypes.CDLL
+    tried = []
+
+    def cdll(name, *args, **kwargs):
+        tried.append(name)
+        if name != "found-by-search":
+            raise OSError(f"no {name}")
+        return real_cdll("libsodium.so.23")
+
+    searched = []
+
+    def find_library(name):
+        searched.append(name)
+        return "found-by-search"
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    monkeypatch.setattr(ctypes.util, "find_library", find_library)
+    return tried, searched
+
+
+def test_sodium_loader_falls_back_to_library_search(no_sonames):
+    tried, searched = no_sonames
+    lib = groups._Sodium()
+    assert tried == ["libsodium.so.23", "libsodium.so", "found-by-search"]
+    assert searched == ["sodium"]
+    point = lib.scalarmult_base((1).to_bytes(32, "little"))
+    assert lib.is_valid(point)
+
+
+@pytest.mark.parametrize("found", [None, "missing-library"])
+def test_sodium_loader_reports_missing_library(no_sonames, monkeypatch,
+                                               found):
+    monkeypatch.setattr(ctypes.util, "find_library", lambda name: found)
+    with pytest.raises(RuntimeError,
+                       match="^libsodium shared library not found$"):
+        groups._Sodium()

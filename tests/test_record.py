@@ -1,0 +1,111 @@
+"""Record, the frozen value base: construction, equality, immutability."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+from ringadapt import bench, scheme, schnorr, swap, wire
+from ringadapt.groups import Record
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "ringadapt"
+
+# One valid set of field values per Record subclass in src/, in field order.
+SAMPLES = {
+    scheme.KeyPair: (5, 7),
+    scheme.StatementPair: (7, 8),
+    scheme.PreSignature: (3, (1, 2), (7,)),
+    scheme.Signature: (3, (1, 2), (7,)),
+    scheme.PresignTrace: (1, (7,), 2, 7, 8, 3, 4, 5),
+    schnorr.PlainPreSignature: (1, 2),
+    schnorr.PlainSignature: (1, 2),
+    wire.SwapTransaction: ("A", b"x", 1, 2, 7, None, None),
+    swap.FaultPlan: (2, None),
+    swap.SubmitResult: (False, "malformed"),
+    bench.BenchRecord: ("verify", 4, 2, 10, 10, 20, "20", "30"),
+}
+RECORDS = sorted(SAMPLES, key=lambda cls: cls.__qualname__)
+
+
+def test_every_record_has_a_sample():
+    assert set(Record.__subclasses__()) == set(SAMPLES)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__qualname__)
+class TestRecord:
+    def test_equal_values_are_equal_and_hash_alike(self, cls):
+        a, b = cls(*SAMPLES[cls]), cls(*SAMPLES[cls])
+        assert a == b and hash(a) == hash(b) and a is not b
+        assert len({a, b}) == 1
+        assert a != SAMPLES[cls]
+
+    def test_keyword_construction_and_repr(self, cls):
+        values = dict(zip(cls._fields, SAMPLES[cls]))
+        record = cls(**values)
+        assert record == cls(*SAMPLES[cls])
+        assert all(getattr(record, k) == v for k, v in values.items())
+        shown = ", ".join(f"{k}={v!r}" for k, v in values.items())
+        assert repr(record) == f"{cls.__qualname__}({shown})"
+
+    def test_fields_cannot_change(self, cls):
+        record = cls(*SAMPLES[cls])
+        for name in cls._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert record == cls(*SAMPLES[cls])
+
+    def test_bad_arguments(self, cls):
+        values = SAMPLES[cls]
+        required = [name for name in cls._fields if not hasattr(cls, name)]
+        for name in required:                        # missing
+            given = dict(zip(cls._fields, values))
+            del given[name]
+            with pytest.raises(TypeError):
+                cls(**given)
+        with pytest.raises(TypeError):
+            cls(*values, None)                       # extra positional
+        with pytest.raises(TypeError):
+            cls(*values, extra=None)                 # unknown keyword
+        with pytest.raises(TypeError):
+            cls(*values, **{cls._fields[0]: values[0]})   # repeated
+
+
+def test_same_fields_different_type_are_unequal():
+    psig = scheme.PreSignature(3, (1, 2), (7,))
+    sig = scheme.Signature(3, (1, 2), (7,))
+    assert psig != sig and sig != psig
+    assert len({psig, sig}) == 2
+
+
+def test_defaults_and_post_init():
+    assert swap.FaultPlan() == swap.FaultPlan(None, None)
+    assert swap.FaultPlan().abort_after is None
+    assert swap.SubmitResult(True).reason is None
+    tx = wire.SwapTransaction("A", b"x", 1, 2, payer_key=7)
+    assert (tx.ring_keys, tx.threshold) == (None, None)
+    with pytest.raises(ValueError):
+        swap.FaultPlan(abort_after=9)
+    with pytest.raises(ValueError):
+        swap.FaultPlan(abort_after=1, corruption=swap.CORRUPTIONS[0])
+    # __post_init__ normalises through object.__setattr__
+    tx = wire.SwapTransaction("B", bytearray(b"x"), 1, 2, ring_keys=[7, 8],
+                              threshold=1)
+    assert (tx.payee, tx.ring_keys) == (b"x", (7, 8))
+
+
+def test_tag_set_is_cached():
+    sig = scheme.Signature(3, (1, 2), (7, 8, 7))
+    assert sig.tag_set == frozenset({7, 8})
+    assert sig.tag_set is sig.tag_set
+    assert sig == scheme.Signature(3, (1, 2), (7, 8, 7))
+
+
+def test_only_swap_imports_dataclasses():
+    importing = {path.name for path in SRC.glob("*.py")
+                 if re.search(r"^\s*(import|from)\s+dataclasses\b",
+                              path.read_text(), re.MULTILINE)}
+    assert importing == {"swap.py"}

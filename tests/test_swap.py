@@ -103,6 +103,18 @@ class TestLedger:
         assert ledger_submit(ledger_b, tx_b, "junk").reason == "malformed"
         psig_b = PreSignature(sig_b.z, sig_b.challenges, sig_b.tags)
         assert ledger_submit(ledger_b, tx_b, psig_b).reason == "malformed"
+        # Fields forced past the constructor's type and range checks.
+        for fields in (dict(amount=3.0), dict(nonce=-1), dict(threshold=2.0),
+                       dict(payee="x")):
+            forged = _forged_copy(tx_b, **fields)
+            assert ledger_submit(ledger_b, forged, sig_b).reason == "malformed"
+        statement, w = gen_r(toy, rng)
+        sig_a = schnorr.adapt(toy, schnorr.presign(
+            toy, bob, wire.encode_transaction(toy, tx_a), statement.w1, rng), w)
+        for fields in (dict(amount=3.0), dict(amount=2**64)):
+            forged = _forged_copy(tx_a, **fields)
+            assert ledger_submit(ledger_a, forged, sig_a).reason == "malformed"
+        assert not ledger_a.confirmed and not ledger_b.confirmed
 
     @pytest.mark.parametrize("backend, junk",
                              [("toy", 2), ("prod", b"\xff" * 32)],

@@ -182,6 +182,16 @@ class TestRejection:
             wire.SwapTransaction("B", b"x", 1, 1,
                                  ring_keys=ring.keys[:1] * 0x10000,
                                  threshold=1)
+        # Integer fields must be real ints, or encoding raises struct.error.
+        for bad in (dict(amount=3.0), dict(nonce=1.0), dict(amount=True),
+                    dict(nonce=False), dict(amount="3")):
+            fields = dict(amount=1, nonce=1) | bad
+            with pytest.raises(ValueError):
+                wire.SwapTransaction("A", b"x", payer_key=pk, **fields)
+        for threshold in (2.0, True, "2"):
+            with pytest.raises(ValueError):
+                wire.SwapTransaction("B", b"x", 1, 1, ring_keys=ring.keys,
+                                     threshold=threshold)
 
     @settings(max_examples=150)
     @given(st.binary(max_size=64))
