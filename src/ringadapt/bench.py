@@ -20,12 +20,9 @@ import time
 from typing import IO, Iterable
 
 from .groups import GroupContext, Record, SeededRandomness, setup_group
-from .scheme import (Ring, SignerWindow, adapt, ext, gen_r, keygen, link,
-                     presign, preverify, verify)
+from .scheme import (Ring, SignerWindow, adapt, distinct_keypairs, ext,
+                     gen_r, keygen, link, presign, preverify, verify)
 from .wire import HEADER_SIZE, encode_presignature, encode_signature
-
-CSV_COLUMNS = ("algorithm", "n", "t", "mean_ns", "reps", "bytes",
-               "comm_ours", "comm_baseline")
 
 MIN_REPS = 10
 
@@ -40,9 +37,8 @@ class BenchRecord(Record):
     comm_ours: str
     comm_baseline: str
 
-    def row(self) -> tuple:
-        return (self.algorithm, self.n, self.t, self.mean_ns, self.reps,
-                self.bytes, self.comm_ours, self.comm_baseline)
+
+CSV_COLUMNS = BenchRecord._fields
 
 
 def _comm_formulas(ctx: GroupContext, n: int, t: int) -> dict[str, tuple[str, str]]:
@@ -81,14 +77,7 @@ def bench_cell(ctx: GroupContext, n: int, t: int, reps: int = MIN_REPS,
     if reps < MIN_REPS:
         raise ValueError(f"reps must be at least {MIN_REPS}")
     rng = SeededRandomness(seed)
-    members = []
-    seen = set()
-    # Distinct keys only; collisions are routine in the toy group.
-    while len(members) < n:
-        kp = keygen(ctx, rng)
-        if kp.pk not in seen:
-            seen.add(kp.pk)
-            members.append(kp)
+    members = distinct_keypairs(ctx, n, rng)
     ring = Ring(ctx, [kp.pk for kp in members])
     window = SignerWindow(ctx, ring, 0, [kp.sk for kp in members[:t]])
     statement, witness = gen_r(ctx, rng)
@@ -138,7 +127,7 @@ def write_csv(records: Iterable[BenchRecord], out: IO[str]):
     writer = csv.writer(out)
     writer.writerow(CSV_COLUMNS)
     for record in records:
-        writer.writerow(record.row())
+        writer.writerow([getattr(record, name) for name in CSV_COLUMNS])
 
 
 def by_algorithm(records: Iterable[BenchRecord],

@@ -63,10 +63,9 @@ class Ring:
         keys = tuple(keys)
         if not keys:
             raise ValueError("ring needs at least one key")
-        try:
-            encodings = tuple(ctx.encode_element(pk) for pk in keys)
-        except ValueError:
-            raise ValueError("ring key is not a group element") from None
+        if not all(map(ctx.is_element, keys)):
+            raise ValueError("ring key is not a group element")
+        encodings = tuple(map(ctx.encode_element, keys))
         if len(set(encodings)) != len(keys):
             # Duplicate keys would make distinct windows aggregate to the
             # same value, silently weakening linkability.
@@ -158,6 +157,22 @@ def keygen(ctx: GroupContext, rng=None) -> KeyPair:
     """Sample sk uniform in Z_p^* and set pk = g^sk."""
     sk = ctx.random_scalar_nonzero(rng)
     return KeyPair(sk, ctx.exp(ctx.generator_g, sk))
+
+
+def distinct_keypairs(ctx: GroupContext, count: int, rng=None
+                      ) -> list[KeyPair]:
+    """``count`` key pairs with distinct public keys, in draw order.
+
+    Resamples on a duplicate key; collisions are routine in the toy group.
+    """
+    members = []
+    seen = set()
+    while len(members) < count:
+        kp = keygen(ctx, rng)
+        if kp.pk not in seen:
+            seen.add(kp.pk)
+            members.append(kp)
+    return members
 
 
 def gen_r(ctx: GroupContext, rng=None) -> tuple[StatementPair, int]:
@@ -253,16 +268,9 @@ def presign(ctx: GroupContext, ring: Ring, window: SignerWindow,
 def _check_shape(ctx: GroupContext, ring: Ring, z: int, challenges, tags,
                  t: int) -> bool:
     n = len(ring)
-    if not 1 <= t <= n:
-        return False
-    if len(challenges) != n or len(tags) != t:
-        return False
-    if not isinstance(z, int) or not 0 <= z < ctx.order:
-        return False
-    for c in challenges:
-        if not isinstance(c, int) or not 0 <= c < ctx.order:
-            return False
-    return all(ctx.is_element(tag) for tag in tags)
+    return (1 <= t <= n and len(challenges) == n and len(tags) == t
+            and ctx.is_scalar(z) and all(map(ctx.is_scalar, challenges))
+            and all(map(ctx.is_element, tags)))
 
 
 def preverify(ctx: GroupContext, ring: Ring, psig: PreSignature, t: int,

@@ -54,9 +54,9 @@ def _recommit(ctx: GroupContext, pk: Element, c: int, s: int) -> Element:
 
 def preverify(ctx: GroupContext, pk: Element, psig: PlainPreSignature,
               message: bytes, statement_g: Element) -> bool:
-    if not _well_formed(ctx, psig.challenge, psig.masked_response):
-        return False
-    if not ctx.is_element(statement_g):
+    if not (ctx.is_scalar(psig.challenge)
+            and ctx.is_scalar(psig.masked_response)
+            and ctx.is_element(statement_g)):
         return False
     commit = ctx.mul(_recommit(ctx, pk, psig.challenge, psig.masked_response),
                      statement_g)
@@ -70,7 +70,7 @@ def adapt(ctx: GroupContext, psig: PlainPreSignature, w: int) -> PlainSignature:
 
 def verify(ctx: GroupContext, pk: Element, sig: PlainSignature,
            message: bytes) -> bool:
-    if not _well_formed(ctx, sig.challenge, sig.response):
+    if not (ctx.is_scalar(sig.challenge) and ctx.is_scalar(sig.response)):
         return False
     commit = _recommit(ctx, pk, sig.challenge, sig.response)
     return sig.challenge == _challenge(ctx, pk, commit, message)
@@ -85,8 +85,3 @@ def ext(ctx: GroupContext, statement_g: Element, psig: PlainPreSignature,
     if ctx.exp(ctx.generator_g, w) != statement_g:
         return None
     return w
-
-
-def _well_formed(ctx: GroupContext, c: int, s: int) -> bool:
-    return (isinstance(c, int) and isinstance(s, int)
-            and 0 <= c < ctx.order and 0 <= s < ctx.order)

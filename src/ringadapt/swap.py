@@ -40,7 +40,8 @@ from typing import Optional
 from . import schnorr, wire
 from .groups import Element, GroupContext, Record, SeededRandomness
 from .scheme import (KeyPair, PreSignature, Ring, Signature, SignerWindow,
-                     adapt, ext, gen_r, keygen, presign, preverify, verify)
+                     adapt, distinct_keypairs, ext, gen_r, keygen, presign,
+                     preverify, verify)
 from .wire import CHAIN_PLAIN, CHAIN_RING, SwapTransaction
 
 TAMPER_PRESIG_A = "tamper-presig-a"
@@ -420,14 +421,7 @@ def make_demo_parties(ctx: GroupContext, ring_size: int, threshold: int,
                       seed: int = 0) -> tuple[Ring, SignerWindow, KeyPair]:
     """Deterministically build Alice's ring and window plus Bob's keypair."""
     rng = SeededRandomness(2 * seed)
-    members = []
-    seen = set()
-    # Resample on duplicate keys; collisions are routine in the toy group.
-    while len(members) < ring_size:
-        kp = keygen(ctx, rng)
-        if kp.pk not in seen:
-            seen.add(kp.pk)
-            members.append(kp)
+    members = distinct_keypairs(ctx, ring_size, rng)
     ring = Ring(ctx, [kp.pk for kp in members])
     start = rng.randbelow(ring_size - threshold + 1)
     secrets = [members[start + i].sk for i in range(threshold)]

@@ -8,13 +8,16 @@ where S_z and S_g are the backend's scalar and element widths.  The
 header is bookkeeping and excluded from those counts.
 
 Scalars are little-endian fixed width; elements use the backend's
-canonical encoding.  Decoding is the validity gate: wrong version or
-tag, non-canonical field encodings, and trailing bytes all raise
-WireError naming the first violated constraint.
+canonical encoding.  Every object but the transaction is a run of
+scalars followed by a run of elements, and one encoder and one decoder
+serve them all.  Decoding is the validity gate: wrong version or tag,
+a payload of the wrong length, non-canonical field encodings and
+trailing bytes all raise WireError naming the first violated constraint.
 
-Pre-signatures and signatures carry no dimension fields (that is what
-keeps the size law exact), so their decoders take the ring size and
-threshold from context.
+Decoders check every element, as do ``Ring``, the verifiers and the
+ledger; encoders only serialize.  Pre-signatures and signatures carry
+no dimension fields (that is what keeps the size law exact), so their
+decoders take the ring size and threshold from context.
 """
 
 from __future__ import annotations
@@ -64,7 +67,8 @@ def _payload(data: bytes, tag: int) -> bytes:
 
 
 class _Reader:
-    """Cursor over a payload that rejects short reads and leftovers."""
+    """Cursor over a transaction payload that rejects short reads and
+    leftovers."""
 
     def __init__(self, data: bytes):
         self._data = data
@@ -89,41 +93,52 @@ class _Reader:
             raise WireError("trailing bytes after payload")
 
 
-def _element(ctx: GroupContext, reader: _Reader, what: str) -> Element:
-    raw = reader.take(ctx.element_size, what)
+def _field(decode, raw: bytes, what: str):
     try:
-        return ctx.decode_element(raw)
+        return decode(raw)
     except ValueError as exc:
         raise WireError(f"{what}: {exc}") from None
 
 
-def _scalar(ctx: GroupContext, reader: _Reader, what: str) -> int:
-    raw = reader.take(ctx.scalar_size, what)
-    try:
-        return ctx.decode_scalar(raw)
-    except ValueError as exc:
-        raise WireError(f"{what}: {exc}") from None
+def _encode(ctx: GroupContext, tag: int, scalars=(), elements=()) -> bytes:
+    return b"".join([_header(tag), *map(ctx.encode_scalar, scalars),
+                     *map(ctx.encode_element, elements)])
+
+
+def _decode(ctx: GroupContext, data: bytes, tag: int, scalars=(),
+            elements=()) -> tuple[list, list]:
+    """Decode a run of scalars, then a run of elements, each field named
+    for WireError.  The length is checked before any field is decoded."""
+    payload = _payload(data, tag)
+    sz, sg = ctx.scalar_size, ctx.element_size
+    split = len(scalars) * sz
+    size = split + len(elements) * sg
+    if len(payload) > size:
+        raise WireError("trailing bytes after payload")
+    if len(payload) < size:
+        short = len(payload)
+        what = (scalars[short // sz] if short < split
+                else elements[(short - split) // sg])
+        raise WireError(f"truncated {what}")
+    return ([_field(ctx.decode_scalar, payload[i:i + sz], what)
+             for i, what in zip(range(0, split, sz), scalars)],
+            [_field(ctx.decode_element, payload[i:i + sg], what)
+             for i, what in zip(range(split, size, sg), elements)])
 
 
 # --- element / scalar -------------------------------------------------------
 
 def encode_element(ctx: GroupContext, a: Element) -> bytes:
-    return _header(TAG_ELEMENT) + ctx.encode_element(a)
+    return _encode(ctx, TAG_ELEMENT, elements=(a,))
 
 def decode_element(ctx: GroupContext, data: bytes) -> Element:
-    reader = _Reader(_payload(data, TAG_ELEMENT))
-    a = _element(ctx, reader, "element")
-    reader.done()
-    return a
+    return _decode(ctx, data, TAG_ELEMENT, elements=("element",))[1][0]
 
 def encode_scalar(ctx: GroupContext, k: int) -> bytes:
-    return _header(TAG_SCALAR) + ctx.encode_scalar(k)
+    return _encode(ctx, TAG_SCALAR, (k,))
 
 def decode_scalar(ctx: GroupContext, data: bytes) -> int:
-    reader = _Reader(_payload(data, TAG_SCALAR))
-    k = _scalar(ctx, reader, "scalar")
-    reader.done()
-    return k
+    return _decode(ctx, data, TAG_SCALAR, ("scalar",))[0][0]
 
 
 # --- ring / statement -------------------------------------------------------
@@ -132,29 +147,20 @@ def encode_ring(ctx: GroupContext, ring: Ring) -> bytes:
     return _header(TAG_RING) + b"".join(ring.encodings)
 
 def decode_ring(ctx: GroupContext, data: bytes) -> Ring:
-    payload = _payload(data, TAG_RING)
-    if not payload or len(payload) % ctx.element_size != 0:
-        raise WireError("ring payload is not a whole number of elements")
-    reader = _Reader(payload)
-    keys = [_element(ctx, reader, "ring key")
-            for _ in range(len(payload) // ctx.element_size)]
-    reader.done()
+    # n comes from the length; Ring rejects an empty ring and duplicates.
+    n = (len(data) - HEADER_SIZE) // ctx.element_size
+    keys = _decode(ctx, data, TAG_RING, elements=("ring key",) * n)[1]
     try:
         return Ring(ctx, keys)
     except ValueError as exc:
         raise WireError(str(exc)) from None
 
 def encode_statement(ctx: GroupContext, statement: StatementPair) -> bytes:
-    return (_header(TAG_STATEMENT)
-            + ctx.encode_element(statement.w1)
-            + ctx.encode_element(statement.w2))
+    return _encode(ctx, TAG_STATEMENT, elements=(statement.w1, statement.w2))
 
 def decode_statement(ctx: GroupContext, data: bytes) -> StatementPair:
-    reader = _Reader(_payload(data, TAG_STATEMENT))
-    w1 = _element(ctx, reader, "statement W1")
-    w2 = _element(ctx, reader, "statement W2")
-    reader.done()
-    return StatementPair(w1, w2)
+    return StatementPair(*_decode(ctx, data, TAG_STATEMENT, elements=(
+        "statement W1", "statement W2"))[1])
 
 
 # --- pre-signatures / signatures --------------------------------------------
@@ -164,76 +170,52 @@ def signature_payload_size(ctx: GroupContext, n: int, t: int) -> int:
     return (n + 1) * ctx.scalar_size + t * ctx.element_size
 
 
-def _encode_sig_body(ctx: GroupContext, z: int, challenges, tags) -> bytes:
-    out = [ctx.encode_scalar(z)]
-    out.extend(ctx.encode_scalar(c) for c in challenges)
-    out.extend(ctx.encode_element(tag) for tag in tags)
-    return b"".join(out)
-
-
-def _decode_sig_body(ctx: GroupContext, payload: bytes, n: int, t: int):
+def _decode_sig(ctx: GroupContext, data: bytes, tag: int, n: int, t: int):
     if n < 1 or not 1 <= t <= n:
         raise WireError("ring size and threshold out of range")
-    if len(payload) != signature_payload_size(ctx, n, t):
-        raise WireError("payload length does not match ring size and threshold")
-    reader = _Reader(payload)
-    z = _scalar(ctx, reader, "leading scalar")
-    challenges = tuple(_scalar(ctx, reader, f"challenge {i}") for i in range(n))
-    tags = tuple(_element(ctx, reader, f"link tag {i}") for i in range(t))
-    reader.done()
-    return z, challenges, tags
+    scalars, tags = _decode(
+        ctx, data, tag,
+        ("leading scalar", *(f"challenge {i}" for i in range(n))),
+        tuple(f"link tag {i}" for i in range(t)))
+    return scalars[0], tuple(scalars[1:]), tuple(tags)
 
 
 def encode_presignature(ctx: GroupContext, psig: PreSignature) -> bytes:
-    return _header(TAG_PRESIGNATURE) + _encode_sig_body(
-        ctx, psig.z_tilde, psig.challenges, psig.tags)
+    return _encode(ctx, TAG_PRESIGNATURE, (psig.z_tilde, *psig.challenges),
+                   psig.tags)
 
 def decode_presignature(ctx: GroupContext, data: bytes, n: int,
                         t: int) -> PreSignature:
-    z, challenges, tags = _decode_sig_body(
-        ctx, _payload(data, TAG_PRESIGNATURE), n, t)
-    return PreSignature(z, challenges, tags)
+    return PreSignature(*_decode_sig(ctx, data, TAG_PRESIGNATURE, n, t))
 
 def encode_signature(ctx: GroupContext, sig: Signature) -> bytes:
-    return _header(TAG_SIGNATURE) + _encode_sig_body(
-        ctx, sig.z, sig.challenges, sig.tags)
+    return _encode(ctx, TAG_SIGNATURE, (sig.z, *sig.challenges), sig.tags)
 
 def decode_signature(ctx: GroupContext, data: bytes, n: int,
                      t: int) -> Signature:
-    z, challenges, tags = _decode_sig_body(
-        ctx, _payload(data, TAG_SIGNATURE), n, t)
-    return Signature(z, challenges, tags)
+    return Signature(*_decode_sig(ctx, data, TAG_SIGNATURE, n, t))
 
 
 # --- plain (single-key) objects ---------------------------------------------
 
 def encode_plain_presignature(ctx: GroupContext,
                               psig: schnorr.PlainPreSignature) -> bytes:
-    return (_header(TAG_PLAIN_PRESIGNATURE)
-            + ctx.encode_scalar(psig.challenge)
-            + ctx.encode_scalar(psig.masked_response))
+    return _encode(ctx, TAG_PLAIN_PRESIGNATURE,
+                   (psig.challenge, psig.masked_response))
 
 def decode_plain_presignature(ctx: GroupContext,
                               data: bytes) -> schnorr.PlainPreSignature:
-    reader = _Reader(_payload(data, TAG_PLAIN_PRESIGNATURE))
-    c = _scalar(ctx, reader, "challenge")
-    s = _scalar(ctx, reader, "masked response")
-    reader.done()
-    return schnorr.PlainPreSignature(c, s)
+    return schnorr.PlainPreSignature(*_decode(
+        ctx, data, TAG_PLAIN_PRESIGNATURE, ("challenge", "masked response"))[0])
 
 def encode_plain_signature(ctx: GroupContext,
                            sig: schnorr.PlainSignature) -> bytes:
-    return (_header(TAG_PLAIN_SIGNATURE)
-            + ctx.encode_scalar(sig.challenge)
-            + ctx.encode_scalar(sig.response))
+    return _encode(ctx, TAG_PLAIN_SIGNATURE, (sig.challenge, sig.response))
 
 def decode_plain_signature(ctx: GroupContext,
                            data: bytes) -> schnorr.PlainSignature:
-    reader = _Reader(_payload(data, TAG_PLAIN_SIGNATURE))
-    c = _scalar(ctx, reader, "challenge")
-    s = _scalar(ctx, reader, "response")
-    reader.done()
-    return schnorr.PlainSignature(c, s)
+    return schnorr.PlainSignature(*_decode(
+        ctx, data, TAG_PLAIN_SIGNATURE, ("challenge", "response"))[0])
 
 
 # --- swap transactions -------------------------------------------------------
@@ -294,6 +276,11 @@ def encode_transaction(ctx: GroupContext, tx: SwapTransaction) -> bytes:
     return b"".join(out)
 
 
+def _element(ctx: GroupContext, reader: _Reader, what: str) -> Element:
+    return _field(ctx.decode_element, reader.take(ctx.element_size, what),
+                  what)
+
+
 def decode_transaction(ctx: GroupContext, data: bytes) -> SwapTransaction:
     reader = _Reader(_payload(data, TAG_TRANSACTION))
     chain = reader.take(1, "chain id").decode("ascii", errors="replace")
@@ -303,14 +290,10 @@ def decode_transaction(ctx: GroupContext, data: bytes) -> SwapTransaction:
     if chain == CHAIN_PLAIN:
         payer_key = _element(ctx, reader, "payer key")
     elif chain == CHAIN_RING:
-        n = reader.u16("ring size")
-        if n < 1:
-            raise WireError("empty payer ring")
+        # SwapTransaction rejects an empty ring and a threshold out of range.
         ring_keys = tuple(_element(ctx, reader, f"ring key {i}")
-                          for i in range(n))
+                          for i in range(reader.u16("ring size")))
         threshold = reader.u16("threshold")
-        if not 1 <= threshold <= n:
-            raise WireError("threshold out of range")
     else:
         raise WireError(f"unknown chain id {chain!r}")
     payee = reader.take(reader.u16("payee length"), "payee")

@@ -1,6 +1,7 @@
 import pytest
 
-from ringadapt import Ring, SeededRandomness, SignerWindow, keygen, setup_group
+from ringadapt import Ring, SeededRandomness, SignerWindow, setup_group
+from ringadapt.scheme import distinct_keypairs
 
 
 @pytest.fixture(scope="session")
@@ -19,18 +20,8 @@ def rng():
 
 
 def build_ring(ctx, n, rng):
-    """Ring of n distinct members; returns (ring, list of keypairs).
-
-    Resamples on duplicate keys: in the 101-element toy group, birthday
-    collisions among random secrets are routine.
-    """
-    members = []
-    seen = set()
-    while len(members) < n:
-        kp = keygen(ctx, rng)
-        if kp.pk not in seen:
-            seen.add(kp.pk)
-            members.append(kp)
+    """Ring of n distinct members; returns (ring, list of keypairs)."""
+    members = distinct_keypairs(ctx, n, rng)
     return Ring(ctx, [kp.pk for kp in members]), members
 
 

@@ -4,14 +4,19 @@ Unlike the timed scaling criterion, these counts are deterministic, so
 they pin the cost model exactly: presign, preverify and verify make n+3
 scalar multiplications (g^s, h^s, one per ring key, one for the tag
 product) and no inversion, and adapt/ext/link do not depend on n.
+An element is validated only where it enters (ring, tags, statement,
+payer key), never when the program encodes a value it computed.
 """
 
 from collections import Counter
 
+import pytest
+
 from conftest import build_ring, build_window
-from ringadapt import (SeededRandomness, adapt, ext, gen_r, link, presign,
-                       preverify, verify)
+from ringadapt import (SeededRandomness, adapt, ext, gen_r, keygen, link,
+                       presign, preverify, schnorr, verify, wire)
 from ringadapt.groups import ToyGroup
+from ringadapt.swap import MockLedger, ledger_submit
 
 
 class CountingToy(ToyGroup):
@@ -59,18 +64,18 @@ def test_exact_counts_for_every_cell():
         ctx.take()
 
         psig = presign(ctx, ring, window, b"m", statement, rng)
-        # Two encodings of R and T feed the challenge hash.
+        # Computed values (R, T, the tags) are encoded without a check.
         assert ctx.take() == {"exp": n + 3, "mul": n + t + 3,
-                              "is_element": 2, "hash": 1}, (n, t, j)
+                              "hash": 1}, (n, t, j)
         assert preverify(ctx, ring, psig, t, b"m", statement)
         # Shape check: t tags and the two statement components.
         assert ctx.take() == {"exp": n + 3, "mul": n + t + 3,
-                              "is_element": t + 4, "hash": 1}, (n, t, j)
+                              "is_element": t + 2, "hash": 1}, (n, t, j)
         sig = adapt(ctx, psig, w)
         flat["adapt"].add(tuple(sorted(ctx.take().items())))
         assert verify(ctx, ring, sig, t, b"m")
         assert ctx.take() == {"exp": n + 3, "mul": n + t + 1,
-                              "is_element": t + 2, "hash": 1}, (n, t, j)
+                              "is_element": t, "hash": 1}, (n, t, j)
         assert ext(ctx, statement, psig, sig) == w
         flat["ext"].add(tuple(sorted(ctx.take().items())))
         assert link(sig, psig)
@@ -78,3 +83,38 @@ def test_exact_counts_for_every_cell():
     # One count per algorithm across every (n, t, j) cell.
     assert flat == {"adapt": {()}, "ext": {(("exp", 2),)}, "link": {()}}
 
+
+
+
+@pytest.mark.parametrize("n,t", [(1, 1), (3, 2), (5, 1), (6, 3), (8, 8)])
+def test_exact_ring_ledger_submit_counts(n, t):
+    ctx = CountingToy()
+    rng = SeededRandomness(10 * n + t)
+    ring, members = build_ring(ctx, n, rng)
+    window = build_window(ctx, ring, members, 0, t)
+    statement, w = gen_r(ctx, rng)
+    tx = wire.SwapTransaction("B", b"bob", 1, 2, ring_keys=ring.keys,
+                              threshold=t)
+    sig = adapt(ctx, presign(ctx, ring, window,
+                             wire.encode_transaction(ctx, tx), statement,
+                             rng), w)
+    ctx.take()
+    assert ledger_submit(MockLedger(ctx, "B"), tx, sig).accepted
+    # Ring(...) checks the n keys and verify the t tags; the ring digest
+    # and the challenge are the two hashes.
+    assert ctx.take() == {"exp": n + 3, "mul": n + t + 1,
+                          "is_element": n + t, "hash": 2}
+
+
+def test_exact_plain_ledger_submit_counts():
+    ctx = CountingToy()
+    rng = SeededRandomness(5)
+    bob = keygen(ctx, rng)
+    statement, w = gen_r(ctx, rng)
+    tx = wire.SwapTransaction("A", b"alice", 1, 2, payer_key=bob.pk)
+    sig = schnorr.adapt(ctx, schnorr.presign(
+        ctx, bob, wire.encode_transaction(ctx, tx), statement.w1, rng), w)
+    ctx.take()
+    assert ledger_submit(MockLedger(ctx, "A"), tx, sig).accepted
+    # The payer key is the one element checked.
+    assert ctx.take() == {"exp": 2, "mul": 1, "is_element": 1, "hash": 1}
