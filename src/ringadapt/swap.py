@@ -53,6 +53,10 @@ REJECT_BAD_SIGNATURE = "bad-signature"
 REJECT_DOUBLE_SPEND = "double-spend-link"
 REJECT_MALFORMED = "malformed"
 
+# The most ring keys a ledger's ring cache holds, summed over its rings;
+# one ring of the largest encodable size (0xFFFF keys) fits.
+RING_CACHE_KEYS = 1 << 16
+
 
 class Phase(str, Enum):
     INIT = "init"
@@ -85,7 +89,13 @@ class SubmitResult(Record):
 
 class MockLedger:
     """Confirmed transactions, keyed by value and mapped to their
-    signatures in admission order; chain B also tracks published link tags."""
+    signatures in admission order; chain B also tracks published link tags.
+
+    The ledger keeps every ``Ring`` it builds, keyed by the ring's keys,
+    so a ring it has seen costs no point check or digest hash again.  The
+    cache holds at most ``RING_CACHE_KEYS`` keys in total and evicts its
+    oldest rings first, so a flood of distinct rings cannot grow memory.
+    """
 
     def __init__(self, ctx: GroupContext, chain_id: str):
         if chain_id not in (CHAIN_PLAIN, CHAIN_RING):
@@ -94,6 +104,54 @@ class MockLedger:
         self.chain_id = chain_id
         self.confirmed: dict[SwapTransaction, object] = {}
         self.published_tags: set[Element] = set()
+        self._rings: dict[tuple, Ring] = {}
+        self._ring_key_count = 0    # keys held by _rings
+
+    def _cached_ring(self, keys) -> Ring:
+        """``Ring(ctx, keys)``, built once while it stays in the cache."""
+        try:
+            cached = self._rings.get(keys)
+        except TypeError:   # unhashable, so not cached: Ring decides
+            return Ring(self.ctx, keys)
+        if cached is not None:
+            # A look-alike key (a memoryview on prod, a float on toy)
+            # equals a cached key, but Ring rejects it.
+            return cached if _plain(keys) else Ring(self.ctx, keys)
+        ring = Ring(self.ctx, keys)
+        if len(ring) <= RING_CACHE_KEYS:
+            while self._ring_key_count + len(ring) > RING_CACHE_KEYS:
+                oldest = self._rings.pop(next(iter(self._rings)))
+                self._ring_key_count -= len(oldest)
+            self._rings[keys] = ring
+            self._ring_key_count += len(ring)
+        return ring
+
+
+_PLAIN_TYPES = (int, bytes, str, type(None))
+
+
+def _plain(value) -> bool:
+    """Whether ``value`` is built of ints, bytes, strings, None, tuples and
+    records alone.  A look-alike forced past a constructor (5.0 for 5, a
+    memoryview for bytes) can equal such a value and still fail a check
+    that the value passes."""
+    kind = type(value)
+    if kind in _PLAIN_TYPES:
+        return True
+    if kind is tuple:
+        return all(map(_plain, value))
+    return isinstance(value, Record) and _plain(value._values(value))
+
+
+def _replayed(ledger: MockLedger, tx: SwapTransaction, sig) -> bool:
+    """Whether (tx, sig) is a confirmed pair submitted again, identical
+    to what was verified: every check would pass as it did then, and the
+    confirmed lookup would reject it."""
+    try:
+        seen = ledger.confirmed.get(tx)
+    except TypeError:   # an unhashable field forced past the constructor
+        return False
+    return seen is not None and _plain((tx, sig)) and seen == sig
 
 
 def ledger_submit(ledger: MockLedger, tx: SwapTransaction, sig) -> SubmitResult:
@@ -103,10 +161,24 @@ def ledger_submit(ledger: MockLedger, tx: SwapTransaction, sig) -> SubmitResult:
     the ring signature verifies and its tag set is disjoint from every tag
     published so far; accepted tags are published.  Re-submitting a
     confirmed transaction is a double spend on either chain.
+
+    Checks run in this order, and the first that fails gives the verdict:
+    the shape (``malformed``: chain id, signature type, fields outside the
+    encoding left empty, valid keys, the encoding), the signature
+    (``bad-signature``), then the confirmed lookup and chain B's tag
+    overlap (``double-spend-link``).  Chain B takes its ring from the
+    ledger's ring cache, bounded by ``RING_CACHE_KEYS`` keys.  An exact
+    replay is answered ``double-spend-link`` right after the chain id: a
+    pair equal to a confirmed one and built of ints, bytes, strings and
+    tuples alone is identical to what was verified, so every other check
+    would pass again.  A pair that is only equal to a confirmed one (a
+    float for an int, a memoryview for bytes) goes through all of them.
     """
     ctx = ledger.ctx
     if tx.chain_id != ledger.chain_id:
         return SubmitResult(False, REJECT_MALFORMED)
+    if _replayed(ledger, tx, sig):
+        return SubmitResult(False, REJECT_DOUBLE_SPEND)
     # Checked before encoding: valid keys, signature type, and empty fields
     # outside the encoding (else an unequal copy carries the same signature).
     if ledger.chain_id == CHAIN_PLAIN:
@@ -116,7 +188,7 @@ def ledger_submit(ledger: MockLedger, tx: SwapTransaction, sig) -> SubmitResult:
             return SubmitResult(False, REJECT_MALFORMED)
     else:
         try:
-            ring = Ring(ctx, tx.ring_keys)
+            ring = ledger._cached_ring(tx.ring_keys)
         except ValueError:
             return SubmitResult(False, REJECT_MALFORMED)
         if not isinstance(sig, Signature) or tx.payer_key is not None:

@@ -13,8 +13,9 @@ from collections import Counter
 import pytest
 
 from conftest import build_ring, build_window
-from ringadapt import (SeededRandomness, adapt, ext, gen_r, keygen, link,
-                       presign, preverify, schnorr, verify, wire)
+from ringadapt import (SeededRandomness, Signature, adapt, ext, gen_r,
+                       keygen, link, presign, preverify, schnorr, verify,
+                       wire)
 from ringadapt.groups import ToyGroup
 from ringadapt.swap import MockLedger, ledger_submit
 
@@ -86,9 +87,11 @@ def test_exact_counts_for_every_cell():
 
 
 
-@pytest.mark.parametrize("n,t", [(1, 1), (3, 2), (5, 1), (6, 3), (8, 8)])
-def test_exact_ring_ledger_submit_counts(n, t):
-    ctx = CountingToy()
+LEDGER_CELLS = [(1, 1), (3, 2), (5, 1), (6, 3), (8, 8)]
+
+
+def _ring_spend(ctx, n, t):
+    """A chain-B transaction signed by the first t of n ring keys."""
     rng = SeededRandomness(10 * n + t)
     ring, members = build_ring(ctx, n, rng)
     window = build_window(ctx, ring, members, 0, t)
@@ -98,6 +101,29 @@ def test_exact_ring_ledger_submit_counts(n, t):
     sig = adapt(ctx, presign(ctx, ring, window,
                              wire.encode_transaction(ctx, tx), statement,
                              rng), w)
+    return tx, sig
+
+
+def _plain_spend(ctx):
+    """A chain-A transaction and its signature."""
+    rng = SeededRandomness(5)
+    bob = keygen(ctx, rng)
+    statement, w = gen_r(ctx, rng)
+    tx = wire.SwapTransaction("A", b"alice", 1, 2, payer_key=bob.pk)
+    sig = schnorr.adapt(ctx, schnorr.presign(
+        ctx, bob, wire.encode_transaction(ctx, tx), statement.w1, rng), w)
+    return tx, sig
+
+
+def _decoded(ctx, tx):
+    """An equal copy of tx as a miner decodes it from the wire."""
+    return wire.decode_transaction(ctx, wire.encode_transaction(ctx, tx))
+
+
+@pytest.mark.parametrize("n,t", LEDGER_CELLS)
+def test_exact_ring_ledger_submit_counts(n, t):
+    ctx = CountingToy()
+    tx, sig = _ring_spend(ctx, n, t)
     ctx.take()
     assert ledger_submit(MockLedger(ctx, "B"), tx, sig).accepted
     # Ring(...) checks the n keys and verify the t tags; the ring digest
@@ -108,13 +134,38 @@ def test_exact_ring_ledger_submit_counts(n, t):
 
 def test_exact_plain_ledger_submit_counts():
     ctx = CountingToy()
-    rng = SeededRandomness(5)
-    bob = keygen(ctx, rng)
-    statement, w = gen_r(ctx, rng)
-    tx = wire.SwapTransaction("A", b"alice", 1, 2, payer_key=bob.pk)
-    sig = schnorr.adapt(ctx, schnorr.presign(
-        ctx, bob, wire.encode_transaction(ctx, tx), statement.w1, rng), w)
+    tx, sig = _plain_spend(ctx)
     ctx.take()
     assert ledger_submit(MockLedger(ctx, "A"), tx, sig).accepted
     # The payer key is the one element checked.
     assert ctx.take() == {"exp": 2, "mul": 1, "is_element": 1, "hash": 1}
+
+
+@pytest.mark.parametrize("n,t", LEDGER_CELLS)
+def test_exact_warm_ring_ledger_submit_counts(n, t):
+    ctx = CountingToy()
+    tx, sig = _ring_spend(ctx, n, t)
+    forged = Signature((sig.z + 1) % ctx.order, sig.challenges, sig.tags)
+    copies = [_decoded(ctx, tx) for _ in range(2)]
+    ledger = MockLedger(ctx, "B")
+    assert ledger_submit(ledger, tx, forged).reason == "bad-signature"
+    ctx.take()
+    assert ledger_submit(ledger, copies[0], sig).accepted
+    # The ring comes from the ledger's cache: verify's counts alone.
+    assert ctx.take() == {"exp": n + 3, "mul": n + t + 1,
+                          "is_element": t, "hash": 1}
+    result = ledger_submit(ledger, copies[1], sig)
+    assert result.reason == "double-spend-link"
+    # An exact replay is answered before any group operation.
+    assert ctx.take() == {}
+
+
+def test_exact_plain_replay_counts_nothing():
+    ctx = CountingToy()
+    tx, sig = _plain_spend(ctx)
+    copy = _decoded(ctx, tx)
+    ledger = MockLedger(ctx, "A")
+    assert ledger_submit(ledger, tx, sig).accepted
+    ctx.take()
+    assert ledger_submit(ledger, copy, sig).reason == "double-spend-link"
+    assert ctx.take() == {}

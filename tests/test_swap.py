@@ -7,8 +7,9 @@ import itertools
 import pytest
 
 from conftest import build_ring, build_window
-from ringadapt import (PreSignature, SeededRandomness, adapt, gen_r, keygen,
-                       presign, schnorr, setup_group, wire)
+from ringadapt import (PreSignature, Ring, SeededRandomness, Signature,
+                       SignerWindow, adapt, gen_r, keygen, presign, schnorr,
+                       setup_group, swap, wire)
 from ringadapt.swap import (CORRUPTIONS, FaultPlan, MockLedger, Phase,
                             SwapTransaction, ledger_submit, make_demo_parties,
                             run_swap, swap_demo)
@@ -26,12 +27,18 @@ def _copy_by_value(ctx, tx):
     return decoded
 
 
+def _force(record, **fields):
+    """A copy of record with fields set past the constructor's checks."""
+    forced = copy.copy(record)
+    for name, value in fields.items():
+        object.__setattr__(forced, name, value)
+    return forced
+
+
 def _forged_copy(tx, **fields):
     """tx with fields its encoding leaves out set past the constructor's
     checks: the same signed bytes, but not equal to tx."""
-    forged = copy.copy(tx)
-    for name, value in fields.items():
-        object.__setattr__(forged, name, value)
+    forged = _force(tx, **fields)
     assert forged != tx
     return forged
 
@@ -282,3 +289,118 @@ class TestSwapRuns:
         assert result.state.abort_reason == "ledger-ring-double-spend-link"
         assert result.outcome() == "neither-confirmed"
         assert len(ledger_b.confirmed) == 1
+
+
+def _admit_all(ledger, submissions, cold=False):
+    """Verdicts of submitting each (tx, sig) in turn; ``cold`` empties
+    the ledger's ring cache before every submission."""
+    verdicts = []
+    for tx, sig in submissions:
+        if cold:
+            ledger._rings.clear()
+            ledger._ring_key_count = 0
+        result = ledger_submit(ledger, tx, sig)
+        verdicts.append("accepted" if result.accepted else result.reason)
+    return verdicts
+
+
+class TestRingCache:
+    @pytest.mark.parametrize("backend", ["toy", "prod"])
+    def test_warm_and_cold_ledgers_agree(self, backend, monkeypatch):
+        ctx = setup_group(backend)
+        rng = SeededRandomness(31)
+        ring, members = build_ring(ctx, 6, rng)
+        other, other_members = build_ring(ctx, 4, rng)
+        tx1, sig1 = _signed_ring_tx(
+            ctx, ring, build_window(ctx, ring, members, 0, 2), b"a", 1, rng)
+        overlap = _signed_ring_tx(
+            ctx, ring, build_window(ctx, ring, members, 1, 2), b"b", 2, rng)
+        disjoint = _signed_ring_tx(
+            ctx, ring, build_window(ctx, ring, members, 3, 2), b"c", 3, rng)
+        elsewhere = _signed_ring_tx(
+            ctx, other, build_window(ctx, other, other_members, 0, 3), b"d",
+            4, rng)
+        last = _signed_ring_tx(
+            ctx, ring, build_window(ctx, ring, members, 5, 1), b"e", 5, rng)
+        decoded = (_copy_by_value(ctx, tx1), wire.decode_signature(
+            ctx, wire.encode_signature(ctx, sig1), 6, 2))
+        duplicate = _force(tx1, ring_keys=ring.keys[:-1] + ring.keys[:1])
+        # Look-alikes equal a confirmed value, but its checks reject them.
+        lookalike = memoryview if backend == "prod" else float
+        lookalike_keys = tuple(map(lookalike, ring.keys))
+        unhashable_keys = tuple(bytearray(ctx.encode_element(pk))
+                                for pk in ring.keys)
+        submissions = [
+            (tx1, sig1),                                      # accepted
+            (tx1, sig1),                                      # exact replay
+            decoded,                                          # decoded copy
+            (tx1, Signature((sig1.z + 1) % ctx.order, sig1.challenges,
+                            sig1.tags)),                      # bad signature
+            overlap,                                          # shares key 1
+            disjoint,                                         # accepted
+            (duplicate, sig1),                                # malformed
+            (_force(tx1, amount=1.0), sig1),                  # malformed
+            (tx1, Signature(float(sig1.z), sig1.challenges,
+                            sig1.tags)),                      # bad signature
+            (tx1, Signature(sig1.z, sig1.challenges, (lookalike(
+                sig1.tags[0]), *sig1.tags[1:]))),             # bad signature
+            (_force(tx1, ring_keys=lookalike_keys), sig1),    # malformed
+            (SwapTransaction("B", b"f", 1, 6, ring_keys=lookalike_keys,
+                             threshold=2), sig1),             # malformed
+            (SwapTransaction("B", b"g", 1, 7, ring_keys=unhashable_keys,
+                             threshold=2), sig1),             # malformed
+            elsewhere,                                        # accepted
+            last,                                             # accepted
+            (tx1, sig1),                                      # exact replay
+        ]
+        expected = ["accepted", "double-spend-link", "double-spend-link",
+                    "bad-signature", "double-spend-link", "accepted",
+                    "malformed", "malformed", "bad-signature",
+                    "bad-signature", "malformed", "malformed", "malformed",
+                    "accepted", "accepted", "double-spend-link"]
+        builds = []
+        build = swap.Ring
+        monkeypatch.setattr(swap, "Ring", lambda ctx, keys: builds.append(
+            keys) or build(ctx, keys))
+        warm = _admit_all(MockLedger(ctx, "B"), submissions)
+        warm_builds = len(builds)
+        cold = _admit_all(MockLedger(ctx, "B"), submissions, cold=True)
+        assert warm == cold == expected
+        # Cold, every submission but the three exact replays builds a
+        # ring; warm, only the first use of each key list and the
+        # look-alikes do.
+        assert (warm_builds, len(builds) - warm_builds) == (6, 13)
+
+    def test_cache_stays_within_its_bound(self, toy):
+        # Rotations of the 100 non-identity toy elements, 60 to 100 keys
+        # each, with more keys in distinct rings than the bound.  Every
+        # tenth submission i takes ring i // 10, mostly one seen long
+        # before and perhaps evicted.
+        elements = toy.elements()   # elements[k] = g^k
+        rng = SeededRandomness(41)
+        submissions = []
+        for i in range(1, 1000):
+            r = i // 10 if i % 10 == 0 else i
+            size, offset = 60 + r % 41, 7 * r % 100
+            secrets = [1 + (offset + j) % 100 for j in range(size)]
+            ring = Ring(toy, [elements[sk] for sk in secrets])
+            window = SignerWindow(toy, ring, 0, secrets[:1])
+            tx, sig = _signed_ring_tx(toy, ring, window, b"p", i, rng)
+            if i % 7 == 0:
+                sig = Signature((sig.z + 1) % toy.order, sig.challenges,
+                                sig.tags)
+            submissions.append((tx, sig))
+        distinct = {tx.ring_keys for tx, _ in submissions}
+        assert sum(map(len, distinct)) > swap.RING_CACHE_KEYS
+
+        ledger = MockLedger(toy, "B")
+        verdicts = []
+        for submission in submissions:
+            verdicts += _admit_all(ledger, [submission])
+            held = sum(map(len, ledger._rings.values()))
+            assert ledger._ring_key_count == held <= swap.RING_CACHE_KEYS
+        assert len(ledger._rings) < len(distinct)
+        assert verdicts == _admit_all(MockLedger(toy, "B"), submissions,
+                                      cold=True)
+        assert set(verdicts) == {"accepted", "bad-signature",
+                                 "double-spend-link"}
