@@ -22,7 +22,8 @@ from typing import IO, Iterable
 from .groups import GroupContext, Record, SeededRandomness, setup_group
 from .scheme import (Ring, SignerWindow, adapt, distinct_keypairs, ext,
                      gen_r, keygen, link, presign, preverify, verify)
-from .wire import HEADER_SIZE, encode_presignature, encode_signature
+from .wire import (HEADER_SIZE, encode_presignature, encode_signature,
+                   signature_payload_size)
 
 MIN_REPS = 10
 
@@ -43,13 +44,13 @@ CSV_COLUMNS = BenchRecord._fields
 
 def _comm_formulas(ctx: GroupContext, n: int, t: int) -> dict[str, tuple[str, str]]:
     sz, sg = ctx.scalar_size, ctx.element_size
+    ours = str(signature_payload_size(ctx, n, t))
     return {
         "setup": (str(2 * sg), str(sg)),
         "keygen": (str(n * sg), str(n * sg)),
         "genr": (str(2 * sg), str(sg)),
-        "presign": (str((n + 1) * sz + t * sg), str(t * (n + 1) * sz + t * sg)),
-        "adapt": (str((n + 1) * sz + t * sg),
-                  str(t * (n + 1) * sz + (t + 1) * sg)),
+        "presign": (ours, str(t * (n + 1) * sz + t * sg)),
+        "adapt": (ours, str(t * (n + 1) * sz + (t + 1) * sg)),
     }
 
 

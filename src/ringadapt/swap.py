@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -90,6 +89,8 @@ class SubmitResult(Record):
 class MockLedger:
     """Confirmed transactions, keyed by value and mapped to their
     signatures in admission order; chain B also tracks published link tags.
+    Every stored transaction was built by the ``SwapTransaction``
+    constructor, whatever object was submitted.
 
     The ledger keeps every ``Ring`` it builds, keyed by the ring's keys,
     so a ring it has seen costs no point check or digest hash again.  The
@@ -107,16 +108,15 @@ class MockLedger:
         self._rings: dict[tuple, Ring] = {}
         self._ring_key_count = 0    # keys held by _rings
 
-    def _cached_ring(self, keys) -> Ring:
+    def _cached_ring(self, keys: tuple) -> Ring:
         """``Ring(ctx, keys)``, built once while it stays in the cache."""
-        try:
-            cached = self._rings.get(keys)
-        except TypeError:   # unhashable, so not cached: Ring decides
+        if not _plain(keys):
+            # A look-alike key (a memoryview on prod, a float on toy) can
+            # equal a cached key that Ring accepted, yet Ring rejects it.
             return Ring(self.ctx, keys)
+        cached = self._rings.get(keys)
         if cached is not None:
-            # A look-alike key (a memoryview on prod, a float on toy)
-            # equals a cached key, but Ring rejects it.
-            return cached if _plain(keys) else Ring(self.ctx, keys)
+            return cached
         ring = Ring(self.ctx, keys)
         if len(ring) <= RING_CACHE_KEYS:
             while self._ring_key_count + len(ring) > RING_CACHE_KEYS:
@@ -132,7 +132,7 @@ _PLAIN_TYPES = (int, bytes, str, type(None))
 
 def _plain(value) -> bool:
     """Whether ``value`` is built of ints, bytes, strings, None, tuples and
-    records alone.  A look-alike forced past a constructor (5.0 for 5, a
+    records alone, so it is hashable.  A look-alike (5.0 for 5, a
     memoryview for bytes) can equal such a value and still fail a check
     that the value passes."""
     kind = type(value)
@@ -143,47 +143,33 @@ def _plain(value) -> bool:
     return isinstance(value, Record) and _plain(value._values(value))
 
 
-def _replayed(ledger: MockLedger, tx: SwapTransaction, sig) -> bool:
-    """Whether (tx, sig) is a confirmed pair submitted again, identical
-    to what was verified: every check would pass as it did then, and the
-    confirmed lookup would reject it."""
-    try:
-        seen = ledger.confirmed.get(tx)
-    except TypeError:   # an unhashable field forced past the constructor
-        return False
-    return seen is not None and _plain((tx, sig)) and seen == sig
-
-
 def ledger_submit(ledger: MockLedger, tx: SwapTransaction, sig) -> SubmitResult:
-    """Miner admission rule.
-
-    Chain A accepts iff the plain signature verifies.  Chain B accepts iff
-    the ring signature verifies and its tag set is disjoint from every tag
-    published so far; accepted tags are published.  Re-submitting a
-    confirmed transaction is a double spend on either chain.
+    """Miner admission rule: a submission gets the verdict of the
+    transaction its constructor would build, or ``malformed`` if the
+    constructor refuses it.
 
     Checks run in this order, and the first that fails gives the verdict:
-    the shape (``malformed``: chain id, signature type, fields outside the
-    encoding left empty, valid keys, the encoding), the signature
-    (``bad-signature``), then the confirmed lookup and chain B's tag
-    overlap (``double-spend-link``).  Chain B takes its ring from the
-    ledger's ring cache, bounded by ``RING_CACHE_KEYS`` keys.  An exact
-    replay is answered ``double-spend-link`` right after the chain id: a
-    pair equal to a confirmed one and built of ints, bytes, strings and
-    tuples alone is identical to what was verified, so every other check
-    would pass again.  A pair that is only equal to a confirmed one (a
-    float for an int, a memoryview for bytes) goes through all of them.
+    the constructor, chain id, signature type and keys (``malformed``),
+    the signature (``bad-signature``), then the confirmed lookup and, on
+    chain B, the link-tag overlap (``double-spend-link``); accepted tags
+    are published.  Chain B takes its ring from the ledger's ring cache.
+    An exact replay, a pair equal to a confirmed one and built of ints,
+    bytes, strings and tuples alone, is answered ``double-spend-link``
+    right after the chain id: every other check would pass again.
     """
     ctx = ledger.ctx
+    try:
+        tx = SwapTransaction(*tx._values(tx))
+    except (TypeError, ValueError):   # fields forced past the constructor
+        return SubmitResult(False, REJECT_MALFORMED)
     if tx.chain_id != ledger.chain_id:
         return SubmitResult(False, REJECT_MALFORMED)
-    if _replayed(ledger, tx, sig):
-        return SubmitResult(False, REJECT_DOUBLE_SPEND)
-    # Checked before encoding: valid keys, signature type, and empty fields
-    # outside the encoding (else an unequal copy carries the same signature).
+    if _plain((tx, sig)):
+        seen = ledger.confirmed.get(tx)
+        if seen is not None and seen == sig:
+            return SubmitResult(False, REJECT_DOUBLE_SPEND)
     if ledger.chain_id == CHAIN_PLAIN:
         if not (isinstance(sig, schnorr.PlainSignature)
-                and tx.ring_keys is None and tx.threshold is None
                 and ctx.is_element(tx.payer_key)):
             return SubmitResult(False, REJECT_MALFORMED)
     else:
@@ -191,12 +177,9 @@ def ledger_submit(ledger: MockLedger, tx: SwapTransaction, sig) -> SubmitResult:
             ring = ledger._cached_ring(tx.ring_keys)
         except ValueError:
             return SubmitResult(False, REJECT_MALFORMED)
-        if not isinstance(sig, Signature) or tx.payer_key is not None:
+        if not isinstance(sig, Signature):
             return SubmitResult(False, REJECT_MALFORMED)
-    try:
-        message = wire.encode_transaction(ctx, tx)
-    except (struct.error, TypeError):  # forced past the constructor's checks
-        return SubmitResult(False, REJECT_MALFORMED)
+    message = wire.encode_transaction(ctx, tx)
     valid = (schnorr.verify(ctx, tx.payer_key, sig, message)
              if ledger.chain_id == CHAIN_PLAIN
              else verify(ctx, ring, sig, tx.threshold, message))

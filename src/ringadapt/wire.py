@@ -238,6 +238,8 @@ class SwapTransaction(Record):
     def __post_init__(self):
         if self.ring_keys is not None:
             object.__setattr__(self, "ring_keys", tuple(self.ring_keys))
+        if not isinstance(self.payee, (bytes, bytearray, memoryview)):
+            raise ValueError("payee must be bytes")
         object.__setattr__(self, "payee", bytes(self.payee))
         # Fields the encoding leaves out stay empty: equal iff same bytes.
         if self.chain_id == CHAIN_PLAIN:

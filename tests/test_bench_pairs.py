@@ -1,0 +1,58 @@
+"""The summary logic of ``tools/bench_pairs.py``, which every performance
+comparison between a parent and a change tree relies on."""
+
+from pathlib import Path
+
+import pytest
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+HIGHER = {"better": "higher", "unit": "1/s", "bound": 0.25}
+LOWER = {"better": "lower", "unit": "ms", "bound": 0.25}
+
+
+@pytest.fixture
+def bench_pairs(monkeypatch):
+    monkeypatch.syspath_prepend(str(TOOLS))
+    import bench_pairs
+    return bench_pairs
+
+
+def test_seed_range(bench_pairs):
+    assert bench_pairs.seed_range("901-903,910") == [901, 902, 903, 910]
+
+
+@pytest.mark.parametrize("spec", [HIGHER, LOWER], ids=["higher", "lower"])
+def test_ties_count_for_neither_side(bench_pairs, spec):
+    parent = [10.0, 10.0, 10.0, 12.0]
+    change = [10.0, 11.0, 9.0, 12.0]
+    summary = bench_pairs.summarize(spec, parent, change)
+    # One pair each way and two ties: the change wins exactly one.
+    assert summary["pairs"] == 4
+    assert summary["change_wins"] == 1
+
+
+@pytest.mark.parametrize("spec, inside, outside", [
+    (HIGHER, 76.0, 74.0),
+    (LOWER, 124.0, 126.0),
+], ids=["higher", "lower"])
+def test_within_bound(bench_pairs, spec, inside, outside):
+    parent = [100.0] * 3
+    assert bench_pairs.summarize(spec, parent, [inside] * 3)["within_bound"]
+    assert not bench_pairs.summarize(spec, parent,
+                                     [outside] * 3)["within_bound"]
+    # Any move in the better direction is within the bound.
+    better = 200.0 if spec is HIGHER else 50.0
+    assert bench_pairs.summarize(spec, parent, [better] * 3)["within_bound"]
+
+
+def test_beyond_parent_iqr(bench_pairs):
+    parent = [1.0, 2.0, 3.0, 4.0, 5.0]   # median 3, quartiles 2 and 4
+    summary = bench_pairs.summarize(HIGHER, parent, [5.5] * 5)
+    assert summary["parent"] == {"median": 3.0, "q1": 2.0, "q3": 4.0,
+                                 "iqr": 2.0}
+    assert summary["beyond_parent_iqr"]
+    for change in (4.5, 1.5):
+        summary = bench_pairs.summarize(HIGHER, parent, [change] * 5)
+        assert not summary["beyond_parent_iqr"]
+    assert bench_pairs.summarize(LOWER, parent, [0.5] * 5)["beyond_parent_iqr"]

@@ -8,6 +8,7 @@ An element is validated only where it enters (ring, tags, statement,
 payer key), never when the program encodes a value it computed.
 """
 
+import copy
 from collections import Counter
 
 import pytest
@@ -157,6 +158,18 @@ def test_exact_warm_ring_ledger_submit_counts(n, t):
     result = ledger_submit(ledger, copies[1], sig)
     assert result.reason == "double-spend-link"
     # An exact replay is answered before any group operation.
+    assert ctx.take() == {}
+
+
+def test_exact_forced_field_counts_nothing():
+    ctx = CountingToy()
+    tx, sig = _ring_spend(ctx, 6, 3)
+    forced = copy.copy(tx)
+    object.__setattr__(forced, "amount", 1.0)
+    ctx.take()
+    result = ledger_submit(MockLedger(ctx, "B"), forced, sig)
+    assert result.reason == "malformed"
+    # The constructor refuses the field before the ring is built.
     assert ctx.take() == {}
 
 

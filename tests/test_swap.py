@@ -112,9 +112,15 @@ class TestLedger:
         assert ledger_submit(ledger_b, tx_b, psig_b).reason == "malformed"
         # Fields forced past the constructor's type and range checks.
         for fields in (dict(amount=3.0), dict(nonce=-1), dict(threshold=2.0),
-                       dict(payee="x")):
+                       dict(payee="x"), dict(ring_keys=None), dict(payee=3)):
             forged = _forged_copy(tx_b, **fields)
             assert ledger_submit(ledger_b, forged, sig_b).reason == "malformed"
+        # Equal to tx_b, and encoded alike by struct, but not ints.
+        for fields in (dict(amount=True), dict(nonce=True),
+                       dict(threshold=True)):
+            forced = _force(tx_b, **fields)
+            assert forced == tx_b
+            assert ledger_submit(ledger_b, forced, sig_b).reason == "malformed"
         statement, w = gen_r(toy, rng)
         sig_a = schnorr.adapt(toy, schnorr.presign(
             toy, bob, wire.encode_transaction(toy, tx_a), statement.w1, rng), w)
@@ -334,6 +340,8 @@ class TestRingCache:
             (tx1, sig1),                                      # accepted
             (tx1, sig1),                                      # exact replay
             decoded,                                          # decoded copy
+            (_force(tx1, ring_keys=list(ring.keys)), sig1),   # list ring
+            (_force(tx1, payee=bytearray(b"a")), sig1),       # bytearray payee
             (tx1, Signature((sig1.z + 1) % ctx.order, sig1.challenges,
                             sig1.tags)),                      # bad signature
             overlap,                                          # shares key 1
@@ -354,6 +362,7 @@ class TestRingCache:
             (tx1, sig1),                                      # exact replay
         ]
         expected = ["accepted", "double-spend-link", "double-spend-link",
+                    "double-spend-link", "double-spend-link",
                     "bad-signature", "double-spend-link", "accepted",
                     "malformed", "malformed", "bad-signature",
                     "bad-signature", "malformed", "malformed", "malformed",
@@ -366,10 +375,10 @@ class TestRingCache:
         warm_builds = len(builds)
         cold = _admit_all(MockLedger(ctx, "B"), submissions, cold=True)
         assert warm == cold == expected
-        # Cold, every submission but the three exact replays builds a
-        # ring; warm, only the first use of each key list and the
-        # look-alikes do.
-        assert (warm_builds, len(builds) - warm_builds) == (6, 13)
+        # Cold, every submission but the five exact replays and the one
+        # its constructor refuses builds a ring; warm, only the first use
+        # of each key list and the look-alikes do.
+        assert (warm_builds, len(builds) - warm_builds) == (6, 12)
 
     def test_cache_stays_within_its_bound(self, toy):
         # Rotations of the 100 non-identity toy elements, 60 to 100 keys

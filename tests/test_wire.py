@@ -192,6 +192,13 @@ class TestRejection:
             with pytest.raises(ValueError):
                 wire.SwapTransaction("B", b"x", 1, 1, ring_keys=ring.keys,
                                      threshold=threshold)
+        # The payee must be bytes-like: bytes(3) would give b"\0\0\0".
+        for payee in (3, "x", None, [1]):
+            with pytest.raises(ValueError):
+                wire.SwapTransaction("A", payee, 1, 1, payer_key=pk)
+        for payee in (bytearray(b"x"), memoryview(b"x")):
+            tx = wire.SwapTransaction("A", payee, 1, 1, payer_key=pk)
+            assert type(tx.payee) is bytes and tx.payee == b"x"
 
     @settings(max_examples=150)
     @given(st.binary(max_size=64))
