@@ -18,18 +18,16 @@ import importlib
 from . import groups, schnorr, wire
 from .groups import (GroupContext, SeededRandomness, SystemRandomness,
                      UnknownBackendError, setup_group)
-from .scheme import (KeyMismatchError, KeyPair, PreSignature, PresignTrace,
-                     Ring, Signature, SignerWindow, StatementPair, adapt, ext,
-                     gen_r, keygen, link, presign, presign_with_trace,
-                     preverify, verify, verify_relation)
+from .scheme import (KeyMismatchError, KeyPair, PreSignature, Ring, Signature,
+                     SignerWindow, StatementPair, adapt, ext, gen_r, keygen,
+                     link, presign, preverify, verify, verify_relation)
 
 __all__ = [
-    "GroupContext", "KeyMismatchError", "KeyPair", "PreSignature",
-    "PresignTrace", "Ring", "SeededRandomness", "Signature", "SignerWindow",
-    "StatementPair", "SystemRandomness", "UnknownBackendError", "adapt",
-    "bench", "ext", "gen_r", "groups", "keygen", "link", "presign",
-    "presign_with_trace", "preverify", "schnorr", "setup_group", "swap",
-    "verify", "verify_relation", "wire",
+    "GroupContext", "KeyMismatchError", "KeyPair", "PreSignature", "Ring",
+    "SeededRandomness", "Signature", "SignerWindow", "StatementPair",
+    "SystemRandomness", "UnknownBackendError", "adapt", "bench", "ext",
+    "gen_r", "groups", "keygen", "link", "presign", "preverify", "schnorr",
+    "setup_group", "swap", "verify", "verify_relation", "wire",
 ]
 
 __version__ = "0.1.0"

@@ -33,6 +33,16 @@ from typing import Iterable, Sequence, Union
 
 Element = Union[bytes, int]
 
+
+def require_exact(what: str, values, types=(bytes, int)) -> None:
+    """Raise ValueError unless each value's type is exactly one of
+    ``types``, by default an Element's.  A look-alike (True for 1, 5.0 for
+    5, a memoryview for bytes) can equal a value yet fail its checks."""
+    if not all(type(value) in types for value in values):
+        raise ValueError(f"{what} must be exactly "
+                         + " or ".join(kind.__name__ for kind in types))
+
+
 # Nothing-up-my-sleeve seed for the second generator: h must not have a
 # discrete log relative to g that anyone could know.
 H_DERIVATION_STRING = b"LTRAS-generator-h-v1"
@@ -68,6 +78,14 @@ class Record:
 
     def __post_init__(self):
         pass
+
+    @classmethod
+    def _computed(cls, *values):
+        """A record built without ``__post_init__``, for a caller that
+        must not pay for re-checking the values it passes."""
+        record = object.__new__(cls)
+        record.__dict__.update(zip(cls._fields, values))
+        return record
 
     def __eq__(self, other):
         if type(other) is not type(self):

@@ -32,7 +32,8 @@ from __future__ import annotations
 from functools import cached_property, reduce
 from typing import Optional
 
-from .groups import Element, GroupContext, Record
+from .groups import (Element, GroupContext, Record, SystemRandomness,
+                     require_exact)
 
 DOMAIN_RING_DIGEST = b"LTRAS/d"
 DOMAIN_CHALLENGE = b"LTRAS/c"
@@ -131,26 +132,22 @@ class PreSignature(Record):
 
 
 class Signature(Record):
+    """The constructor takes exact ints and elements alone, as a ledger
+    admits them, and keeps challenges and tags as tuples."""
+
     z: int
     challenges: tuple
     tags: tuple
 
+    def __post_init__(self):
+        object.__setattr__(self, "challenges", tuple(self.challenges))
+        object.__setattr__(self, "tags", tuple(self.tags))
+        require_exact("signature scalar", (self.z, *self.challenges), (int,))
+        require_exact("link tag", self.tags)
+
     @cached_property
     def tag_set(self) -> frozenset:
         return frozenset(self.tags)
-
-
-class PresignTrace(Record):
-    """Every intermediate of one presign run, for oracle comparison."""
-
-    d: int
-    tags: tuple
-    nonce: int
-    commit_g: Element   # R
-    commit_h: Element   # T
-    challenge: int      # c = H(PK, R, T, m)
-    window_challenge: int  # c_j
-    z_tilde: int
 
 
 def keygen(ctx: GroupContext, rng=None) -> KeyPair:
@@ -216,9 +213,8 @@ def _commit(ctx: GroupContext, ring: Ring, base: int, challenges, tags,
 
 def _presign_body(ctx: GroupContext, ring: Ring, window: SignerWindow,
                   message: bytes, statement: StatementPair, nonce: int,
-                  decoy_challenges: dict[int, int]
-                  ) -> tuple[PreSignature, PresignTrace]:
-    """Presign from explicit randomness, with every intermediate.
+                  decoy_challenges: dict[int, int]) -> PreSignature:
+    """Presign from explicit randomness.
 
     ``decoy_challenges`` maps every ring index but the window start to c_i.
     """
@@ -227,14 +223,11 @@ def _presign_body(ctx: GroupContext, ring: Ring, window: SignerWindow,
     # With c_j = 0 the signing equation is the verifier's.
     challenges = [0 if i == j else decoy_challenges[i]
                   for i in range(len(ring))]
-    commit_g, commit_h, challenge = _commit(
-        ctx, ring, nonce, challenges, window.tags, statement, message)
+    challenge = _commit(ctx, ring, nonce, challenges, window.tags, statement,
+                        message)[2]
     challenges[j] = (challenge - sum(challenges)) % p
     z_tilde = (nonce - challenges[j] * ring.d * sum(window.secrets)) % p
-    psig = PreSignature(z_tilde, tuple(challenges), window.tags)
-    trace = PresignTrace(ring.d, window.tags, nonce, commit_g, commit_h,
-                         challenge, challenges[j], z_tilde)
-    return psig, trace
+    return PreSignature(z_tilde, tuple(challenges), window.tags)
 
 
 def _draw(ctx: GroupContext, ring: Ring, window: SignerWindow, rng
@@ -242,27 +235,20 @@ def _draw(ctx: GroupContext, ring: Ring, window: SignerWindow, rng
     """Draw presign's randomness: the nonce, then decoys in ring order."""
     if window.ring is not ring and window.ring != ring:
         raise ValueError("window was built for a different ring")
+    rng = rng if rng is not None else SystemRandomness()
     nonce = ctx.random_scalar_nonzero(rng)
-    # Decoy challenges are drawn from Z_p^*; the window's own challenge is
-    # computed by subtraction and may legitimately be zero.
-    decoys = {i: ctx.random_scalar_nonzero(rng)
+    # Decoys are uniform over Z_p, as the window's own challenge (a
+    # difference) is, so a zero challenge does not mark the signer.
+    decoys = {i: rng.randbelow(ctx.order)
               for i in range(len(ring)) if i != window.start}
     return nonce, decoys
-
-
-def presign_with_trace(ctx: GroupContext, ring: Ring, window: SignerWindow,
-                       message: bytes, statement: StatementPair, rng=None
-                       ) -> tuple[PreSignature, PresignTrace]:
-    """presign() variant that also returns every intermediate value."""
-    return _presign_body(ctx, ring, window, message, statement,
-                         *_draw(ctx, ring, window, rng))
 
 
 def presign(ctx: GroupContext, ring: Ring, window: SignerWindow,
             message: bytes, statement: StatementPair, rng=None) -> PreSignature:
     """Produce a pre-signature on ``message`` bound to ``statement``."""
     return _presign_body(ctx, ring, window, message, statement,
-                         *_draw(ctx, ring, window, rng))[0]
+                         *_draw(ctx, ring, window, rng))
 
 
 def _check_shape(ctx: GroupContext, ring: Ring, z: int, challenges, tags,
@@ -287,8 +273,10 @@ def preverify(ctx: GroupContext, ring: Ring, psig: PreSignature, t: int,
 
 def adapt(ctx: GroupContext, psig: PreSignature, w: int) -> Signature:
     """Complete a pre-signature with the witness: z = z~ + w."""
-    return Signature((psig.z_tilde + w) % ctx.order, psig.challenges,
-                     psig.tags)
+    # O(1): psig's challenges and tags are not re-checked here; a ledger
+    # checks them when it rebuilds the signature.
+    return Signature._computed((psig.z_tilde + w) % ctx.order,
+                               psig.challenges, psig.tags)
 
 
 def verify(ctx: GroupContext, ring: Ring, sig: Signature, t: int,

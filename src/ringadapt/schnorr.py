@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .groups import Element, GroupContext, Record
+from .groups import Element, GroupContext, Record, require_exact
 from .scheme import KeyPair
 
 DOMAIN_CHALLENGE = b"schnorr-adaptor/c"
@@ -27,6 +27,10 @@ class PlainPreSignature(Record):
 class PlainSignature(Record):
     challenge: int  # c
     response: int   # s
+
+    def __post_init__(self):
+        require_exact("signature scalar", (self.challenge, self.response),
+                      (int,))
 
 
 def _challenge(ctx: GroupContext, pk: Element, commit: Element,

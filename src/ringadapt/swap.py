@@ -89,8 +89,9 @@ class SubmitResult(Record):
 class MockLedger:
     """Confirmed transactions, keyed by value and mapped to their
     signatures in admission order; chain B also tracks published link tags.
-    Every stored transaction was built by the ``SwapTransaction``
-    constructor, whatever object was submitted.
+    Every stored transaction and signature was built by its type's
+    constructor, whatever object was submitted, so it holds exact ints,
+    bytes, strings and tuples alone.
 
     The ledger keeps every ``Ring`` it builds, keyed by the ring's keys,
     so a ring it has seen costs no point check or digest hash again.  The
@@ -110,10 +111,6 @@ class MockLedger:
 
     def _cached_ring(self, keys: tuple) -> Ring:
         """``Ring(ctx, keys)``, built once while it stays in the cache."""
-        if not _plain(keys):
-            # A look-alike key (a memoryview on prod, a float on toy) can
-            # equal a cached key that Ring accepted, yet Ring rejects it.
-            return Ring(self.ctx, keys)
         cached = self._rings.get(keys)
         if cached is not None:
             return cached
@@ -127,57 +124,43 @@ class MockLedger:
         return ring
 
 
-_PLAIN_TYPES = (int, bytes, str, type(None))
-
-
-def _plain(value) -> bool:
-    """Whether ``value`` is built of ints, bytes, strings, None, tuples and
-    records alone, so it is hashable.  A look-alike (5.0 for 5, a
-    memoryview for bytes) can equal such a value and still fail a check
-    that the value passes."""
-    kind = type(value)
-    if kind in _PLAIN_TYPES:
-        return True
-    if kind is tuple:
-        return all(map(_plain, value))
-    return isinstance(value, Record) and _plain(value._values(value))
-
-
 def ledger_submit(ledger: MockLedger, tx: SwapTransaction, sig) -> SubmitResult:
     """Miner admission rule: a submission gets the verdict of the
-    transaction its constructor would build, or ``malformed`` if the
-    constructor refuses it.
+    transaction and signature their constructors would build, or
+    ``malformed`` if a constructor refuses them.  The signature is built
+    as the type the chain admits, ``Signature`` on chain B and
+    ``schnorr.PlainSignature`` on chain A, so a pre-signature is
+    ``malformed``, and the constructors refuse look-alikes (a float
+    scalar, a memoryview key).
 
     Checks run in this order, and the first that fails gives the verdict:
-    the constructor, chain id, signature type and keys (``malformed``),
-    the signature (``bad-signature``), then the confirmed lookup and, on
-    chain B, the link-tag overlap (``double-spend-link``); accepted tags
-    are published.  Chain B takes its ring from the ledger's ring cache.
-    An exact replay, a pair equal to a confirmed one and built of ints,
-    bytes, strings and tuples alone, is answered ``double-spend-link``
+    the constructors, chain id and keys (``malformed``), the signature
+    (``bad-signature``), then the confirmed lookup and, on chain B, the
+    link-tag overlap (``double-spend-link``); accepted tags are published.
+    Chain B takes its ring from the ledger's ring cache.  An exact replay,
+    a pair equal to a confirmed one, is answered ``double-spend-link``
     right after the chain id: every other check would pass again.
     """
     ctx = ledger.ctx
+    kind = (schnorr.PlainSignature if ledger.chain_id == CHAIN_PLAIN
+            else Signature)
     try:
-        tx = SwapTransaction(*tx._values(tx))
-    except (TypeError, ValueError):   # fields forced past the constructor
+        tx = SwapTransaction(*SwapTransaction._values(tx))
+        sig = kind(*kind._values(sig))
+    except (AttributeError, TypeError, ValueError):   # not the chain's types
         return SubmitResult(False, REJECT_MALFORMED)
     if tx.chain_id != ledger.chain_id:
         return SubmitResult(False, REJECT_MALFORMED)
-    if _plain((tx, sig)):
-        seen = ledger.confirmed.get(tx)
-        if seen is not None and seen == sig:
-            return SubmitResult(False, REJECT_DOUBLE_SPEND)
+    seen = ledger.confirmed.get(tx)
+    if seen is not None and seen == sig:
+        return SubmitResult(False, REJECT_DOUBLE_SPEND)
     if ledger.chain_id == CHAIN_PLAIN:
-        if not (isinstance(sig, schnorr.PlainSignature)
-                and ctx.is_element(tx.payer_key)):
+        if not ctx.is_element(tx.payer_key):
             return SubmitResult(False, REJECT_MALFORMED)
     else:
         try:
             ring = ledger._cached_ring(tx.ring_keys)
         except ValueError:
-            return SubmitResult(False, REJECT_MALFORMED)
-        if not isinstance(sig, Signature):
             return SubmitResult(False, REJECT_MALFORMED)
     message = wire.encode_transaction(ctx, tx)
     valid = (schnorr.verify(ctx, tx.payer_key, sig, message)

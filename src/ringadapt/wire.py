@@ -26,7 +26,7 @@ import struct
 from typing import Optional
 
 from . import schnorr
-from .groups import Element, GroupContext, Record
+from .groups import Element, GroupContext, Record, require_exact
 from .scheme import PreSignature, Ring, Signature, StatementPair
 
 VERSION = 1
@@ -241,16 +241,19 @@ class SwapTransaction(Record):
         if not isinstance(self.payee, (bytes, bytearray, memoryview)):
             raise ValueError("payee must be bytes")
         object.__setattr__(self, "payee", bytes(self.payee))
+        require_exact("chain id", (self.chain_id,), (str,))
         # Fields the encoding leaves out stay empty: equal iff same bytes.
         if self.chain_id == CHAIN_PLAIN:
             if (self.payer_key is None or self.ring_keys is not None
                     or self.threshold is not None):
                 raise ValueError("chain-A transaction needs only a payer key")
+            require_exact("payer key", (self.payer_key,))
         elif self.chain_id == CHAIN_RING:
             if self.payer_key is not None or not self.ring_keys:
                 raise ValueError("chain-B transaction needs a payer ring")
             if len(self.ring_keys) > 0xFFFF:
                 raise ValueError("payer ring too large")
+            require_exact("ring key", self.ring_keys)
             if not (type(self.threshold) is int
                     and 1 <= self.threshold <= len(self.ring_keys)):
                 raise ValueError("chain-B threshold must be an int in range")

@@ -1,7 +1,7 @@
 import pytest
 
 from ringadapt import Ring, SeededRandomness, SignerWindow, setup_group
-from ringadapt.scheme import distinct_keypairs
+from ringadapt.scheme import _commit, distinct_keypairs
 
 
 @pytest.fixture(scope="session")
@@ -28,3 +28,14 @@ def build_ring(ctx, n, rng):
 def build_window(ctx, ring, members, start, width):
     secrets = [members[(start + i) % len(members)].sk for i in range(width)]
     return SignerWindow(ctx, ring, start, secrets)
+
+
+def presign_intermediates(ctx, ring, window, message, statement, nonce,
+                          decoys):
+    """(R, T, c, c_j) of the presign run with this nonce and these decoys,
+    recomputed through the scheme's commitment with c_j = 0."""
+    j = window.start
+    challenges = [0 if i == j else decoys[i] for i in range(len(ring))]
+    commit_g, commit_h, c = _commit(ctx, ring, nonce, challenges,
+                                    window.tags, statement, message)
+    return commit_g, commit_h, c, (c - sum(challenges)) % ctx.order

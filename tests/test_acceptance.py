@@ -15,7 +15,7 @@ import itertools
 from contextlib import contextmanager
 
 import straightline as oracle
-from conftest import build_ring, build_window
+from conftest import build_ring, build_window, presign_intermediates
 from ringadapt import (SeededRandomness, Signature, adapt, ext, gen_r, link,
                        presign, preverify, setup_group, verify,
                        verify_relation, wire)
@@ -73,19 +73,23 @@ def test_criterion_2_oracle_equivalence(toy):
         for trial in range(100):
             ring, window, statement, w, message, nonce, decoys = \
                 random_case(toy, rng)
-            psig, trace = _presign_body(toy, ring, window, message,
-                                        statement, nonce, decoys)
+            psig = _presign_body(toy, ring, window, message, statement,
+                                 nonce, decoys)
+            commit_g, commit_h, challenge, window_challenge = \
+                presign_intermediates(toy, ring, window, message, statement,
+                                      nonce, decoys)
             expected = oracle.presign(ring.keys, window.start,
                                       window.secrets, message, statement.w1,
                                       statement.w2, nonce, decoys)
             sig = adapt(toy, psig, w)
-            assert trace.d == expected["d"]
-            assert list(trace.tags) == expected["tags"]
-            assert trace.commit_g == expected["commit_g"]
-            assert trace.commit_h == expected["commit_h"]
-            assert trace.challenge == expected["challenge"]
-            assert trace.window_challenge == expected["window_challenge"]
-            assert trace.z_tilde == expected["z_tilde"]
+            assert ring.d == expected["d"]
+            assert list(window.tags) == expected["tags"]
+            assert commit_g == expected["commit_g"]
+            assert commit_h == expected["commit_h"]
+            assert challenge == expected["challenge"]
+            assert window_challenge == expected["window_challenge"]
+            assert psig.challenges[window.start] == window_challenge
+            assert psig.z_tilde == expected["z_tilde"]
             assert list(psig.challenges) == expected["challenges"]
             assert sig.z == (expected["z_tilde"] + w) % oracle.ORDER
             assert ext(toy, statement, psig, sig) == w
@@ -127,8 +131,8 @@ def test_criterion_3_adaptability(toy):
                 decoys = {i: rng.randbelow(toy.order)
                           for i in range(n) if i != j}
             nonce = 1 + rng.randbelow(toy.order - 1)
-            psig, _ = _presign_body(toy, ring, window, message, statement,
-                                    nonce, decoys)
+            psig = _presign_body(toy, ring, window, message, statement,
+                                 nonce, decoys)
             assert preverify(toy, ring, psig, t, message, statement)
             assert verify(toy, ring, adapt(toy, psig, w), t, message)
             checked += 1

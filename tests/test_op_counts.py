@@ -14,9 +14,9 @@ from collections import Counter
 import pytest
 
 from conftest import build_ring, build_window
-from ringadapt import (SeededRandomness, Signature, adapt, ext, gen_r,
-                       keygen, link, presign, preverify, schnorr, verify,
-                       wire)
+from ringadapt import (PreSignature, SeededRandomness, Signature, adapt, ext,
+                       gen_r, keygen, link, presign, preverify, schnorr,
+                       verify, wire)
 from ringadapt.groups import ToyGroup
 from ringadapt.swap import MockLedger, ledger_submit
 
@@ -170,6 +170,23 @@ def test_exact_forced_field_counts_nothing():
     result = ledger_submit(MockLedger(ctx, "B"), forced, sig)
     assert result.reason == "malformed"
     # The constructor refuses the field before the ring is built.
+    assert ctx.take() == {}
+
+
+@pytest.mark.parametrize("chain", ["A", "B"])
+def test_exact_presignature_counts_nothing(chain):
+    ctx = CountingToy()
+    if chain == "A":
+        tx, sig = _plain_spend(ctx)
+        psig = schnorr.PlainPreSignature(sig.challenge, sig.response)
+    else:
+        tx, sig = _ring_spend(ctx, 6, 3)
+        psig = PreSignature(sig.z, sig.challenges, sig.tags)
+    ctx.take()
+    result = ledger_submit(MockLedger(ctx, chain), tx, psig)
+    assert result.reason == "malformed"
+    # The signature is rebuilt as the chain's type before the keys are
+    # checked, and a pre-signature has no z or response.
     assert ctx.take() == {}
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import straightline as oracle
-from conftest import build_ring, build_window
+from conftest import build_ring, build_window, presign_intermediates
 from ringadapt import (PreSignature, SeededRandomness, Signature, adapt, ext,
                        gen_r, presign, preverify, verify)
 from ringadapt.scheme import _presign_body
@@ -30,18 +30,22 @@ def test_every_intermediate_matches(toy):
     for trial in range(120):
         ring, window, statement, w, message, nonce, decoys = \
             random_case(toy, rng)
-        psig, trace = _presign_body(toy, ring, window, message, statement,
-                                    nonce, decoys)
+        psig = _presign_body(toy, ring, window, message, statement, nonce,
+                             decoys)
+        commit_g, commit_h, challenge, window_challenge = \
+            presign_intermediates(toy, ring, window, message, statement,
+                                  nonce, decoys)
         expected = oracle.presign(ring.keys, window.start, window.secrets,
                                   message, statement.w1, statement.w2,
                                   nonce, decoys)
-        assert trace.d == expected["d"]
-        assert list(trace.tags) == expected["tags"]
-        assert trace.commit_g == expected["commit_g"]
-        assert trace.commit_h == expected["commit_h"]
-        assert trace.challenge == expected["challenge"]
-        assert trace.window_challenge == expected["window_challenge"]
-        assert trace.z_tilde == expected["z_tilde"]
+        assert ring.d == expected["d"]
+        assert list(window.tags) == expected["tags"]
+        assert commit_g == expected["commit_g"]
+        assert commit_h == expected["commit_h"]
+        assert challenge == expected["challenge"]
+        assert window_challenge == expected["window_challenge"]
+        assert psig.challenges[window.start] == window_challenge
+        assert psig.z_tilde == expected["z_tilde"]
         assert list(psig.challenges) == expected["challenges"]
 
         sig = adapt(toy, psig, w)
@@ -60,8 +64,7 @@ def test_oracle_agrees_on_rejections(toy):
     # Both sides must reject the same perturbed signature.
     rng = SeededRandomness(55)
     ring, window, statement, w, message, nonce, decoys = random_case(toy, rng)
-    psig, _ = _presign_body(toy, ring, window, message, statement, nonce,
-                            decoys)
+    psig = _presign_body(toy, ring, window, message, statement, nonce, decoys)
     sig = adapt(toy, psig, w)
     bad_z = (sig.z + 1) % oracle.ORDER
     ours = verify(toy, ring,

@@ -16,7 +16,6 @@ SAMPLES = {
     scheme.StatementPair: (7, 8),
     scheme.PreSignature: (3, (1, 2), (7,)),
     scheme.Signature: (3, (1, 2), (7,)),
-    scheme.PresignTrace: (1, (7,), 2, 7, 8, 3, 4, 5),
     schnorr.PlainPreSignature: (1, 2),
     schnorr.PlainSignature: (1, 2),
     wire.SwapTransaction: ("A", b"x", 1, 2, 7, None, None),
@@ -95,6 +94,21 @@ def test_defaults_and_post_init():
     tx = wire.SwapTransaction("B", bytearray(b"x"), 1, 2, ring_keys=[7, 8],
                               threshold=1)
     assert (tx.payee, tx.ring_keys) == (b"x", (7, 8))
+    for tag in (b"k", 7):
+        sig = scheme.Signature(3, [1, 2], [tag])
+        assert (sig.challenges, sig.tags) == ((1, 2), (tag,))
+    # A look-alike equals a scalar or an element yet fails its checks, so
+    # the signatures a ledger admits refuse them.
+    for bad in (2.0, True):
+        for fields in ((bad, (1, 2), (7,)), (3, (1, bad), (7,))):
+            with pytest.raises(ValueError):
+                scheme.Signature(*fields)
+        for fields in ((bad, 2), (1, bad)):
+            with pytest.raises(ValueError):
+                schnorr.PlainSignature(*fields)
+    for tag in (memoryview(b"k"), bytearray(b"k"), 7.0):
+        with pytest.raises(ValueError):
+            scheme.Signature(3, (1, 2), (7, tag))
 
 
 def test_tag_set_is_cached():

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_ring, build_window
+from conftest import build_ring, build_window, presign_intermediates
 from ringadapt import (KeyMismatchError, PreSignature, Ring, SeededRandomness,
                        Signature, SignerWindow, StatementPair, adapt, ext,
-                       gen_r, keygen, link, presign, presign_with_trace,
-                       preverify, verify, verify_relation)
+                       gen_r, keygen, link, presign, preverify, setup_group,
+                       verify, verify_relation)
 from ringadapt.scheme import _presign_body
 
 # Ring used by the frozen vectors: secrets (2, 3, 7) under g = 7 mod 607.
@@ -86,37 +86,42 @@ class TestPresignFrozen:
 
     def _run(self, toy, start, decoys, nonce, witness=17,
              message=MESSAGE, width=2):
+        """The pre-signature and its (R, T, c, c_j)."""
         ring = _vector_ring(toy)
         window = _vector_window(toy, ring, start, width)
         statement = StatementPair(toy.exp(toy.generator_g, witness),
                                   toy.exp(toy.generator_h, witness))
-        return _presign_body(toy, ring, window, message, statement, nonce,
-                             decoys)
+        inputs = (toy, ring, window, message, statement, nonce, decoys)
+        return _presign_body(*inputs), presign_intermediates(*inputs)
 
     def test_trace_with_zero_window_challenge(self, toy):
         # c_j comes out 0 for these inputs; the scheme accepts that.
-        psig, trace = self._run(toy, 0, {1: 4, 2: 9}, nonce=11)
-        assert trace.d == 40
-        assert (trace.commit_g, trace.commit_h) == (573, 64)
-        assert trace.challenge == 13
-        assert trace.window_challenge == 0
-        assert trace.z_tilde == 11
+        psig, (commit_g, commit_h, c, c_j) = self._run(toy, 0, {1: 4, 2: 9},
+                                                       nonce=11)
+        assert _vector_ring(toy).d == 40
+        assert (commit_g, commit_h) == (573, 64)
+        assert c == 13
+        assert c_j == 0
+        assert psig.z_tilde == 11
         assert psig.challenges == (0, 4, 9)
         assert psig.tags == (64, 512)
 
     def test_trace_vector_b(self, toy):
-        psig, trace = self._run(toy, 0, {1: 5, 2: 9}, nonce=11)
-        assert (trace.commit_g, trace.commit_h) == (316, 1)
-        assert (trace.challenge, trace.window_challenge) == (75, 61)
-        assert trace.z_tilde == 32
+        psig, (commit_g, commit_h, c, c_j) = self._run(toy, 0, {1: 5, 2: 9},
+                                                       nonce=11)
+        assert (commit_g, commit_h) == (316, 1)
+        assert (c, c_j) == (75, 61)
+        assert psig.challenges[0] == c_j
+        assert psig.z_tilde == 32
 
     def test_trace_vector_c_middle_window(self, toy):
-        psig, trace = self._run(toy, 1, {0: 8, 2: 31}, nonce=23,
-                                message=b"toy message 2")
+        psig, (commit_g, commit_h, c, c_j) = self._run(
+            toy, 1, {0: 8, 2: 31}, nonce=23, message=b"toy message 2")
         assert psig.tags == (512, 574)  # h^3, h^7
-        assert (trace.commit_g, trace.commit_h) == (565, 451)
-        assert (trace.challenge, trace.window_challenge) == (10, 72)
-        assert trace.z_tilde == 8
+        assert (commit_g, commit_h) == (565, 451)
+        assert (c, c_j) == (10, 72)
+        assert psig.challenges[1] == c_j
+        assert psig.z_tilde == 8
 
     def test_frozen_adapt_ext(self, toy):
         ring = _vector_ring(toy)
@@ -215,8 +220,8 @@ class TestAdaptability:
             (7, {0: 4, 2: 4, 3: 4, 4: 4}),
         ]
         for nonce, decoys in weird:
-            psig, _ = _presign_body(toy, ring, window, b"odd", statement,
-                                    nonce, decoys)
+            psig = _presign_body(toy, ring, window, b"odd", statement,
+                                 nonce, decoys)
             assert preverify(toy, ring, psig, 2, b"odd", statement)
             assert verify(toy, ring, adapt(toy, psig, w), 2, b"odd")
 
@@ -442,20 +447,47 @@ class TestConstruction:
             presign(toy, other_ring, window, b"m", statement, rng)
 
     def test_trace_matches_seeded_presign(self, toy):
-        # presign draws the nonce first, then decoy challenges in ring
-        # order; replaying the same seed must reproduce the trace.
+        # presign draws the nonce from Z_p^* first, then decoy challenges
+        # from Z_p in ring order; replaying the seed must reproduce it.
         rng_a = SeededRandomness(77)
         ring, members = build_ring(toy, 4, rng_a)
         window = build_window(toy, ring, members, 1, 2)
         statement, _ = gen_r(toy, rng_a)
-        state = SeededRandomness(123)
-        psig, trace = presign_with_trace(toy, ring, window, b"m", statement,
-                                         state)
+        psig = presign(toy, ring, window, b"m", statement,
+                       SeededRandomness(123))
         replay = SeededRandomness(123)
         nonce = toy.random_scalar_nonzero(replay)
-        decoys = {i: toy.random_scalar_nonzero(replay)
-                  for i in range(4) if i != 1}
-        expected, _ = _presign_body(toy, ring, window, b"m", statement,
-                                    nonce, decoys)
-        assert trace.nonce == nonce
+        decoys = {i: replay.randbelow(toy.order) for i in range(4) if i != 1}
+        expected = _presign_body(toy, ring, window, b"m", statement, nonce,
+                                 decoys)
         assert psig == expected
+
+    @pytest.mark.parametrize("backend", ["toy", "prod"])
+    def test_presign_without_rng(self, backend):
+        # rng=None, as the CLI passes without --seed, draws from the OS.
+        ctx = setup_group(backend)
+        ring, members = build_ring(ctx, 4, SeededRandomness(3))
+        window = build_window(ctx, ring, members, 1, 2)
+        statement, w = gen_r(ctx)
+        psig = presign(ctx, ring, window, b"m", statement)
+        assert preverify(ctx, ring, psig, 2, b"m", statement)
+        assert verify(ctx, ring, adapt(ctx, psig, w), 2, b"m")
+
+
+class TestSignerAmbiguity:
+    def test_zero_challenges_do_not_mark_the_signer(self, toy):
+        # Anonymity (Bender, Katz and Morselli, TCC 2006): no challenge
+        # may depend on the signer's index.  c_j is a difference, so it is
+        # 0 about once in 101 signings, and so must each decoy be.
+        rng = SeededRandomness(2001)
+        ring, members = build_ring(toy, 3, rng)
+        window = build_window(toy, ring, members, 1, 1)
+        statement, _ = gen_r(toy, rng)
+        zeros = [0] * 3
+        for k in range(10100):
+            psig = presign(toy, ring, window, k.to_bytes(2, "big"), statement,
+                           rng)
+            for i, c in enumerate(psig.challenges):
+                zeros[i] += c == 0
+        # About 100 at each index, the signer's included.
+        assert zeros[1] > 0 and max(zeros) <= 2 * min(zeros), zeros

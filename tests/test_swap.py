@@ -331,7 +331,8 @@ class TestRingCache:
         decoded = (_copy_by_value(ctx, tx1), wire.decode_signature(
             ctx, wire.encode_signature(ctx, sig1), 6, 2))
         duplicate = _force(tx1, ring_keys=ring.keys[:-1] + ring.keys[:1])
-        # Look-alikes equal a confirmed value, but its checks reject them.
+        # Look-alikes equal a confirmed value, but the constructors refuse
+        # them, so these are forced past the constructors.
         lookalike = memoryview if backend == "prod" else float
         lookalike_keys = tuple(map(lookalike, ring.keys))
         unhashable_keys = tuple(bytearray(ctx.encode_element(pk))
@@ -348,15 +349,14 @@ class TestRingCache:
             disjoint,                                         # accepted
             (duplicate, sig1),                                # malformed
             (_force(tx1, amount=1.0), sig1),                  # malformed
-            (tx1, Signature(float(sig1.z), sig1.challenges,
-                            sig1.tags)),                      # bad signature
-            (tx1, Signature(sig1.z, sig1.challenges, (lookalike(
-                sig1.tags[0]), *sig1.tags[1:]))),             # bad signature
+            (tx1, _force(sig1, z=float(sig1.z))),             # malformed
+            (tx1, _force(sig1, tags=(lookalike(sig1.tags[0]),
+                                     *sig1.tags[1:]))),       # malformed
             (_force(tx1, ring_keys=lookalike_keys), sig1),    # malformed
-            (SwapTransaction("B", b"f", 1, 6, ring_keys=lookalike_keys,
-                             threshold=2), sig1),             # malformed
-            (SwapTransaction("B", b"g", 1, 7, ring_keys=unhashable_keys,
-                             threshold=2), sig1),             # malformed
+            (_force(tx1, payee=b"f", nonce=6,
+                    ring_keys=lookalike_keys), sig1),         # malformed
+            (_force(tx1, payee=b"g", nonce=7,
+                    ring_keys=unhashable_keys), sig1),        # malformed
             elsewhere,                                        # accepted
             last,                                             # accepted
             (tx1, sig1),                                      # exact replay
@@ -364,8 +364,8 @@ class TestRingCache:
         expected = ["accepted", "double-spend-link", "double-spend-link",
                     "double-spend-link", "double-spend-link",
                     "bad-signature", "double-spend-link", "accepted",
-                    "malformed", "malformed", "bad-signature",
-                    "bad-signature", "malformed", "malformed", "malformed",
+                    "malformed", "malformed", "malformed", "malformed",
+                    "malformed", "malformed", "malformed",
                     "accepted", "accepted", "double-spend-link"]
         builds = []
         build = swap.Ring
@@ -375,10 +375,10 @@ class TestRingCache:
         warm_builds = len(builds)
         cold = _admit_all(MockLedger(ctx, "B"), submissions, cold=True)
         assert warm == cold == expected
-        # Cold, every submission but the five exact replays and the one
-        # its constructor refuses builds a ring; warm, only the first use
-        # of each key list and the look-alikes do.
-        assert (warm_builds, len(builds) - warm_builds) == (6, 12)
+        # Cold, every submission but the five exact replays and the six
+        # the constructors refuse builds a ring; warm, only the first use
+        # of each key list does.
+        assert (warm_builds, len(builds) - warm_builds) == (3, 7)
 
     def test_cache_stays_within_its_bound(self, toy):
         # Rotations of the 100 non-identity toy elements, 60 to 100 keys

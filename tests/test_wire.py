@@ -158,7 +158,7 @@ class TestRejection:
         with pytest.raises(wire.WireError):
             wire.decode_presignature(toy, data, 4, 0)
 
-    def test_transaction_constraints(self, toy, rng):
+    def test_transaction_constraints(self, toy, prod, rng):
         ring, _ = build_ring(toy, 3, rng)
         tx = wire.SwapTransaction("B", b"bob", 9, 42, ring_keys=ring.keys,
                                   threshold=2)
@@ -199,6 +199,30 @@ class TestRejection:
         for payee in (bytearray(b"x"), memoryview(b"x")):
             tx = wire.SwapTransaction("A", payee, 1, 1, payer_key=pk)
             assert type(tx.payee) is bytes and tx.payee == b"x"
+        # Keys must be exactly bytes or int: a look-alike equals a key yet
+        # fails its checks.
+        prod_ring, _ = build_ring(prod, 3, rng)
+        for keys, lookalike in ((prod_ring.keys, memoryview),
+                                (ring.keys, float)):
+            forged = (lookalike(keys[0]), *keys[1:])
+            with pytest.raises(ValueError):
+                wire.SwapTransaction("B", b"x", 1, 1, ring_keys=forged,
+                                     threshold=1)
+            with pytest.raises(ValueError):
+                wire.SwapTransaction("A", b"x", 1, 1, payer_key=forged[0])
+            tx = wire.SwapTransaction("B", b"x", 1, 1, ring_keys=keys,
+                                      threshold=1)
+            assert tx.ring_keys == keys
+            tx = wire.SwapTransaction("A", b"x", 1, 1, payer_key=keys[0])
+            assert tx.payer_key == keys[0]
+        with pytest.raises(ValueError):
+            wire.SwapTransaction("A", b"x", 1, 1, payer_key=True)
+
+        class Chain(str):
+            pass
+
+        with pytest.raises(ValueError):
+            wire.SwapTransaction(Chain("A"), b"x", 1, 1, payer_key=pk)
 
     @settings(max_examples=150)
     @given(st.binary(max_size=64))
