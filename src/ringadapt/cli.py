@@ -12,12 +12,10 @@ failure, 2 usage or decode error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import wire
-from .groups import (_BACKENDS, SeededRandomness, UnknownBackendError,
-                     setup_group)
+from .groups import _BACKENDS, SeededRandomness, setup_group
 from .scheme import (Ring, SignerWindow, adapt, ext, keygen, gen_r, link,
                      presign, preverify, verify)
 
@@ -35,6 +33,7 @@ def _write(path: str, data: bytes):
 
 
 def _load_key(ctx, path: str) -> tuple[int, object]:
+    import json
     doc = json.loads(_read(path))
     if not (isinstance(doc, dict) and isinstance(doc.get("sk"), str)
             and isinstance(doc.get("pk"), str)):
@@ -46,6 +45,27 @@ def _load_key(ctx, path: str) -> tuple[int, object]:
     sk = wire.decode_scalar(ctx, bytes.fromhex(doc["sk"]))
     pk = wire.decode_element(ctx, bytes.fromhex(doc["pk"]))
     return sk, pk
+
+
+def _ring(ctx, path: str) -> Ring:
+    return wire.decode_ring(ctx, _read(path))
+
+
+def _presig(ctx, path: str, ring: Ring, threshold: int):
+    return wire.decode_presignature(ctx, _read(path), len(ring), threshold)
+
+
+def _sig(ctx, path: str, ring: Ring, threshold: int):
+    return wire.decode_signature(ctx, _read(path), len(ring), threshold)
+
+
+def _statement(ctx, path: str):
+    return wire.decode_statement(ctx, _read(path))
+
+
+def _verdict(ok: bool) -> int:
+    print(int(ok))
+    return 0 if ok else 1
 
 
 def _window_arg(value: str) -> tuple[int, int]:
@@ -72,8 +92,8 @@ def _fault_plan(name: str):
     return FaultPlan(corruption=name)
 
 
-def cmd_keygen(args) -> int:
-    ctx = setup_group(args.group)
+def cmd_keygen(ctx, args) -> int:
+    import json
     pair = keygen(ctx, _rng(args))
     doc = json.dumps({
         "group": ctx.label,
@@ -87,83 +107,64 @@ def cmd_keygen(args) -> int:
     return 0
 
 
-def cmd_genr(args) -> int:
-    ctx = setup_group(args.group)
+def cmd_genr(ctx, args) -> int:
     statement, witness = gen_r(ctx, _rng(args))
     _write(args.out, wire.encode_statement(ctx, statement))
     _write(args.witness_out, wire.encode_scalar(ctx, witness))
     return 0
 
 
-def cmd_ring_build(args) -> int:
-    ctx = setup_group(args.group)
-    keys = []
-    for path in args.key or []:
-        keys.append(_load_key(ctx, path)[1])
-    for hexval in args.pubkey or []:
-        keys.append(wire.decode_element(ctx, bytes.fromhex(hexval)))
-    ring = Ring(ctx, keys)
-    _write(args.out, wire.encode_ring(ctx, ring))
+def cmd_ring_build(ctx, args) -> int:
+    keys = [_load_key(ctx, path)[1] for path in args.key or []]
+    keys += [wire.decode_element(ctx, bytes.fromhex(hexval))
+             for hexval in args.pubkey or []]
+    _write(args.out, wire.encode_ring(ctx, Ring(ctx, keys)))
     return 0
 
 
-def cmd_presign(args) -> int:
-    ctx = setup_group(args.group)
-    ring = wire.decode_ring(ctx, _read(args.ring))
+def cmd_presign(ctx, args) -> int:
+    ring = _ring(ctx, args.ring)
     start, width = args.window
     secrets = [_load_key(ctx, path)[0] for path in args.key or []]
     if len(secrets) != width:
         raise ValueError(f"window width {width} needs {width} --key files, "
                          f"got {len(secrets)}")
     window = SignerWindow(ctx, ring, start, secrets)
-    statement = wire.decode_statement(ctx, _read(args.statement))
+    statement = _statement(ctx, args.statement)
     psig = presign(ctx, ring, window, _read(args.message), statement,
                    _rng(args))
     _write(args.out, wire.encode_presignature(ctx, psig))
     return 0
 
 
-def cmd_preverify(args) -> int:
-    ctx = setup_group(args.group)
-    ring = wire.decode_ring(ctx, _read(args.ring))
-    psig = wire.decode_presignature(ctx, _read(args.presig), len(ring),
-                                    args.threshold)
-    statement = wire.decode_statement(ctx, _read(args.statement))
-    ok = preverify(ctx, ring, psig, args.threshold, _read(args.message),
-                   statement)
-    print(int(ok))
-    return 0 if ok else 1
+def cmd_preverify(ctx, args) -> int:
+    ring = _ring(ctx, args.ring)
+    psig = _presig(ctx, args.presig, ring, args.threshold)
+    statement = _statement(ctx, args.statement)
+    return _verdict(preverify(ctx, ring, psig, args.threshold,
+                              _read(args.message), statement))
 
 
-def cmd_adapt(args) -> int:
-    ctx = setup_group(args.group)
-    ring = wire.decode_ring(ctx, _read(args.ring))
-    psig = wire.decode_presignature(ctx, _read(args.presig), len(ring),
-                                    args.threshold)
+def cmd_adapt(ctx, args) -> int:
+    ring = _ring(ctx, args.ring)
+    psig = _presig(ctx, args.presig, ring, args.threshold)
     witness = wire.decode_scalar(ctx, _read(args.witness))
     _write(args.out, wire.encode_signature(ctx, adapt(ctx, psig, witness)))
     return 0
 
 
-def cmd_verify(args) -> int:
-    ctx = setup_group(args.group)
-    ring = wire.decode_ring(ctx, _read(args.ring))
-    sig = wire.decode_signature(ctx, _read(args.sig), len(ring),
-                                args.threshold)
-    ok = verify(ctx, ring, sig, args.threshold, _read(args.message))
-    print(int(ok))
-    return 0 if ok else 1
+def cmd_verify(ctx, args) -> int:
+    ring = _ring(ctx, args.ring)
+    sig = _sig(ctx, args.sig, ring, args.threshold)
+    return _verdict(verify(ctx, ring, sig, args.threshold,
+                           _read(args.message)))
 
 
-def cmd_ext(args) -> int:
-    ctx = setup_group(args.group)
-    ring = wire.decode_ring(ctx, _read(args.ring))
-    psig = wire.decode_presignature(ctx, _read(args.presig), len(ring),
-                                    args.threshold)
-    sig = wire.decode_signature(ctx, _read(args.sig), len(ring),
-                                args.threshold)
-    statement = wire.decode_statement(ctx, _read(args.statement))
-    witness = ext(ctx, statement, psig, sig)
+def cmd_ext(ctx, args) -> int:
+    ring = _ring(ctx, args.ring)
+    psig = _presig(ctx, args.presig, ring, args.threshold)
+    sig = _sig(ctx, args.sig, ring, args.threshold)
+    witness = ext(ctx, _statement(ctx, args.statement), psig, sig)
     if witness is None:
         print(FAILURE_MARK)
         return 1
@@ -171,47 +172,39 @@ def cmd_ext(args) -> int:
     return 0
 
 
-def cmd_link(args) -> int:
-    ctx = setup_group(args.group)
-    ring_a = wire.decode_ring(ctx, _read(args.ring))
-    ring_b = wire.decode_ring(ctx, _read(args.ring_b)) if args.ring_b \
-        else ring_a
-    t_b = args.threshold_b if args.threshold_b is not None else args.threshold
-    sig_a = wire.decode_signature(ctx, _read(args.sig_a), len(ring_a),
-                                  args.threshold)
-    sig_b = wire.decode_signature(ctx, _read(args.sig_b), len(ring_b), t_b)
-    linked = link(sig_a, sig_b)
-    print(int(linked))
-    return 0 if linked else 1
+def cmd_link(ctx, args) -> int:
+    ring_a = _ring(ctx, args.ring)
+    ring_b = _ring(ctx, args.ring_b) if args.ring_b else ring_a
+    t_b = args.threshold if args.threshold_b is None else args.threshold_b
+    sig_a = _sig(ctx, args.sig_a, ring_a, args.threshold)
+    sig_b = _sig(ctx, args.sig_b, ring_b, t_b)
+    return _verdict(link(sig_a, sig_b))
 
 
-def cmd_swap_demo(args) -> int:
+def cmd_swap_demo(ctx, args) -> int:
+    import json
     from .swap import Phase, swap_demo
-    ctx = setup_group(args.group)
     fault = _fault_plan(args.fault)
     result = swap_demo(ctx, ring_size=args.ring_size,
                        threshold=args.threshold, seed=args.seed or 0,
                        fault=fault)
-    lines = result.transcript_jsonl()
     summary = json.dumps({
         "event": "outcome",
         "phase": result.state.phase.value,
         "abort_reason": result.state.abort_reason,
         "outcome": result.outcome(),
     }, sort_keys=True)
-    text = lines + "\n" + summary + "\n"
+    text = result.transcript_jsonl() + "\n" + summary + "\n"
     if args.out:
         _write(args.out, text.encode())
     else:
         sys.stdout.write(text)
-    if result.outcome() == "mixed":
-        return 1
-    if fault is None and result.state.phase is not Phase.ALICE_CLAIMED:
-        return 1
-    return 0
+    mixed = result.outcome() == "mixed"
+    stuck = fault is None and result.state.phase is not Phase.ALICE_CLAIMED
+    return 1 if mixed or stuck else 0
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(ctx, args) -> int:
     from . import bench
     sizes = range(args.min_n, args.max_n + 1, args.step)
     reps = bench.MIN_REPS if args.reps is None else args.reps
@@ -224,105 +217,88 @@ def cmd_bench(args) -> int:
     return 0
 
 
+# Options are (flag, add_argument keywords); shared ones are declared once.
+REQUIRED = {"required": True}
+RING = ("--ring", REQUIRED)
+THRESHOLD = ("--threshold", {"type": int, "required": True})
+MESSAGE = ("--message", REQUIRED)
+STATEMENT = ("--statement", REQUIRED)
+PRESIG = ("--presig", REQUIRED)
+SIG = ("--sig", REQUIRED)
+OUT = ("--out", REQUIRED)
+COMMON = (
+    ("--group", {"choices": tuple(_BACKENDS), "default": "prod",
+                 "help": "group backend (default prod)"}),
+    ("--seed", {"type": int, "help": "deterministic randomness for tests"}),
+)
+
+# name -> (handler, help, options after --group and --seed)
+COMMANDS = {
+    "keygen": (cmd_keygen, "generate a key pair", [
+        ("--out", {"help": "key file (default: print to stdout)"})]),
+    "genr": (cmd_genr, "sample a hard-relation statement/witness", [
+        ("--out", {"required": True, "help": "statement output file"}),
+        ("--witness-out", {"required": True, "help": "witness output file"})]),
+    "ring-build": (cmd_ring_build, "assemble a ring from keys", [
+        ("--key", {"action": "append", "help": "key file (repeatable)"}),
+        ("--pubkey", {"action": "append",
+                      "help": "hex wire public key (repeatable)"}),
+        OUT]),
+    "presign": (cmd_presign, "produce a ring pre-signature", [
+        RING,
+        ("--window", {"type": _window_arg, "required": True, "metavar": "j,t",
+                      "help": "window start and width"}),
+        ("--key", {"action": "append",
+                   "help": "signer key file, one per window slot, in order"}),
+        MESSAGE, STATEMENT, OUT]),
+    "preverify": (cmd_preverify, "check a ring pre-signature",
+                  [RING, THRESHOLD, MESSAGE, STATEMENT, PRESIG]),
+    "adapt": (cmd_adapt, "complete a pre-signature with a witness",
+              [RING, THRESHOLD, PRESIG, ("--witness", REQUIRED), OUT]),
+    "verify": (cmd_verify, "check a full signature",
+               [RING, THRESHOLD, MESSAGE, SIG]),
+    "ext": (cmd_ext, "extract the witness from a signature pair",
+            [RING, THRESHOLD, STATEMENT, PRESIG, SIG]),
+    "link": (cmd_link, "test whether two signatures share a tag", [
+        RING, THRESHOLD, ("--sig-a", REQUIRED), ("--sig-b", REQUIRED),
+        ("--ring-b", {"help": "ring of the second signature, if different"}),
+        ("--threshold-b", {"type": int})]),
+    "swap-demo": (cmd_swap_demo, "run the two-ledger atomic swap", [
+        ("--ring-size", {"type": int, "default": 4}),
+        ("--threshold", {"type": int, "default": 2}),
+        ("--fault", {"default": "none",
+                     "help": "none, abort1..abort5 or a corruption name"}),
+        ("--out", {"help": "transcript file (default: stdout)"})]),
+    "bench": (cmd_bench, "sweep ring sizes and emit a CSV", [
+        ("--min-n", {"type": int, "default": 10}),
+        ("--max-n", {"type": int, "default": 100}),
+        ("--step", {"type": int, "default": 10}),
+        ("--reps", {"type": int,
+                    "help": "repetitions per cell (default bench.MIN_REPS)"}),
+        ("--out", {"help": "CSV file (default: stdout)"})]),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ringadapt",
         description="Linkable threshold ring adaptor signatures",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    for name, (fn, help_, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
         p.set_defaults(fn=fn)
-        p.add_argument("--group", choices=tuple(_BACKENDS), default="prod",
-                       help="group backend (default prod)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="deterministic randomness for tests")
-        return p
-
-    p = add("keygen", cmd_keygen, help="generate a key pair")
-    p.add_argument("--out", help="key file (default: print to stdout)")
-
-    p = add("genr", cmd_genr, help="sample a hard-relation statement/witness")
-    p.add_argument("--out", required=True, help="statement output file")
-    p.add_argument("--witness-out", required=True, help="witness output file")
-
-    p = add("ring-build", cmd_ring_build, help="assemble a ring from keys")
-    p.add_argument("--key", action="append", help="key file (repeatable)")
-    p.add_argument("--pubkey", action="append",
-                   help="hex wire public key (repeatable)")
-    p.add_argument("--out", required=True)
-
-    p = add("presign", cmd_presign, help="produce a ring pre-signature")
-    p.add_argument("--ring", required=True)
-    p.add_argument("--window", type=_window_arg, required=True,
-                   metavar="j,t", help="window start and width")
-    p.add_argument("--key", action="append",
-                   help="signer key file, one per window slot, in order")
-    p.add_argument("--message", required=True)
-    p.add_argument("--statement", required=True)
-    p.add_argument("--out", required=True)
-
-    p = add("preverify", cmd_preverify, help="check a ring pre-signature")
-    p.add_argument("--ring", required=True)
-    p.add_argument("--threshold", type=int, required=True)
-    p.add_argument("--message", required=True)
-    p.add_argument("--statement", required=True)
-    p.add_argument("--presig", required=True)
-
-    p = add("adapt", cmd_adapt, help="complete a pre-signature with a witness")
-    p.add_argument("--ring", required=True)
-    p.add_argument("--threshold", type=int, required=True)
-    p.add_argument("--presig", required=True)
-    p.add_argument("--witness", required=True)
-    p.add_argument("--out", required=True)
-
-    p = add("verify", cmd_verify, help="check a full signature")
-    p.add_argument("--ring", required=True)
-    p.add_argument("--threshold", type=int, required=True)
-    p.add_argument("--message", required=True)
-    p.add_argument("--sig", required=True)
-
-    p = add("ext", cmd_ext, help="extract the witness from a signature pair")
-    p.add_argument("--ring", required=True)
-    p.add_argument("--threshold", type=int, required=True)
-    p.add_argument("--statement", required=True)
-    p.add_argument("--presig", required=True)
-    p.add_argument("--sig", required=True)
-
-    p = add("link", cmd_link, help="test whether two signatures share a tag")
-    p.add_argument("--ring", required=True)
-    p.add_argument("--threshold", type=int, required=True)
-    p.add_argument("--sig-a", required=True)
-    p.add_argument("--sig-b", required=True)
-    p.add_argument("--ring-b", help="ring of the second signature, if different")
-    p.add_argument("--threshold-b", type=int)
-
-    p = add("swap-demo", cmd_swap_demo, help="run the two-ledger atomic swap")
-    p.add_argument("--ring-size", type=int, default=4)
-    p.add_argument("--threshold", type=int, default=2)
-    p.add_argument("--fault", default="none",
-                   help="none, abort1..abort5 or a corruption name")
-    p.add_argument("--out", help="transcript file (default: stdout)")
-
-    p = add("bench", cmd_bench, help="sweep ring sizes and emit a CSV")
-    p.add_argument("--min-n", type=int, default=10)
-    p.add_argument("--max-n", type=int, default=100)
-    p.add_argument("--step", type=int, default=10)
-    p.add_argument("--reps", type=int,
-                   help="repetitions per cell (default bench.MIN_REPS)")
-    p.add_argument("--out", help="CSV file (default: stdout)")
-
+        for flag, keywords in (*COMMON, *options):
+            p.add_argument(flag, **keywords)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except (wire.WireError, UnknownBackendError, ValueError, OSError,
-            json.JSONDecodeError, KeyError) as exc:
+        # A module global looked up per call, so a tracer can replace it.
+        return args.fn(setup_group(args.group), args)
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

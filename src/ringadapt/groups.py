@@ -270,23 +270,36 @@ def _sodium_names():
     yield find_library("sodium")
 
 
+# Every libsodium function _Sodium calls; each returns an int status.
+_SIGNATURES = {
+    "sodium_init": (),
+    "crypto_core_ristretto255_is_valid_point": (ctypes.c_char_p,),
+    "crypto_core_ristretto255_add": (ctypes.c_char_p,) * 3,
+    "crypto_scalarmult_ristretto255": (ctypes.c_char_p,) * 3,
+    "crypto_scalarmult_ristretto255_base": (ctypes.c_char_p,) * 2,
+    "crypto_core_ristretto255_from_hash": (ctypes.c_char_p,) * 2,
+}
+
+
 class _Sodium:
     """Thin ctypes layer over the ristretto255 primitives of libsodium."""
 
     def __init__(self):
-        lib = None
         for candidate in filter(None, _sodium_names()):
             try:
                 lib = ctypes.CDLL(candidate)
                 break
             except OSError:
                 continue
-        if lib is None:
+        else:
             raise RuntimeError("libsodium shared library not found")
-        if lib.sodium_init() < 0:
-            raise RuntimeError("sodium_init failed")
         if not hasattr(lib, "crypto_scalarmult_ristretto255"):
             raise RuntimeError("libsodium build lacks ristretto255 support")
+        for name, argtypes in _SIGNATURES.items():
+            fn = getattr(lib, name)
+            fn.argtypes, fn.restype = argtypes, ctypes.c_int
+        if lib.sodium_init() < 0:
+            raise RuntimeError("sodium_init failed")
         self._lib = lib
 
     def is_valid(self, data: bytes) -> bool:
@@ -324,6 +337,13 @@ def _sodium() -> _Sodium:
     return _Sodium()
 
 
+def _require_points(*elements):
+    """libsodium reads 32 bytes behind each element pointer it is given."""
+    for a in elements:
+        if not (isinstance(a, bytes) and len(a) == 32):
+            raise ValueError("ristretto255 element must be 32 bytes")
+
+
 class RistrettoGroup(GroupContext):
     """ristretto255: prime order, canonical 32-byte encodings."""
 
@@ -341,9 +361,11 @@ class RistrettoGroup(GroupContext):
         )
 
     def mul(self, a: bytes, b: bytes) -> bytes:
+        _require_points(a, b)
         return _sodium().add(a, b)
 
     def exp(self, a: bytes, k: int) -> bytes:
+        _require_points(a)
         k %= RISTRETTO_ORDER
         if k == 0 or a == self.identity:
             return self.identity

@@ -23,7 +23,7 @@ from ringadapt.bench import by_algorithm, run_bench
 from ringadapt.scheme import _presign_body
 from ringadapt.swap import (CORRUPTIONS, FaultPlan, MockLedger, ledger_submit,
                             swap_demo)
-from test_oracle import random_case
+from test_oracle import random_cases
 from test_wire import _random_sig_objects
 
 
@@ -70,9 +70,8 @@ def test_criterion_2_oracle_equivalence(toy):
     """Straight-line oracle reproduces every intermediate bit for bit."""
     with criterion(2, "oracle equivalence on 100+ random traces"):
         rng = SeededRandomness(424242)
-        for trial in range(100):
-            ring, window, statement, w, message, nonce, decoys = \
-                random_case(toy, rng)
+        for ring, window, statement, w, message, nonce, decoys in \
+                random_cases(toy, rng, 100):
             psig = _presign_body(toy, ring, window, message, statement,
                                  nonce, decoys)
             commit_g, commit_h, challenge, window_challenge = \

@@ -1,5 +1,6 @@
 """CLI subcommand matrix: file passing, verdict lines, exit codes."""
 
+import argparse
 import csv
 import io
 import json
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from ringadapt.cli import main
+from ringadapt.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -347,3 +348,88 @@ def test_lazy_modules_still_resolve():
                  "from ringadapt import swap\n"
                  "print(swap is ringadapt.swap, hasattr(ringadapt, 'nope'))")
     assert out == "10\nTrue False\n"
+
+
+# The option surface of every subcommand, in order: flags, action, required,
+# type, default, choices, metavar and help, as the parser reports them.
+_GROUP = (("--group",), "store", False, None, "prod", ("prod", "toy"), None,
+          "group backend (default prod)")
+_SEED = (("--seed",), "store", False, "int", None, None, None,
+         "deterministic randomness for tests")
+
+
+def _req(flag, type_=None):
+    return ((flag,), "store", True, type_, None, None, None, None)
+
+
+def _opt(flag, type_=None, default=None, help_=None, action="store"):
+    return ((flag,), action, False, type_, default, None, None, help_)
+
+
+CLI_SURFACE = {
+    "keygen": ("generate a key pair", [
+        _opt("--out", help_="key file (default: print to stdout)")]),
+    "genr": ("sample a hard-relation statement/witness", [
+        (("--out",), "store", True, None, None, None, None,
+         "statement output file"),
+        (("--witness-out",), "store", True, None, None, None, None,
+         "witness output file")]),
+    "ring-build": ("assemble a ring from keys", [
+        _opt("--key", help_="key file (repeatable)", action="append"),
+        _opt("--pubkey", help_="hex wire public key (repeatable)",
+             action="append"),
+        _req("--out")]),
+    "presign": ("produce a ring pre-signature", [
+        _req("--ring"),
+        (("--window",), "store", True, "_window_arg", None, None, "j,t",
+         "window start and width"),
+        _opt("--key", help_="signer key file, one per window slot, in order",
+             action="append"),
+        _req("--message"), _req("--statement"), _req("--out")]),
+    "preverify": ("check a ring pre-signature", [
+        _req("--ring"), _req("--threshold", "int"), _req("--message"),
+        _req("--statement"), _req("--presig")]),
+    "adapt": ("complete a pre-signature with a witness", [
+        _req("--ring"), _req("--threshold", "int"), _req("--presig"),
+        _req("--witness"), _req("--out")]),
+    "verify": ("check a full signature", [
+        _req("--ring"), _req("--threshold", "int"), _req("--message"),
+        _req("--sig")]),
+    "ext": ("extract the witness from a signature pair", [
+        _req("--ring"), _req("--threshold", "int"), _req("--statement"),
+        _req("--presig"), _req("--sig")]),
+    "link": ("test whether two signatures share a tag", [
+        _req("--ring"), _req("--threshold", "int"), _req("--sig-a"),
+        _req("--sig-b"),
+        _opt("--ring-b", help_="ring of the second signature, if different"),
+        _opt("--threshold-b", "int")]),
+    "swap-demo": ("run the two-ledger atomic swap", [
+        _opt("--ring-size", "int", 4), _opt("--threshold", "int", 2),
+        _opt("--fault", default="none",
+             help_="none, abort1..abort5 or a corruption name"),
+        _opt("--out", help_="transcript file (default: stdout)")]),
+    "bench": ("sweep ring sizes and emit a CSV", [
+        _opt("--min-n", "int", 10), _opt("--max-n", "int", 100),
+        _opt("--step", "int", 10),
+        _opt("--reps", "int",
+             help_="repetitions per cell (default bench.MIN_REPS)"),
+        _opt("--out", help_="CSV file (default: stdout)")]),
+}
+
+
+def test_cli_option_surface_is_pinned():
+    sub = next(action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    helps = {choice.dest: choice.help for choice in sub._choices_actions}
+    assert list(sub.choices) == list(CLI_SURFACE)
+    for name, parser in sub.choices.items():
+        options = [
+            (tuple(a.option_strings),
+             "append" if isinstance(a, argparse._AppendAction) else "store",
+             a.required, getattr(a.type, "__name__", None), a.default,
+             tuple(a.choices) if a.choices else None, a.metavar, a.help)
+            for a in parser._actions
+            if not isinstance(a, argparse._HelpAction)]
+        help_, expected = CLI_SURFACE[name]
+        assert (helps[name], options) == (help_, [_GROUP, _SEED, *expected]), \
+            name

@@ -3,6 +3,10 @@
 import ctypes
 import ctypes.util
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -216,3 +220,34 @@ def test_sodium_loader_reports_missing_library(no_sonames, monkeypatch,
     with pytest.raises(RuntimeError,
                        match="^libsodium shared library not found$"):
         groups._Sodium()
+
+
+# Bad elements for prod: each call must raise ValueError, not crash inside
+# libsodium, which reads 32 bytes behind every element pointer.
+NON_POINT_CALLS = """
+from ringadapt import setup_group
+from ringadapt.schnorr import PlainSignature, verify
+prod = setup_group("prod")
+g = prod.generator_g
+calls = [lambda: verify(prod, 5, PlainSignature(1, 1), b"m"),
+         lambda: prod.exp(5, 2), lambda: prod.exp(g[:3], 2),
+         lambda: prod.exp(g[:31], 2), lambda: prod.exp(bytearray(g), 2),
+         lambda: prod.mul(g, 5), lambda: prod.mul(g[:3], g),
+         lambda: prod.mul(b"\\xff" * 32, g),
+         lambda: prod.exp(b"\\xff" * 32, 2)]
+for call in calls:
+    try:
+        call()
+    except ValueError:
+        print("ValueError")
+"""
+
+
+def test_prod_rejects_non_points_without_crashing():
+    # A child process, so that a crash in libsodium fails only this test.
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run([sys.executable, "-c", NON_POINT_CALLS],
+                            env=dict(os.environ, PYTHONPATH=str(src)),
+                            capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout.split()) == \
+        (0, ["ValueError"] * 9), result.stderr

@@ -20,16 +20,28 @@ def random_case(toy, rng):
     statement, w = gen_r(toy, rng)
     message = bytes(rng.randbelow(256) for _ in range(8))
     nonce = toy.random_scalar_nonzero(rng)
-    decoys = {i: toy.random_scalar_nonzero(rng)
-              for i in range(n) if i != start}
+    # Decoys come from all of Z_p, as presign draws them.
+    decoys = {i: rng.randbelow(toy.order) for i in range(n) if i != start}
     return ring, window, statement, w, message, nonce, decoys
+
+
+def random_cases(toy, rng, trials):
+    """``trials`` random cases, then one whose decoys include a forced 0."""
+    for _ in range(trials):
+        yield random_case(toy, rng)
+    while True:
+        case = random_case(toy, rng)
+        decoys = case[-1]
+        if decoys:
+            decoys[min(decoys)] = 0
+            yield case
+            return
 
 
 def test_every_intermediate_matches(toy):
     rng = SeededRandomness(2024)
-    for trial in range(120):
-        ring, window, statement, w, message, nonce, decoys = \
-            random_case(toy, rng)
+    for ring, window, statement, w, message, nonce, decoys in \
+            random_cases(toy, rng, 120):
         psig = _presign_body(toy, ring, window, message, statement, nonce,
                              decoys)
         commit_g, commit_h, challenge, window_challenge = \
