@@ -4,8 +4,9 @@ Every scheme in this package runs over a cyclic group of prime order p with
 two independent generators g and h and a hash function into Z_p.  Two
 interchangeable backends provide that group:
 
-* ``prod`` -- ristretto255 over the system libsodium: prime order
-  ~2^252, 32-byte canonical element encodings, 32-byte scalars.
+* ``prod`` -- ristretto255 through one ctypes wrapper of the system
+  libsodium: prime order ~2^252, 32-byte canonical element encodings,
+  32-byte scalars.
 * ``toy``  -- the order-101 subgroup of Z_607^*: small enough that tests
   can check every identity by exhaustive exponent-table lookup.
 
@@ -17,7 +18,10 @@ across threads.
 
 An element is validated where it enters the program (``decode_element``,
 ``Ring``, the verifiers, the ledger), so ``encode_element`` only
-serializes: a value the program computed is never re-checked.
+serializes: a value the program computed is never re-checked.  Both
+backends decode by one rule, ``GroupContext.decode_element``.  In these
+operations ``verify`` costs n+3 scalar multiplications and n+t point
+adds (``exp``, ``mul``), and ``presign``/``preverify`` n+3 and n+t+2.
 """
 
 from __future__ import annotations
@@ -164,13 +168,6 @@ class GroupContext:
     def exp(self, a: Element, k: int) -> Element:
         raise NotImplementedError
 
-    def multi_exp(self, pairs: Iterable[tuple[Element, int]]) -> Element:
-        """Product of base^scalar over all pairs."""
-        acc = self.identity
-        for base, k in pairs:
-            acc = self.mul(acc, self.exp(base, k))
-        return acc
-
     def is_element(self, a: Element) -> bool:
         raise NotImplementedError
 
@@ -181,8 +178,19 @@ class GroupContext:
         """Serialize an element; it was validated where it entered."""
         raise NotImplementedError
 
-    def decode_element(self, data: bytes) -> Element:
+    def _parse_element(self, data: bytes) -> Element:
+        """The value ``element_size`` bytes name, not yet validated."""
         raise NotImplementedError
+
+    def decode_element(self, data: bytes) -> Element:
+        """Parse and validate an element from any bytes-like object."""
+        data = memoryview(data).tobytes()  # not bytes(32), the identity
+        if len(data) != self.element_size:
+            raise ValueError("element encoding has wrong length")
+        a = self._parse_element(data)
+        if not self.is_element(a):
+            raise ValueError("element encoding not a group element")
+        return a
 
     def encode_scalar(self, k: int) -> bytes:
         if not self.is_scalar(k):
@@ -245,13 +253,8 @@ class ToyGroup(GroupContext):
     def encode_element(self, a: int) -> bytes:
         return a.to_bytes(2, "big")
 
-    def decode_element(self, data: bytes) -> int:
-        if len(data) != 2:
-            raise ValueError("element encoding has wrong length")
-        a = int.from_bytes(data, "big")
-        if not self.is_element(a):
-            raise ValueError("element encoding not in the subgroup")
-        return a
+    def _parse_element(self, data: bytes) -> int:
+        return int.from_bytes(data, "big")
 
     def elements(self) -> list[int]:
         """All 101 subgroup elements, for exhaustive checks."""
@@ -270,7 +273,7 @@ def _sodium_names():
     yield find_library("sodium")
 
 
-# Every libsodium function _Sodium calls; each returns an int status.
+# Every libsodium function the prod backend calls; each returns an int status.
 _SIGNATURES = {
     "sodium_init": (),
     "crypto_core_ristretto255_is_valid_point": (ctypes.c_char_p,),
@@ -281,60 +284,35 @@ _SIGNATURES = {
 }
 
 
-class _Sodium:
-    """Thin ctypes layer over the ristretto255 primitives of libsodium."""
-
-    def __init__(self):
-        for candidate in filter(None, _sodium_names()):
-            try:
-                lib = ctypes.CDLL(candidate)
-                break
-            except OSError:
-                continue
-        else:
-            raise RuntimeError("libsodium shared library not found")
-        if not hasattr(lib, "crypto_scalarmult_ristretto255"):
-            raise RuntimeError("libsodium build lacks ristretto255 support")
-        for name, argtypes in _SIGNATURES.items():
-            fn = getattr(lib, name)
-            fn.argtypes, fn.restype = argtypes, ctypes.c_int
-        if lib.sodium_init() < 0:
-            raise RuntimeError("sodium_init failed")
-        self._lib = lib
-
-    def is_valid(self, data: bytes) -> bool:
-        return self._lib.crypto_core_ristretto255_is_valid_point(data) == 1
-
-    def add(self, a: bytes, b: bytes) -> bytes:
-        out = ctypes.create_string_buffer(32)
-        if self._lib.crypto_core_ristretto255_add(out, a, b) != 0:
-            raise ValueError("invalid ristretto255 point")
-        return out.raw
-
-    def scalarmult(self, k: bytes, point: bytes) -> bytes:
-        out = ctypes.create_string_buffer(32)
-        rc = self._lib.crypto_scalarmult_ristretto255(out, k, point)
-        # libsodium refuses to output the identity; callers handle that case.
-        if rc != 0:
-            raise ValueError("scalarmult produced the identity or got bad input")
-        return out.raw
-
-    def scalarmult_base(self, k: bytes) -> bytes:
-        out = ctypes.create_string_buffer(32)
-        if self._lib.crypto_scalarmult_ristretto255_base(out, k) != 0:
-            raise ValueError("scalarmult_base rejected scalar")
-        return out.raw
-
-    def from_hash(self, digest64: bytes) -> bytes:
-        out = ctypes.create_string_buffer(32)
-        if self._lib.crypto_core_ristretto255_from_hash(out, digest64) != 0:
-            raise RuntimeError("from_hash failed")
-        return out.raw
-
-
 @functools.lru_cache(maxsize=None)
-def _sodium() -> _Sodium:
-    return _Sodium()
+def _sodium() -> ctypes.CDLL:
+    """The libsodium handle, loaded and initialised once, with the
+    signature of every function in ``_SIGNATURES`` declared."""
+    for candidate in filter(None, _sodium_names()):
+        try:
+            lib = ctypes.CDLL(candidate)
+            break
+        except OSError:
+            continue
+    else:
+        raise RuntimeError("libsodium shared library not found")
+    if not hasattr(lib, "crypto_scalarmult_ristretto255"):
+        raise RuntimeError("libsodium build lacks ristretto255 support")
+    for name, argtypes in _SIGNATURES.items():
+        fn = getattr(lib, name)
+        fn.argtypes, fn.restype = argtypes, ctypes.c_int
+    if lib.sodium_init() < 0:
+        raise RuntimeError("sodium_init failed")
+    return lib
+
+
+def _point(name: str, *args: bytes) -> bytes:
+    """Call the libsodium function ``name``, which writes one 32-byte
+    element; a nonzero status raises ValueError."""
+    out = ctypes.create_string_buffer(32)
+    if getattr(_sodium(), name)(out, *args) != 0:
+        raise ValueError(f"{name} rejected its input")
+    return out.raw
 
 
 def _require_points(*elements):
@@ -354,38 +332,36 @@ class RistrettoGroup(GroupContext):
     identity = b"\x00" * 32
 
     def __init__(self):
-        lib = _sodium()
-        self.generator_g = lib.scalarmult_base((1).to_bytes(32, "little"))
-        self.generator_h = lib.from_hash(
-            hashlib.sha512(H_DERIVATION_STRING).digest()
-        )
+        self.generator_g = _point("crypto_scalarmult_ristretto255_base",
+                                  (1).to_bytes(32, "little"))
+        self.generator_h = _point("crypto_core_ristretto255_from_hash",
+                                  hashlib.sha512(H_DERIVATION_STRING).digest())
 
     def mul(self, a: bytes, b: bytes) -> bytes:
         _require_points(a, b)
-        return _sodium().add(a, b)
+        return _point("crypto_core_ristretto255_add", a, b)
 
     def exp(self, a: bytes, k: int) -> bytes:
         _require_points(a)
         k %= RISTRETTO_ORDER
+        # libsodium refuses to output the identity; in a prime-order group
+        # only these two cases produce it.
         if k == 0 or a == self.identity:
             return self.identity
         kb = k.to_bytes(32, "little")
         if a == self.generator_g:
-            return _sodium().scalarmult_base(kb)
-        return _sodium().scalarmult(kb, a)
+            return _point("crypto_scalarmult_ristretto255_base", kb)
+        return _point("crypto_scalarmult_ristretto255", kb, a)
 
     def is_element(self, a: Element) -> bool:
-        return isinstance(a, bytes) and len(a) == 32 and _sodium().is_valid(a)
+        return (isinstance(a, bytes) and len(a) == 32
+                and _sodium().crypto_core_ristretto255_is_valid_point(a) == 1)
 
     def encode_element(self, a: bytes) -> bytes:
         return a
 
-    def decode_element(self, data: bytes) -> bytes:
-        if len(data) != 32:
-            raise ValueError("element encoding has wrong length")
-        if not _sodium().is_valid(data):
-            raise ValueError("element encoding not canonical")
-        return bytes(data)
+    def _parse_element(self, data: bytes) -> bytes:
+        return data
 
 
 _BACKENDS = {"prod": RistrettoGroup, "toy": ToyGroup}

@@ -24,7 +24,8 @@ The algebra (all indices mod n, all scalar arithmetic mod p):
 
 Both compute prod_i y_i^{c_i} folded, as prod_k pk_k^{d*e_k} where e_k
 sums c_i over the t windows holding key k, and l^{sum(C)} as
-(prod_k tag_k)^{d*sum(C)}: n+3 scalar multiplications.
+(prod_k tag_k)^{d*sum(C)}: n+3 scalar multiplications and n+t point adds,
+two more adds when W is given (presign, preverify).
 """
 
 from __future__ import annotations
@@ -200,7 +201,7 @@ def _commit(ctx: GroupContext, ring: Ring, base: int, challenges, tags,
         e += challenges[k] - challenges[k - t]
         exponents.append(d * e % p)
     commit_g = ctx.mul(ctx.exp(ctx.generator_g, base),
-                       ctx.multi_exp(zip(ring.keys, exponents)))
+                       reduce(ctx.mul, map(ctx.exp, ring.keys, exponents)))
     commit_h = ctx.mul(ctx.exp(ctx.generator_h, base),
                        ctx.exp(reduce(ctx.mul, tags), d * sum(challenges) % p))
     if statement is not None:

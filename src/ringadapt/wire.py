@@ -13,6 +13,7 @@ scalars followed by a run of elements, and one encoder and one decoder
 serve them all.  Decoding is the validity gate: wrong version or tag,
 a payload of the wrong length, non-canonical field encodings and
 trailing bytes all raise WireError naming the first violated constraint.
+Decoders take any bytes-like payload: bytes, bytearray or memoryview.
 
 Decoders check every element, as do ``Ring``, the verifiers and the
 ledger; encoders only serialize.  Pre-signatures and signatures carry
@@ -63,7 +64,7 @@ def _payload(data: bytes, tag: int) -> bytes:
     if data[1] != tag:
         raise WireError(f"object tag {data[1]:#04x} does not match "
                         f"expected {tag:#04x}")
-    return data[HEADER_SIZE:]
+    return bytes(data[HEADER_SIZE:])
 
 
 class _Reader:

@@ -1,9 +1,11 @@
 """Single-key adaptor scheme, including its coupling with the ring scheme."""
 
+import pytest
+
 import straightline as oracle
 from conftest import build_ring, build_window
 from ringadapt import (KeyPair, SeededRandomness, StatementPair, gen_r,
-                       keygen, schnorr)
+                       keygen, schnorr, setup_group)
 from ringadapt import adapt as ring_adapt
 from ringadapt import ext as ring_ext
 from ringadapt import presign as ring_presign
@@ -72,6 +74,26 @@ def test_tamper_rejected(toy, rng):
     off = schnorr.PlainPreSignature(psig.challenge,
                                     (psig.masked_response + 1) % toy.order)
     assert not schnorr.preverify(toy, keypair.pk, off, b"m", statement.w1)
+
+
+@pytest.mark.parametrize("backend", ["toy", "prod"])
+def test_non_element_key_is_rejected(backend):
+    # Both verifiers check the key before using it, so both backends
+    # return False for a key is_element rejects, even with an honest
+    # signature.
+    ctx = setup_group(backend)
+    rng = SeededRandomness(3)
+    keypair = keygen(ctx, rng)
+    statement, w = gen_r(ctx, rng)
+    psig = schnorr.presign(ctx, keypair, b"m", statement.w1, rng)
+    sig = schnorr.adapt(ctx, psig, w)
+    g = ctx.generator_g
+    bad_keys = ([0, 2, 607, b"\x00\x07", None] if backend == "toy"
+                else [5, b"\xff" * 32, g[:31], bytearray(g), None])
+    for pk in bad_keys:
+        assert not ctx.is_element(pk)
+        assert schnorr.verify(ctx, pk, sig, b"m") is False
+        assert schnorr.preverify(ctx, pk, psig, b"m", statement.w1) is False
 
 
 def test_ext_failure_modes(toy, rng):

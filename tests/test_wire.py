@@ -73,6 +73,47 @@ class TestRoundTrips:
             toy, wire.encode_transaction(toy, tx_b)) == tx_b
 
 
+def _every_decoding(ctx, rng):
+    """(decoder name, bytes, extra arguments) covering each wire.decode_*."""
+    ring, _ = build_ring(ctx, 3, rng)
+    psig, sig = _random_sig_objects(ctx, rng, 3, 2)
+    statement, _ = gen_r(ctx, rng)
+    tx_a = wire.SwapTransaction("A", b"alice", 5, 123,
+                                payer_key=ring.keys[0])
+    tx_b = wire.SwapTransaction("B", b"bob", 9, 42, ring_keys=ring.keys,
+                                threshold=2)
+    return [
+        ("decode_element", wire.encode_element(ctx, ring.keys[1])),
+        ("decode_scalar", wire.encode_scalar(ctx, 5)),
+        ("decode_ring", wire.encode_ring(ctx, ring)),
+        ("decode_statement", wire.encode_statement(ctx, statement)),
+        ("decode_presignature", wire.encode_presignature(ctx, psig), 3, 2),
+        ("decode_signature", wire.encode_signature(ctx, sig), 3, 2),
+        ("decode_plain_presignature", wire.encode_plain_presignature(
+            ctx, schnorr.PlainPreSignature(5, 77))),
+        ("decode_plain_signature", wire.encode_plain_signature(
+            ctx, schnorr.PlainSignature(5, 81))),
+        ("decode_transaction", wire.encode_transaction(ctx, tx_a)),
+        ("decode_transaction", wire.encode_transaction(ctx, tx_b)),
+    ]
+
+
+@pytest.mark.parametrize("kind", [bytearray, memoryview])
+@pytest.mark.parametrize("backend", ["toy", "prod"])
+def test_every_decoder_takes_any_bytes_like(backend, kind):
+    # Both backends decode a bytearray or memoryview to what the same
+    # bytes decode to, and raise nothing but WireError on one.
+    ctx = setup_group(backend)
+    cases = _every_decoding(ctx, SeededRandomness(4))
+    assert {case[0] for case in cases} == \
+        {name for name in dir(wire) if name.startswith("decode_")}
+    for name, data, *args in cases:
+        decode = getattr(wire, name)
+        expected = decode(ctx, data, *args)
+        value = decode(ctx, kind(data), *args)
+        assert (type(value), value) == (type(expected), expected), name
+
+
 class TestSizeLaw:
     @pytest.mark.parametrize("backend", ["toy", "prod"])
     def test_signature_payload_formula(self, backend):
