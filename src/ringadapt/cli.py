@@ -247,7 +247,8 @@ COMMANDS = {
     "presign": (cmd_presign, "produce a ring pre-signature", [
         RING,
         ("--window", {"type": _window_arg, "required": True, "metavar": "j,t",
-                      "help": "window start and width"}),
+                      "help": "window start and width; the window may "
+                              "wrap around the ring"}),
         ("--key", {"action": "append",
                    "help": "signer key file, one per window slot, in order"}),
         MESSAGE, STATEMENT, OUT]),

@@ -18,7 +18,9 @@ across threads.
 
 An element is validated where it enters the program (``decode_element``,
 ``Ring``, the verifiers, the ledger), so ``encode_element`` only
-serializes: a value the program computed is never re-checked.  Both
+serializes: a value the program computed is never re-checked.  A ring
+key, link tag, statement or payer key must not be the identity either
+(``is_nonidentity``); a computed R or T may be, and still encodes.  Both
 backends decode by one rule, ``GroupContext.decode_element``.  In these
 operations ``verify`` costs n+3 scalar multiplications and n+t point
 adds (``exp``, ``mul``), and ``presign``/``preverify`` n+3 and n+t+2.
@@ -170,6 +172,11 @@ class GroupContext:
 
     def is_element(self, a: Element) -> bool:
         raise NotImplementedError
+
+    def is_nonidentity(self, a: Element) -> bool:
+        """An element other than the identity, as a ring key, link tag or
+        statement must be: the identity is g^0 and h^0, a known secret."""
+        return self.is_element(a) and a != self.identity
 
     def is_scalar(self, k) -> bool:
         return isinstance(k, int) and 0 <= k < self.order

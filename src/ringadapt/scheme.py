@@ -65,8 +65,9 @@ class Ring:
         keys = tuple(keys)
         if not keys:
             raise ValueError("ring needs at least one key")
-        if not all(map(ctx.is_element, keys)):
-            raise ValueError("ring key is not a group element")
+        if not all(map(ctx.is_nonidentity, keys)):
+            raise ValueError("ring key is not a group element other than "
+                             "the identity")
         encodings = tuple(map(ctx.encode_element, keys))
         if len(set(encodings)) != len(keys):
             # Duplicate keys would make distinct windows aggregate to the
@@ -87,17 +88,14 @@ class Ring:
 
 
 class SignerWindow:
-    """A run of t consecutive ring positions whose secrets the signer holds.
-
-    The signer's own window may not wrap around the ring unless
-    ``allow_wraparound`` is set; verification aggregates wrap regardless.
+    """A run of t consecutive ring positions, mod n, whose secrets the
+    signer holds: any of the n windows verification aggregates.
     ``tags`` holds the window's link tags h^sk in window order.
     """
 
     __slots__ = ("ring", "start", "secrets", "width", "tags")
 
-    def __init__(self, ctx: GroupContext, ring: Ring, start: int, secrets,
-                 allow_wraparound: bool = False):
+    def __init__(self, ctx: GroupContext, ring: Ring, start: int, secrets):
         secrets = tuple(secrets)
         n = len(ring)
         t = len(secrets)
@@ -105,8 +103,6 @@ class SignerWindow:
             raise ValueError(f"window width {t} out of range for ring of {n}")
         if not 0 <= start < n:
             raise ValueError(f"window start {start} out of range")
-        if not allow_wraparound and start + t > n:
-            raise ValueError("window wraps around the ring")
         for i, sk in enumerate(secrets):
             if not 1 <= sk < ctx.order:
                 raise ValueError("secret key out of range")
@@ -257,7 +253,7 @@ def _check_shape(ctx: GroupContext, ring: Ring, z: int, challenges, tags,
     n = len(ring)
     return (1 <= t <= n and len(challenges) == n and len(tags) == t
             and ctx.is_scalar(z) and all(map(ctx.is_scalar, challenges))
-            and all(map(ctx.is_element, tags)))
+            and all(map(ctx.is_nonidentity, tags)))
 
 
 def preverify(ctx: GroupContext, ring: Ring, psig: PreSignature, t: int,
@@ -265,7 +261,8 @@ def preverify(ctx: GroupContext, ring: Ring, psig: PreSignature, t: int,
     """Deterministic pre-signature check; malformed input yields False."""
     if not _check_shape(ctx, ring, psig.z_tilde, psig.challenges, psig.tags, t):
         return False
-    if not (ctx.is_element(statement.w1) and ctx.is_element(statement.w2)):
+    if not (ctx.is_nonidentity(statement.w1)
+            and ctx.is_nonidentity(statement.w2)):
         return False
     return sum(psig.challenges) % ctx.order == _commit(
         ctx, ring, psig.z_tilde, psig.challenges, psig.tags, statement,

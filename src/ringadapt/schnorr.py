@@ -60,7 +60,7 @@ def preverify(ctx: GroupContext, pk: Element, psig: PlainPreSignature,
               message: bytes, statement_g: Element) -> bool:
     if not (ctx.is_scalar(psig.challenge)
             and ctx.is_scalar(psig.masked_response)
-            and ctx.is_element(pk) and ctx.is_element(statement_g)):
+            and ctx.is_nonidentity(pk) and ctx.is_nonidentity(statement_g)):
         return False
     commit = ctx.mul(_recommit(ctx, pk, psig.challenge, psig.masked_response),
                      statement_g)
@@ -75,7 +75,7 @@ def adapt(ctx: GroupContext, psig: PlainPreSignature, w: int) -> PlainSignature:
 def verify(ctx: GroupContext, pk: Element, sig: PlainSignature,
            message: bytes) -> bool:
     if not (ctx.is_scalar(sig.challenge) and ctx.is_scalar(sig.response)
-            and ctx.is_element(pk)):
+            and ctx.is_nonidentity(pk)):
         return False
     commit = _recommit(ctx, pk, sig.challenge, sig.response)
     return sig.challenge == _challenge(ctx, pk, commit, message)

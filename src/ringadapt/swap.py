@@ -17,12 +17,18 @@ Bob holds a single key on the plain chain ("A").  The protocol:
 
 Faults are injected at explicit points: abort points stop the run
 after a numbered step (an abort at the step-5 boundary drops Bob's
-broadcast before the miners process it, so no fault ever leaves assets
-on only one chain), and corruption directives tamper with a
+broadcast before the miners process it, so no injected fault leaves
+assets on only one chain), and corruption directives tamper with a
 pre-signature in transit or replay Alice's window on a second
 transaction.  Timeouts are modeled by these abort points, not by
 wall-clock timers: before step 5 nothing has touched a ledger, so an
 abort simply means no assets move.
+
+That guarantee is limited for t >= 2: ``verify`` checks the link tags
+only as a product, so a Bob who shifts two tags of his broadcast by
+offsets that cancel (a fault not simulated here) gets the copy
+confirmed on chain B, and Alice cannot extract w from it, because its
+tags differ from her pre-signature's.  For t = 1 it holds.
 
 Runs are single-threaded and deterministic: one seed fixes every sample
 and the transcript is byte-stable.
@@ -155,7 +161,7 @@ def ledger_submit(ledger: MockLedger, tx: SwapTransaction, sig) -> SubmitResult:
     if seen is not None and seen == sig:
         return SubmitResult(False, REJECT_DOUBLE_SPEND)
     if ledger.chain_id == CHAIN_PLAIN:
-        if not ctx.is_element(tx.payer_key):
+        if not ctx.is_nonidentity(tx.payer_key):
             return SubmitResult(False, REJECT_MALFORMED)
     else:
         try:
@@ -461,8 +467,8 @@ def make_demo_parties(ctx: GroupContext, ring_size: int, threshold: int,
     rng = SeededRandomness(2 * seed)
     members = distinct_keypairs(ctx, ring_size, rng)
     ring = Ring(ctx, [kp.pk for kp in members])
-    start = rng.randbelow(ring_size - threshold + 1)
-    secrets = [members[start + i].sk for i in range(threshold)]
+    start = rng.randbelow(ring_size)
+    secrets = [members[(start + i) % ring_size].sk for i in range(threshold)]
     window = SignerWindow(ctx, ring, start, secrets)
     bob = keygen(ctx, rng)
     return ring, window, bob

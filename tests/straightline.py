@@ -13,6 +13,7 @@ MODULUS = 607
 ORDER = 101
 G = 7
 H = 8
+IDENTITY = 1  # g^0 = h^0: no tag or statement component may be it
 
 
 def enc_element(x: int) -> bytes:
@@ -96,6 +97,8 @@ def presign(pks, start, window_secrets, message, w1, w2, nonce,
 
 
 def preverify(pks, z_tilde, challenges, tags, t, message, w1, w2) -> bool:
+    if IDENTITY in (*tags, w1, w2):
+        return False
     n = len(pks)
     d = ring_digest(pks)
     products = window_products(pks, t, d)
@@ -110,6 +113,8 @@ def preverify(pks, z_tilde, challenges, tags, t, message, w1, w2) -> bool:
 
 
 def verify(pks, z, challenges, tags, t, message) -> bool:
+    if IDENTITY in tags:
+        return False
     d = ring_digest(pks)
     products = window_products(pks, t, d)
     aggregate = tag_product(tags, d)

@@ -38,14 +38,15 @@ def criterion(number, name):
 
 
 def test_criterion_1_correctness_grid(toy):
-    """Round trip over every (t, n, j) with 20 seeds per cell."""
+    """Round trip over every (t, n, j), wrapping windows included, with
+    20 seeds per cell."""
     with criterion(1, "correctness grid (1 <= t <= n <= 8, all j, "
                       "20 seeds per cell)"):
         failures = 0
         rounds = 0
         for n in range(1, 9):
             for t in range(1, n + 1):
-                for j in range(0, n - t + 1):
+                for j in range(n):
                     for k in range(20):
                         rng = SeededRandomness(
                             ((n * 10 + t) * 10 + j) * 100 + k)
@@ -62,7 +63,7 @@ def test_criterion_1_correctness_grid(toy):
                               and verify_relation(toy, statement, w))
                         failures += not ok
                         rounds += 1
-        assert rounds == 2400
+        assert rounds == 4080   # 204 cells
         assert failures == 0
 
 
@@ -103,7 +104,7 @@ def test_criterion_3_adaptability(toy):
         for trial in range(600):  # honest
             n = 1 + rng.randbelow(8)
             t = 1 + rng.randbelow(n)
-            j = rng.randbelow(n - t + 1)
+            j = rng.randbelow(n)
             ring, members = build_ring(toy, n, rng)
             window = build_window(toy, ring, members, j, t)
             statement, w = gen_r(toy, rng)
@@ -115,7 +116,7 @@ def test_criterion_3_adaptability(toy):
         for trial in range(450):  # re-randomized / out of distribution
             n = 2 + rng.randbelow(7)
             t = 1 + rng.randbelow(n)
-            j = rng.randbelow(n - t + 1)
+            j = rng.randbelow(n)
             ring, members = build_ring(toy, n, rng)
             window = build_window(toy, ring, members, j, t)
             statement, w = gen_r(toy, rng)
@@ -148,7 +149,7 @@ def test_criterion_4_tamper_suite(prod):
         for trial in range(1000):
             n = 1 + trial % 4
             t = 1 + rng.randbelow(n)
-            j = rng.randbelow(n - t + 1)
+            j = rng.randbelow(n)
             ring, members = build_ring(prod, n, rng)
             window = build_window(prod, ring, members, j, t)
             statement, w = gen_r(prod, rng)
@@ -188,6 +189,11 @@ def test_criterion_4_tamper_suite(prod):
         assert perturbed >= 1000
 
 
+def _positions(j, t, n):
+    """The ring positions window (j, t) covers, mod n."""
+    return {(j + i) % n for i in range(t)}
+
+
 def test_criterion_5_linkability(toy):
     """Tag intersection tracks window overlap exactly; the ledger rejects
     overlapping double spends and admits disjoint windows."""
@@ -197,10 +203,7 @@ def test_criterion_5_linkability(toy):
         for n in range(1, 9):
             ring, members = build_ring(toy, n, rng)
             statement, w = gen_r(toy, rng)
-            windows = []
-            for t in range(1, n + 1):
-                for j in range(0, n - t + 1):
-                    windows.append((j, t))
+            windows = [(j, t) for t in range(1, n + 1) for j in range(n)]
             signatures = {}
             for j, t in windows:
                 window = build_window(toy, ring, members, j, t)
@@ -208,14 +211,12 @@ def test_criterion_5_linkability(toy):
                                b"spend-%d-%d" % (j, t), statement, rng)
                 signatures[(j, t)] = adapt(toy, psig, w)
             for (ja, ta), (jb, tb) in itertools.product(windows, windows):
-                overlap = bool(set(range(ja, ja + ta))
-                               & set(range(jb, jb + tb)))
+                overlap = bool(_positions(ja, ta, n) & _positions(jb, tb, n))
                 assert link(signatures[(ja, ta)],
                             signatures[(jb, tb)]) == overlap
             # ledger admission per pair, on fresh ledgers
             for (ja, ta), (jb, tb) in itertools.combinations(windows, 2):
-                overlap = bool(set(range(ja, ja + ta))
-                               & set(range(jb, jb + tb)))
+                overlap = bool(_positions(ja, ta, n) & _positions(jb, tb, n))
                 ledger = MockLedger(toy, "B")
                 tx1 = wire.SwapTransaction("B", b"first", 1, 1,
                                            ring_keys=ring.keys, threshold=ta)

@@ -56,3 +56,41 @@ def test_beyond_parent_iqr(bench_pairs):
         summary = bench_pairs.summarize(HIGHER, parent, [change] * 5)
         assert not summary["beyond_parent_iqr"]
     assert bench_pairs.summarize(LOWER, parent, [0.5] * 5)["beyond_parent_iqr"]
+
+
+STUB_RUN = '''import json, sys
+env = {"nproc": 1, "python": "3", "libsodium": "1"}
+print(json.dumps({"report": {"env": env}}))
+print("  ops_per_s  10 1/s")
+print(json.dumps({"correct": %(correct)s, "attempted": 5, "failed": 0,
+                  "metrics": {"ops_per_s": {"value": 10.0}}}))
+sys.exit(%(code)d)
+'''
+
+
+def _stub_tree(root, name, correct, code):
+    """A tree whose perfbench/run.py prints canned lines and exits code."""
+    tree = root / name
+    (tree / "perfbench").mkdir(parents=True)
+    (tree / "perfbench" / "run.py").write_text(
+        STUB_RUN % {"correct": correct, "code": code})
+    return tree
+
+
+def test_incorrect_runs_are_counted(bench_pairs, tmp_path, capsys):
+    # Epochs that disagree: failed stays 0, but correct is false, exit 1.
+    # A run may also exit non-zero with a result line that reads correct.
+    parent = _stub_tree(tmp_path, "parent", "True", 0)
+    specs = [dict(HIGHER, name="ops_per_s")]
+    for change, expected in (
+            (_stub_tree(tmp_path, "disagree", "False", 1), 2),
+            (_stub_tree(tmp_path, "exit1", "True", 1), 2),
+            (parent, 0)):
+        entry, _ = bench_pairs.run_pairs(parent, change, "swap-e2e", [1, 2],
+                                         1.0, specs)
+        assert entry["failed"] == {"parent": 0, "change": 0}
+        assert entry["incorrect"] == {"parent": 0, "change": expected}
+        printed = capsys.readouterr().err
+        assert (f"swap-e2e: incorrect runs, parent 0, change {expected}"
+                in printed)
+        assert printed.count("INCORRECT") == expected

@@ -52,11 +52,11 @@ def workspace(tmp_path, capsys):
     return paths
 
 
-def _presign(workspace, capsys, out=None):
+def _presign(workspace, capsys, out=None, window="1,2", slots=(1, 2)):
+    keys = [arg for slot in slots
+            for arg in ("--key", str(workspace["keys"][slot]))]
     return run(capsys, "presign", "--group", "toy", "--seed", "9",
-               "--ring", str(workspace["ring"]), "--window", "1,2",
-               "--key", str(workspace["keys"][1]),
-               "--key", str(workspace["keys"][2]),
+               "--ring", str(workspace["ring"]), "--window", window, *keys,
                "--message", str(workspace["message"]),
                "--statement", str(workspace["statement"]),
                "--out", str(out or workspace["presig"]))
@@ -94,6 +94,24 @@ def test_presign_preverify_adapt_verify_ext(workspace, capsys):
     assert code == 0
     witness_hex = workspace["witness"].read_bytes().hex()
     assert out.strip() == witness_hex
+
+
+def test_wrapping_window_round_trip(workspace, capsys):
+    # Window 3,2 holds ring keys 3 and 0: it wraps, as every window
+    # verification aggregates may.
+    code, _ = _presign(workspace, capsys, window="3,2", slots=(3, 0))
+    assert code == 0
+    code, _ = run(capsys, "adapt", "--group", "toy",
+                  "--ring", str(workspace["ring"]), "--threshold", "2",
+                  "--presig", str(workspace["presig"]),
+                  "--witness", str(workspace["witness"]),
+                  "--out", str(workspace["sig"]))
+    assert code == 0
+    code, out = run(capsys, "verify", "--group", "toy",
+                    "--ring", str(workspace["ring"]), "--threshold", "2",
+                    "--message", str(workspace["message"]),
+                    "--sig", str(workspace["sig"]))
+    assert (code, out.strip()) == (0, "1")
 
 
 def test_verify_rejects_wrong_message(workspace, capsys, tmp_path):
@@ -382,7 +400,7 @@ CLI_SURFACE = {
     "presign": ("produce a ring pre-signature", [
         _req("--ring"),
         (("--window",), "store", True, "_window_arg", None, None, "j,t",
-         "window start and width"),
+         "window start and width; the window may wrap around the ring"),
         _opt("--key", help_="signer key file, one per window slot, in order",
              action="append"),
         _req("--message"), _req("--statement"), _req("--out")]),

@@ -53,7 +53,7 @@ class CountingToy(ToyGroup):
 def _cells():
     for n in range(1, 9):
         for t in range(1, n + 1):
-            for j in range(n - t + 1):
+            for j in range(n):
                 yield n, t, j
 
 

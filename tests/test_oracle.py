@@ -14,7 +14,7 @@ from ringadapt.scheme import _presign_body
 def random_case(toy, rng):
     n = 1 + rng.randbelow(8)
     t = 1 + rng.randbelow(n)
-    start = rng.randbelow(n - t + 1)
+    start = rng.randbelow(n)
     ring, members = build_ring(toy, n, rng)
     window = build_window(toy, ring, members, start, t)
     statement, w = gen_r(toy, rng)
@@ -98,7 +98,7 @@ def test_folded_verification_agrees_with_oracle(toy, n, data):
     """Folded verify/preverify against the per-window oracle: the verdicts
     agree on every input, honest or adversarial."""
     t = data.draw(st.integers(1, n))
-    start = data.draw(st.integers(0, n - t))
+    start = data.draw(st.integers(0, n - 1))
     mutation = data.draw(st.sampled_from(MUTATIONS))
     rng = SeededRandomness(data.draw(st.integers(0, 2**32)))
     ring, members = build_ring(toy, n, rng)

@@ -140,7 +140,7 @@ class TestRoundTrip:
         for n in range(1, 7):
             ring, members = build_ring(toy, n, rng)
             for t in range(1, n + 1):
-                for start in range(0, n - t + 1):
+                for start in range(n):
                     window = build_window(toy, ring, members, start, t)
                     statement, w = gen_r(toy, rng)
                     message = bytes([n, t, start])
@@ -175,7 +175,7 @@ class TestRoundTrip:
         for _ in range(6):
             n = 1 + rng.randbelow(8)
             t = 1 + rng.randbelow(n)
-            start = rng.randbelow(n - t + 1)
+            start = rng.randbelow(n)
             ring, members = build_ring(prod, n, rng)
             window = build_window(prod, ring, members, start, t)
             statement, w = gen_r(prod, rng)
@@ -190,7 +190,7 @@ class TestRoundTrip:
     @given(st.integers(1, 8), st.data())
     def test_round_trip_property(self, toy, n, data):
         t = data.draw(st.integers(1, n))
-        start = data.draw(st.integers(0, n - t))
+        start = data.draw(st.integers(0, n - 1))
         seed = data.draw(st.integers(0, 2**32))
         message = data.draw(st.binary(max_size=32))
         rng = SeededRandomness(seed)
@@ -417,26 +417,23 @@ class TestConstruction:
         with pytest.raises(KeyMismatchError):
             SignerWindow(toy, ring, 0, [bad])
 
-    def test_window_bounds(self, toy, rng):
-        ring, members = build_ring(toy, 4, rng)
-        with pytest.raises(ValueError):
-            SignerWindow(toy, ring, 3, [members[3].sk, members[0].sk])
-        window = SignerWindow(toy, ring, 3, [members[3].sk, members[0].sk],
-                              allow_wraparound=True)
-        assert window.width == 2
-        with pytest.raises(ValueError):
-            SignerWindow(toy, ring, 4, [members[0].sk])
-        with pytest.raises(ValueError):
-            SignerWindow(toy, ring, 0, [])
-
-    def test_wraparound_window_round_trip(self, toy, rng):
-        ring, members = build_ring(toy, 4, rng)
-        window = SignerWindow(toy, ring, 3, [members[3].sk, members[0].sk],
-                              allow_wraparound=True)
-        statement, w = gen_r(toy, rng)
-        psig = presign(toy, ring, window, b"wrap", statement, rng)
-        assert preverify(toy, ring, psig, 2, b"wrap", statement)
-        assert verify(toy, ring, adapt(toy, psig, w), 2, b"wrap")
+    def test_window_bounds(self, toy, prod, rng):
+        for ctx in (toy, prod):
+            ring, members = build_ring(ctx, 4, rng)
+            for t in range(1, 5):   # every start, wrapping windows included
+                for start in range(4):
+                    window = build_window(ctx, ring, members, start, t)
+                    assert (window.start, window.width) == (start, t)
+            for start in (4, -1):
+                with pytest.raises(ValueError):
+                    SignerWindow(ctx, ring, start, [members[0].sk])
+            with pytest.raises(ValueError):
+                SignerWindow(ctx, ring, 0, [])
+            with pytest.raises(ValueError):
+                SignerWindow(ctx, ring, 0, [members[i % 4].sk
+                                            for i in range(5)])
+            with pytest.raises(KeyMismatchError):   # slot 1 holds key 0
+                SignerWindow(ctx, ring, 3, [members[3].sk, members[1].sk])
 
     def test_presign_rejects_foreign_ring(self, toy, rng):
         ring, members = build_ring(toy, 3, rng)

@@ -188,6 +188,14 @@ class TestSwapRuns:
         assert phases[0] == "bob-committed"
         assert phases[-1] == "alice-claimed"
 
+    def test_demo_window_may_wrap(self, toy):
+        starts = [make_demo_parties(toy, 4, 2, seed)[1].start
+                  for seed in range(50)]
+        assert set(starts) == {0, 1, 2, 3}
+        wrapping = starts.index(3)      # holds ring keys 3 and 0
+        result = swap_demo(toy, ring_size=4, threshold=2, seed=wrapping)
+        assert result.outcome() == "both-confirmed"
+
     def test_happy_path_prod(self, prod):
         result = swap_demo(prod, ring_size=4, threshold=2, seed=1)
         assert result.outcome() == "both-confirmed"

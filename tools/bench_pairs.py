@@ -10,11 +10,13 @@ indices and change first on odd ones.  Use trees without ``.git`` (for
 example from ``git archive``) so that both sides run the same way.  The
 run length and the bounds come from the change tree's ``BENCHMARK.json``.
 
-The output lists, per workload and end-to-end metric, each side's median
-and quartiles, the pairs the change wins (ties count for neither side),
-whether the change's median is within the metric's bound, whether the
-medians differ by more than the parent's interquartile range, and every
-run.  Standard library only.
+The output lists, per workload, each side's count of incorrect runs (a
+non-zero exit, or a result line without ``"correct": true`` such as one
+whose epochs disagree on results), printed as well.  Per end-to-end
+metric it lists each side's median and quartiles, the pairs the change
+wins (ties count for neither side), whether the change's median is
+within the metric's bound, whether the medians differ by more than the
+parent's interquartile range, and every run.  Standard library only.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ def workload_arg(text: str) -> tuple[str, list[int]]:
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``--trace 0`` run; returns its report and its result line."""
+    """One ``--trace 0`` run; returns its report, its result line and
+    whether it was correct: exit 0 and ``"correct": true``."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -55,7 +58,8 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         raise SystemExit(f"{tree}: {workload} seed {seed} exited "
                          f"{proc.returncode} without results:\n{proc.stderr}")
     report, result = lines[0]["report"], lines[1]
-    return {"report": report, "result": result}
+    correct = proc.returncode == 0 and result.get("correct") is True
+    return {"report": report, "result": result, "correct": correct}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -97,7 +101,8 @@ def run_pairs(parent: Path, change: Path, workload: str, seeds: list[int],
             runs[side].append(out)
             ops = out["result"]["metrics"]["ops_per_s"]["value"]
             print(f"{workload} seed {seed} {side}: {ops:.2f} ops/s, "
-                  f"failed {out['result']['failed']}", file=sys.stderr)
+                  f"failed {out['result']['failed']}"
+                  + ("" if out["correct"] else ", INCORRECT"), file=sys.stderr)
     values = {side: {spec["name"]: [r["result"]["metrics"][spec["name"]]
                                     ["value"] for r in runs[side]]
                      for spec in specs}
@@ -106,12 +111,16 @@ def run_pairs(parent: Path, change: Path, workload: str, seeds: list[int],
         "seeds": seeds,
         "failed": {side: sum(r["result"]["failed"] for r in runs[side])
                    for side in runs},
+        "incorrect": {side: sum(not r["correct"] for r in runs[side])
+                      for side in runs},
         "attempted": {side: sum(r["result"]["attempted"] for r in runs[side])
                       for side in runs},
         "metrics": {spec["name"]: summarize(spec, values["parent"][spec["name"]],
                                             values["change"][spec["name"]])
                     for spec in specs},
     }
+    print(f"{workload}: incorrect runs, parent {entry['incorrect']['parent']}"
+          f", change {entry['incorrect']['change']}", file=sys.stderr)
     return entry, runs["change"][0]["report"]["env"]
 
 
