@@ -11,7 +11,7 @@ assets never end up moved on only one chain.
 import json
 
 from ringadapt import setup_group
-from ringadapt.swap import CORRUPTIONS, FaultPlan, swap_demo
+from ringadapt.swap import FAULT_PLANS, swap_demo
 
 ctx = setup_group("prod")
 
@@ -25,9 +25,7 @@ print("extracted witness equals Bob's:",
       result.state.extracted_witness == result.bob_witness)
 
 print("\n== every fault still ends atomically ==")
-plans = [FaultPlan(abort_after=k) for k in range(1, 6)]
-plans += [FaultPlan(corruption=c) for c in CORRUPTIONS]
-for plan in plans:
+for plan in FAULT_PLANS:
     result = swap_demo(ctx, ring_size=5, threshold=2, seed=42, fault=plan)
     label = (f"abort after step {plan.abort_after}" if plan.abort_after
              else plan.corruption)

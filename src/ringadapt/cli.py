@@ -82,14 +82,12 @@ def _rng(args):
 
 
 def _fault_plan(name: str):
-    """'none', 'abortK' or a corruption name; FaultPlan rejects the rest."""
-    from .swap import FaultPlan
-    if name == "none":
-        return None
-    step = name[len("abort"):]
-    if name.startswith("abort") and step.isdecimal():
-        return FaultPlan(abort_after=int(step))
-    return FaultPlan(corruption=name)
+    """None for 'none', else the plan named 'abortK' or its corruption."""
+    from .swap import FAULT_PLANS
+    plans = {p.corruption or f"abort{p.abort_after}": p for p in FAULT_PLANS}
+    if name != "none" and name not in plans:
+        raise ValueError(f"unknown fault {name!r}")
+    return plans.get(name)
 
 
 def cmd_keygen(ctx, args) -> int:
@@ -226,18 +224,19 @@ STATEMENT = ("--statement", REQUIRED)
 PRESIG = ("--presig", REQUIRED)
 SIG = ("--sig", REQUIRED)
 OUT = ("--out", REQUIRED)
+SEED = ("--seed", {"type": int, "help": "deterministic randomness for tests"})
 COMMON = (
     ("--group", {"choices": tuple(_BACKENDS), "default": "prod",
                  "help": "group backend (default prod)"}),
-    ("--seed", {"type": int, "help": "deterministic randomness for tests"}),
 )
 
-# name -> (handler, help, options after --group and --seed)
+# name -> (handler, help, options after --group); only the commands that
+# draw randomness take SEED.
 COMMANDS = {
     "keygen": (cmd_keygen, "generate a key pair", [
-        ("--out", {"help": "key file (default: print to stdout)"})]),
+        SEED, ("--out", {"help": "key file (default: print to stdout)"})]),
     "genr": (cmd_genr, "sample a hard-relation statement/witness", [
-        ("--out", {"required": True, "help": "statement output file"}),
+        SEED, ("--out", {"required": True, "help": "statement output file"}),
         ("--witness-out", {"required": True, "help": "witness output file"})]),
     "ring-build": (cmd_ring_build, "assemble a ring from keys", [
         ("--key", {"action": "append", "help": "key file (repeatable)"}),
@@ -245,7 +244,7 @@ COMMANDS = {
                       "help": "hex wire public key (repeatable)"}),
         OUT]),
     "presign": (cmd_presign, "produce a ring pre-signature", [
-        RING,
+        SEED, RING,
         ("--window", {"type": _window_arg, "required": True, "metavar": "j,t",
                       "help": "window start and width; the window may "
                               "wrap around the ring"}),
@@ -265,13 +264,13 @@ COMMANDS = {
         ("--ring-b", {"help": "ring of the second signature, if different"}),
         ("--threshold-b", {"type": int})]),
     "swap-demo": (cmd_swap_demo, "run the two-ledger atomic swap", [
-        ("--ring-size", {"type": int, "default": 4}),
+        SEED, ("--ring-size", {"type": int, "default": 4}),
         ("--threshold", {"type": int, "default": 2}),
         ("--fault", {"default": "none",
                      "help": "none, abort1..abort5 or a corruption name"}),
         ("--out", {"help": "transcript file (default: stdout)"})]),
     "bench": (cmd_bench, "sweep ring sizes and emit a CSV", [
-        ("--min-n", {"type": int, "default": 10}),
+        SEED, ("--min-n", {"type": int, "default": 10}),
         ("--max-n", {"type": int, "default": 100}),
         ("--step", {"type": int, "default": 10}),
         ("--reps", {"type": int,

@@ -15,14 +15,13 @@ Bob holds a single key on the plain chain ("A").  The protocol:
 6. Alice extracts w from the confirmed signature, adapts Bob's
    pre-signature and claims on chain A.
 
-Faults are injected at explicit points: abort points stop the run
-after a numbered step (an abort at the step-5 boundary drops Bob's
-broadcast before the miners process it, so no injected fault leaves
-assets on only one chain), and corruption directives tamper with a
-pre-signature in transit or replay Alice's window on a second
-transaction.  Timeouts are modeled by these abort points, not by
-wall-clock timers: before step 5 nothing has touched a ledger, so an
-abort simply means no assets move.
+Every message in transit passes through ``SwapRun.deliver``.  A fault
+is a rewrite of one channel's messages, declared once in ``_FAULTS`` (a
+rewrite to ``None`` drops the message and aborts the run), the
+replay-window pre-run action, or an abort point after one of steps
+1..4.  Timeouts are modeled by these abort points, not by wall-clock
+timers: before step 5 nothing has touched a ledger, so an abort simply
+means no assets move.
 
 That guarantee is limited for t >= 2: ``verify`` checks the link tags
 only as a product, so a Bob who shifts two tags of his broadcast by
@@ -38,6 +37,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import suppress
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -85,6 +85,10 @@ class FaultPlan(Record):
             raise ValueError(f"unknown corruption {self.corruption!r}")
         if self.abort_after is not None and self.corruption is not None:
             raise ValueError("at most one fault per run")
+
+
+FAULT_PLANS = (*(FaultPlan(abort_after=k) for k in range(1, 6)),
+               *(FaultPlan(corruption=c) for c in CORRUPTIONS))
 
 
 class SubmitResult(Record):
@@ -200,9 +204,33 @@ class SwapState:
     presig_plain: Optional[object] = None        # as received by Alice
     presig_ring_local: Optional[object] = None   # Alice's own copy
     presig_ring_sent: Optional[object] = None    # as received by Bob
-    sig_ring: Optional[object] = None
-    sig_plain: Optional[object] = None
+    sig_ring: Optional[object] = None            # as received by the miners
     extracted_witness: Optional[int] = None
+
+
+class _Aborted(Exception):
+    """Raised by ``SwapRun.abort``; ends the run inside ``run_swap``."""
+
+
+# Each channel and the party that receives its messages.
+_RECEIVERS = {"presig-plain": "alice", "presig-ring": "bob",
+              "broadcast": "miners"}
+
+# fault plan -> (channel, transcript event, rewrite of the message)
+_FAULTS = {
+    FaultPlan(corruption=TAMPER_PRESIG_B): (
+        "presig-plain", "tampered plain pre-signature in transit",
+        lambda ctx, psig: schnorr.PlainPreSignature(
+            psig.challenge, (psig.masked_response + 1) % ctx.order)),
+    FaultPlan(corruption=TAMPER_PRESIG_A): (
+        "presig-ring", "tampered ring pre-signature in transit",
+        lambda ctx, psig: PreSignature((psig.z_tilde + 1) % ctx.order,
+                                       psig.challenges, psig.tags)),
+    # The broadcast is dropped before the miners process it, so the
+    # abort cannot leave assets on only one chain.
+    FaultPlan(abort_after=5): (
+        "broadcast", "broadcast dropped before admission", lambda *_: None),
+}
 
 
 @dataclass
@@ -213,8 +241,6 @@ class SwapRun:
     ring: Ring
     window: SignerWindow
     bob_keypair: KeyPair
-    amount_plain: int
-    amount_ring: int
     fault: FaultPlan
     rng: SeededRandomness
     ledger_plain: MockLedger
@@ -239,20 +265,26 @@ class SwapRun:
         self.state.phase = Phase.ABORTED
         self.state.abort_reason = reason
         self.record(step, actor, f"aborted: {reason}")
+        raise _Aborted
+
+    def deliver(self, step: int, kind: str, message):
+        """``message`` on channel ``kind`` as its receiver gets it: the
+        run's fault rewrites it, and a rewrite to ``None`` aborts the run."""
+        channel, event, rewrite = _FAULTS.get(self.fault, (None,) * 3)
+        if channel != kind:
+            return message
+        self.record(step, "adversary", event)
+        message = rewrite(self.ctx, message)
+        if message is None:
+            self.abort(step, _RECEIVERS[kind], f"abort-after-step{step}")
+        return message
 
     def digest(self, data: bytes) -> str:
         return hashlib.sha256(data).hexdigest()
 
-    @property
-    def confirmed_plain(self) -> bool:
-        return self.state.tx_plain in self.ledger_plain.confirmed
-
-    @property
-    def confirmed_ring(self) -> bool:
-        return self.state.tx_ring in self.ledger_ring.confirmed
-
     def outcome(self) -> str:
-        plain, ring = self.confirmed_plain, self.confirmed_ring
+        plain = self.state.tx_plain in self.ledger_plain.confirmed
+        ring = self.state.tx_ring in self.ledger_ring.confirmed
         if plain != ring:
             return "mixed"
         return "both-confirmed" if plain else "neither-confirmed"
@@ -262,24 +294,27 @@ class SwapRun:
                          for rec in self.transcript)
 
 
+def _presign_ring_tx(run: SwapRun, payee: bytes, statement):
+    """Alice's chain-B tx to ``payee``, its encoding and pre-signature."""
+    tx = SwapTransaction(CHAIN_RING, payee, 1, run.rng.randbelow(2**64),
+                         ring_keys=run.ring.keys, threshold=run.window.width)
+    message = wire.encode_transaction(run.ctx, tx)
+    return tx, message, presign(run.ctx, run.ring, run.window, message,
+                                statement, run.rng)
+
+
 def step1_bob_commit(run: SwapRun):
     """Bob samples (W, w), builds tx on chain A and pre-signs it."""
     ctx = run.ctx
-    statement, witness = gen_r(ctx, run.rng)
-    run.bob_witness = witness
+    statement, run.bob_witness = gen_r(ctx, run.rng)
     run.state.statement = statement
-    tx = SwapTransaction(CHAIN_PLAIN, b"alice", run.amount_plain,
-                         run.rng.randbelow(2**64),
+    tx = SwapTransaction(CHAIN_PLAIN, b"alice", 1, run.rng.randbelow(2**64),
                          payer_key=run.bob_keypair.pk)
     run.state.tx_plain = tx
     run.state.msg_plain = wire.encode_transaction(ctx, tx)
     psig = schnorr.presign(ctx, run.bob_keypair, run.state.msg_plain,
                            statement.w1, run.rng)
-    if run.fault.corruption == TAMPER_PRESIG_B:
-        psig = schnorr.PlainPreSignature(
-            psig.challenge, (psig.masked_response + 1) % ctx.order)
-        run.record(1, "adversary", "tampered plain pre-signature in transit")
-    run.state.presig_plain = psig
+    psig = run.state.presig_plain = run.deliver(1, "presig-plain", psig)
     run.state.phase = Phase.BOB_COMMITTED
     run.record(1, "bob", "committed statement, chain-A tx and pre-signature",
                artifacts={
@@ -308,21 +343,10 @@ def step3_alice_presign(run: SwapRun):
     run.record(3, "alice", "checked plain pre-signature", verdict=ok)
     if not ok:
         run.abort(3, "alice", "preverify_plain")
-        return
-    tx = SwapTransaction(CHAIN_RING, b"bob", run.amount_ring,
-                         run.rng.randbelow(2**64),
-                         ring_keys=run.ring.keys,
-                         threshold=run.window.width)
-    run.state.tx_ring = tx
-    run.state.msg_ring = wire.encode_transaction(ctx, tx)
-    psig = presign(ctx, run.ring, run.window, run.state.msg_ring,
-                   run.state.statement, run.rng)
+    run.state.tx_ring, run.state.msg_ring, psig = _presign_ring_tx(
+        run, b"bob", run.state.statement)
     run.state.presig_ring_local = psig
-    if run.fault.corruption == TAMPER_PRESIG_A:
-        psig = PreSignature((psig.z_tilde + 1) % ctx.order,
-                            psig.challenges, psig.tags)
-        run.record(3, "adversary", "tampered ring pre-signature in transit")
-    run.state.presig_ring_sent = psig
+    psig = run.state.presig_ring_sent = run.deliver(3, "presig-ring", psig)
     run.state.phase = Phase.ALICE_COMMITTED
     run.record(3, "alice", "committed chain-B tx and ring pre-signature",
                artifacts={
@@ -340,7 +364,6 @@ def step4_bob_adapt_and_claim(run: SwapRun):
     run.record(4, "bob", "checked ring pre-signature", verdict=ok)
     if not ok:
         run.abort(4, "bob", "preverify_ring")
-        return
     sig = adapt(ctx, run.state.presig_ring_sent, run.bob_witness)
     run.state.sig_ring = sig
     run.record(4, "bob", "adapted ring pre-signature, broadcasting",
@@ -351,12 +374,7 @@ def step4_bob_adapt_and_claim(run: SwapRun):
 
 def step5_ledger_confirm(run: SwapRun):
     """Chain-B miners verify, link-check and confirm Alice's transaction."""
-    if run.fault.abort_after == 5:
-        # The broadcast is dropped before the miners process it, so the
-        # abort cannot leave assets on only one chain.
-        run.record(5, "adversary", "broadcast dropped before admission")
-        run.abort(5, "miners", "abort-after-step5")
-        return
+    run.state.sig_ring = run.deliver(5, "broadcast", run.state.sig_ring)
     result = ledger_submit(run.ledger_ring, run.state.tx_ring,
                            run.state.sig_ring)
     run.record(5, "miners", "chain-B admission",
@@ -365,7 +383,6 @@ def step5_ledger_confirm(run: SwapRun):
                {"reject_reason": result.reason})
     if not result.accepted:
         run.abort(5, "miners", f"ledger-ring-{result.reason}")
-        return
     run.state.phase = Phase.BOB_CLAIMED
     run.record(5, "miners", "chain-B confirmed ring transaction")
 
@@ -381,10 +398,8 @@ def step6_alice_extract_and_claim(run: SwapRun):
                {"witness": wire.encode_scalar(ctx, witness).hex()})
     if witness is None:
         run.abort(6, "alice", "ext")
-        return
     run.state.extracted_witness = witness
     sig = schnorr.adapt(ctx, run.state.presig_plain, witness)
-    run.state.sig_plain = sig
     result = ledger_submit(run.ledger_plain, run.state.tx_plain, sig)
     run.record(6, "miners", "chain-A admission",
                verdict=result.accepted,
@@ -392,7 +407,6 @@ def step6_alice_extract_and_claim(run: SwapRun):
                {"reject_reason": result.reason})
     if not result.accepted:
         run.abort(6, "alice", f"ledger-plain-{result.reason}")
-        return
     run.state.phase = Phase.ALICE_CLAIMED
     run.record(6, "alice", "chain-A confirmed plain transaction")
 
@@ -408,10 +422,8 @@ _STEPS = (
 
 
 def run_swap(ctx: GroupContext, *, ring: Ring, window: SignerWindow,
-             bob_keypair: KeyPair, amount_plain: int = 1,
-             amount_ring: int = 1, fault: Optional[FaultPlan] = None,
-             seed: int = 0,
-             ledger_ring: Optional[MockLedger] = None) -> SwapRun:
+             bob_keypair: KeyPair, fault: Optional[FaultPlan] = None,
+             seed: int = 0) -> SwapRun:
     """Execute the six-step swap under an optional fault plan; return the run.
 
     Without a fault the run terminates in phase alice-claimed with both
@@ -419,24 +431,19 @@ def run_swap(ctx: GroupContext, *, ring: Ring, window: SignerWindow,
     of the swap's transactions confirmed.
     """
     fault = fault or FaultPlan()
-    if not 0 < amount_plain < 2**64 or not 0 < amount_ring < 2**64:
-        raise ValueError("amounts must be positive 64-bit integers")
     run = SwapRun(
         ctx=ctx, ring=ring, window=window, bob_keypair=bob_keypair,
-        amount_plain=amount_plain, amount_ring=amount_ring, fault=fault,
-        rng=SeededRandomness(seed),
+        fault=fault, rng=SeededRandomness(seed),
         ledger_plain=MockLedger(ctx, CHAIN_PLAIN),
-        ledger_ring=ledger_ring or MockLedger(ctx, CHAIN_RING),
+        ledger_ring=MockLedger(ctx, CHAIN_RING),
     )
     if fault.corruption == REPLAY_WINDOW:
         _prepublish_window(run)
-    for number, step in enumerate(_STEPS, start=1):
-        step(run)
-        if run.state.phase is Phase.ABORTED:
-            break
-        if fault.abort_after == number:
-            run.abort(number, "adversary", f"abort-after-step{number}")
-            break
+    with suppress(_Aborted):
+        for number, step in enumerate(_STEPS, start=1):
+            step(run)
+            if fault.abort_after == number:
+                run.abort(number, "adversary", f"abort-after-step{number}")
     return run
 
 
@@ -446,15 +453,9 @@ def _prepublish_window(run: SwapRun):
     Models the double-spend attempt: the swap's chain-B transaction will
     later link against these tags and be rejected.
     """
-    ctx = run.ctx
-    statement, witness = gen_r(ctx, run.rng)
-    tx = SwapTransaction(CHAIN_RING, b"someone-else", 1,
-                         run.rng.randbelow(2**64),
-                         ring_keys=run.ring.keys,
-                         threshold=run.window.width)
-    message = wire.encode_transaction(ctx, tx)
-    psig = presign(ctx, run.ring, run.window, message, statement, run.rng)
-    sig = adapt(ctx, psig, witness)
+    statement, witness = gen_r(run.ctx, run.rng)
+    tx, message, psig = _presign_ring_tx(run, b"someone-else", statement)
+    sig = adapt(run.ctx, psig, witness)
     result = ledger_submit(run.ledger_ring, tx, sig)
     assert result.accepted, "window replay setup must confirm"
     run.record(0, "adversary", "window already spent in a prior transaction",

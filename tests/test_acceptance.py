@@ -21,8 +21,7 @@ from ringadapt import (SeededRandomness, Signature, adapt, ext, gen_r, link,
                        verify_relation, wire)
 from ringadapt.bench import by_algorithm, run_bench
 from ringadapt.scheme import _presign_body
-from ringadapt.swap import (CORRUPTIONS, FaultPlan, MockLedger, ledger_submit,
-                            swap_demo)
+from ringadapt.swap import FAULT_PLANS, MockLedger, ledger_submit, swap_demo
 from test_oracle import random_cases
 from test_wire import _random_sig_objects
 
@@ -269,9 +268,7 @@ def test_criterion_7_swap_atomicity(toy):
     """Full fault matrix x 20 seeds: both chains confirm or neither does."""
     with criterion(7, "swap atomicity over (happy + 5 aborts + 3 "
                       "corruptions) x 20 seeds"):
-        plans = [None]
-        plans += [FaultPlan(abort_after=k) for k in range(1, 6)]
-        plans += [FaultPlan(corruption=c) for c in CORRUPTIONS]
+        plans = [None, *FAULT_PLANS]
         assert len(plans) == 9
         mixed = 0
         for plan, seed in itertools.product(plans, range(20)):

@@ -238,6 +238,21 @@ def test_usage_error_exits_2(capsys):
     capsys.readouterr()
 
 
+def test_seed_is_refused_where_no_randomness_is_drawn(workspace, capsys):
+    _presign(workspace, capsys)
+    run(capsys, "adapt", "--group", "toy", "--ring", str(workspace["ring"]),
+        "--threshold", "2", "--presig", str(workspace["presig"]),
+        "--witness", str(workspace["witness"]), "--out", str(workspace["sig"]))
+    argv = ["verify", "--group", "toy", "--ring", str(workspace["ring"]),
+            "--threshold", "2", "--message", str(workspace["message"]),
+            "--sig", str(workspace["sig"])]
+    assert run(capsys, *argv) == (0, "1\n")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_wrong_group_key_file_exits_2(workspace, capsys, tmp_path):
     key = tmp_path / "prodkey.json"
     assert main(["keygen", "--group", "prod", "--seed", "1",
@@ -386,8 +401,10 @@ def _opt(flag, type_=None, default=None, help_=None, action="store"):
 
 CLI_SURFACE = {
     "keygen": ("generate a key pair", [
+        _SEED,
         _opt("--out", help_="key file (default: print to stdout)")]),
     "genr": ("sample a hard-relation statement/witness", [
+        _SEED,
         (("--out",), "store", True, None, None, None, None,
          "statement output file"),
         (("--witness-out",), "store", True, None, None, None, None,
@@ -398,6 +415,7 @@ CLI_SURFACE = {
              action="append"),
         _req("--out")]),
     "presign": ("produce a ring pre-signature", [
+        _SEED,
         _req("--ring"),
         (("--window",), "store", True, "_window_arg", None, None, "j,t",
          "window start and width; the window may wrap around the ring"),
@@ -422,11 +440,13 @@ CLI_SURFACE = {
         _opt("--ring-b", help_="ring of the second signature, if different"),
         _opt("--threshold-b", "int")]),
     "swap-demo": ("run the two-ledger atomic swap", [
+        _SEED,
         _opt("--ring-size", "int", 4), _opt("--threshold", "int", 2),
         _opt("--fault", default="none",
              help_="none, abort1..abort5 or a corruption name"),
         _opt("--out", help_="transcript file (default: stdout)")]),
     "bench": ("sweep ring sizes and emit a CSV", [
+        _SEED,
         _opt("--min-n", "int", 10), _opt("--max-n", "int", 100),
         _opt("--step", "int", 10),
         _opt("--reps", "int",
@@ -449,5 +469,4 @@ def test_cli_option_surface_is_pinned():
             for a in parser._actions
             if not isinstance(a, argparse._HelpAction)]
         help_, expected = CLI_SURFACE[name]
-        assert (helps[name], options) == (help_, [_GROUP, _SEED, *expected]), \
-            name
+        assert (helps[name], options) == (help_, [_GROUP, *expected]), name

@@ -1,6 +1,7 @@
 """Main implementation vs the straight-line oracle, intermediate by
 intermediate."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -72,19 +73,40 @@ def test_every_intermediate_matches(toy):
                              list(sig.tags), window.width, message)
 
 
-def test_oracle_agrees_on_rejections(toy):
-    # Both sides must reject the same perturbed signature.
+IDENTITY = pow(oracle.H, 0, oracle.MODULUS)
+
+# Inputs both sides must reject, each made from an honest (z~, c, tags)
+# at n = 3, t = 2.  The differential test below reaches the last two only
+# when a random draw happens to.
+REJECTIONS = {
+    "bad-z": lambda z, c, tags: ((z + 1) % oracle.ORDER, c, tags),
+    # A random-tags draw whose first exponent is 0.
+    "identity-tag": lambda z, c, tags: (z, c, (IDENTITY, *tags[1:])),
+    # One tag moved onto the other: the product holds, the identity is left.
+    "split-to-identity": lambda z, c, tags: (
+        z, c, (tags[0] * tags[1] % oracle.MODULUS, IDENTITY)),
+}
+
+
+@pytest.mark.parametrize("name", REJECTIONS)
+def test_oracle_agrees_on_rejections(toy, name):
     rng = SeededRandomness(55)
-    ring, window, statement, w, message, nonce, decoys = random_case(toy, rng)
-    psig = _presign_body(toy, ring, window, message, statement, nonce, decoys)
-    sig = adapt(toy, psig, w)
-    bad_z = (sig.z + 1) % oracle.ORDER
-    ours = verify(toy, ring,
-                  type(sig)(bad_z, sig.challenges, sig.tags),
-                  window.width, message)
-    theirs = oracle.verify(ring.keys, bad_z, list(sig.challenges),
-                           list(sig.tags), window.width, message)
-    assert ours == theirs is False
+    ring, members = build_ring(toy, 3, rng)
+    window = build_window(toy, ring, members, rng.randbelow(3), 2)
+    statement, w = gen_r(toy, rng)
+    psig = presign(toy, ring, window, b"reject", statement, rng)
+    z_tilde, challenges, tags = REJECTIONS[name](
+        psig.z_tilde, psig.challenges, psig.tags)
+    z = (z_tilde + w) % oracle.ORDER
+    ours = (preverify(toy, ring, PreSignature(z_tilde, challenges, tags), 2,
+                      b"reject", statement),
+            verify(toy, ring, Signature(z, challenges, tags), 2, b"reject"))
+    theirs = (oracle.preverify(ring.keys, z_tilde, list(challenges),
+                               list(tags), 2, b"reject", statement.w1,
+                               statement.w2),
+              oracle.verify(ring.keys, z, list(challenges), list(tags), 2,
+                            b"reject"))
+    assert ours == theirs == (False, False)
 
 
 # How the differential test builds its input from an honest signature.
