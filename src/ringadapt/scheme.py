@@ -119,9 +119,16 @@ class SignerWindow:
 
 
 class PreSignature(Record):
+    """Keeps challenges and tags as tuples, as ``Signature`` does, so
+    ``ext`` can compare the two."""
+
     z_tilde: int
     challenges: tuple  # c_0 .. c_{n-1}
     tags: tuple        # window order, one per signing key
+
+    def __post_init__(self):
+        object.__setattr__(self, "challenges", tuple(self.challenges))
+        object.__setattr__(self, "tags", tuple(self.tags))
 
     @cached_property
     def tag_set(self) -> frozenset:
@@ -271,10 +278,11 @@ def preverify(ctx: GroupContext, ring: Ring, psig: PreSignature, t: int,
 
 def adapt(ctx: GroupContext, psig: PreSignature, w: int) -> Signature:
     """Complete a pre-signature with the witness: z = z~ + w."""
-    # O(1): psig's challenges and tags are not re-checked here; a ledger
-    # checks them when it rebuilds the signature.
-    return Signature._computed((psig.z_tilde + w) % ctx.order,
-                               psig.challenges, psig.tags)
+    # O(1): only z is checked, as the constructor checks it; a ledger
+    # checks psig's challenges and tags when it rebuilds the signature.
+    z = (psig.z_tilde + w) % ctx.order
+    require_exact("signature scalar", (z,), (int,))
+    return Signature._computed(z, psig.challenges, psig.tags)
 
 
 def verify(ctx: GroupContext, ring: Ring, sig: Signature, t: int,

@@ -15,13 +15,15 @@ Bob holds a single key on the plain chain ("A").  The protocol:
 6. Alice extracts w from the confirmed signature, adapts Bob's
    pre-signature and claims on chain A.
 
-Every message in transit passes through ``SwapRun.deliver``.  A fault
-is a rewrite of one channel's messages, declared once in ``_FAULTS`` (a
-rewrite to ``None`` drops the message and aborts the run), the
-replay-window pre-run action, or an abort point after one of steps
-1..4.  Timeouts are modeled by these abort points, not by wall-clock
-timers: before step 5 nothing has touched a ledger, so an abort simply
-means no assets move.
+One function, ``_protocol``, runs these steps from top to bottom, and
+every message in transit passes through ``SwapRun.deliver``.  A fault
+acts in one of three places: in ``deliver``, as a rewrite of one
+channel's messages declared once in ``_FAULTS`` (a rewrite to ``None``
+drops the message and aborts the run); in ``SwapRun.end_step``, as an
+abort point after one of steps 1..4; or in the replay-window pre-run.
+Timeouts are modeled by these abort points, not by wall-clock timers:
+before step 5 nothing has touched a ledger, so an abort simply means no
+assets move.
 
 That guarantee is limited for t >= 2: ``verify`` checks the link tags
 only as a product, so a Bob who shifts two tags of his broadcast by
@@ -125,12 +127,11 @@ class MockLedger:
         if cached is not None:
             return cached
         ring = Ring(self.ctx, keys)
-        if len(ring) <= RING_CACHE_KEYS:
-            while self._ring_key_count + len(ring) > RING_CACHE_KEYS:
-                oldest = self._rings.pop(next(iter(self._rings)))
-                self._ring_key_count -= len(oldest)
-            self._rings[keys] = ring
-            self._ring_key_count += len(ring)
+        while self._ring_key_count + len(ring) > RING_CACHE_KEYS:
+            oldest = self._rings.pop(next(iter(self._rings)))
+            self._ring_key_count -= len(oldest)
+        self._rings[keys] = ring
+        self._ring_key_count += len(ring)
         return ring
 
 
@@ -196,15 +197,8 @@ def ledger_submit(ledger: MockLedger, tx: SwapTransaction, sig) -> SubmitResult:
 class SwapState:
     phase: Phase = Phase.INIT
     abort_reason: Optional[str] = None
-    statement: Optional[object] = None
     tx_plain: Optional[SwapTransaction] = None   # Bob pays Alice on chain A
     tx_ring: Optional[SwapTransaction] = None    # Alice pays Bob on chain B
-    msg_plain: Optional[bytes] = None            # encoded tx_plain
-    msg_ring: Optional[bytes] = None             # encoded tx_ring
-    presig_plain: Optional[object] = None        # as received by Alice
-    presig_ring_local: Optional[object] = None   # Alice's own copy
-    presig_ring_sent: Optional[object] = None    # as received by Bob
-    sig_ring: Optional[object] = None            # as received by the miners
     extracted_witness: Optional[int] = None
 
 
@@ -267,6 +261,11 @@ class SwapRun:
         self.record(step, actor, f"aborted: {reason}")
         raise _Aborted
 
+    def end_step(self, step: int):
+        """Abort the run here if its fault plan aborts after ``step``."""
+        if self.fault.abort_after == step:
+            self.abort(step, "adversary", f"abort-after-step{step}")
+
     def deliver(self, step: int, kind: str, message):
         """``message`` on channel ``kind`` as its receiver gets it: the
         run's fault rewrites it, and a rewrite to ``None`` aborts the run."""
@@ -303,122 +302,96 @@ def _presign_ring_tx(run: SwapRun, payee: bytes, statement):
                                 statement, run.rng)
 
 
-def step1_bob_commit(run: SwapRun):
-    """Bob samples (W, w), builds tx on chain A and pre-signs it."""
-    ctx = run.ctx
+def _protocol(run: SwapRun):
+    """Steps 1..6 of the module docstring, in order; an abort raises
+    ``_Aborted``."""
+    ctx, state = run.ctx, run.state
+    # 1. Bob samples (W, w), builds the chain-A tx and pre-signs it.
     statement, run.bob_witness = gen_r(ctx, run.rng)
-    run.state.statement = statement
-    tx = SwapTransaction(CHAIN_PLAIN, b"alice", 1, run.rng.randbelow(2**64),
-                         payer_key=run.bob_keypair.pk)
-    run.state.tx_plain = tx
-    run.state.msg_plain = wire.encode_transaction(ctx, tx)
-    psig = schnorr.presign(ctx, run.bob_keypair, run.state.msg_plain,
-                           statement.w1, run.rng)
-    psig = run.state.presig_plain = run.deliver(1, "presig-plain", psig)
-    run.state.phase = Phase.BOB_COMMITTED
+    state.tx_plain = SwapTransaction(
+        CHAIN_PLAIN, b"alice", 1, run.rng.randbelow(2**64),
+        payer_key=run.bob_keypair.pk)
+    msg_plain = wire.encode_transaction(ctx, state.tx_plain)
+    presig_plain = run.deliver(1, "presig-plain", schnorr.presign(
+        ctx, run.bob_keypair, msg_plain, statement.w1, run.rng))
+    state.phase = Phase.BOB_COMMITTED
     run.record(1, "bob", "committed statement, chain-A tx and pre-signature",
                artifacts={
                    "statement": run.digest(wire.encode_statement(ctx, statement)),
-                   "tx_plain": run.digest(run.state.msg_plain),
+                   "tx_plain": run.digest(msg_plain),
                    "presig_plain": run.digest(
-                       wire.encode_plain_presignature(ctx, psig)),
+                       wire.encode_plain_presignature(ctx, presig_plain)),
                })
+    run.end_step(1)
 
-
-def step2_alice_select_ring(run: SwapRun):
-    """Alice fixes the ring that hides her t accounts."""
-    # The window was validated against the ring at construction; this step
-    # publishes the choice (phase advances at the next commitment).
+    # 2. Alice selects the ring.  The window was validated against it at
+    # construction; the phase advances at her next commitment.
     run.record(2, "alice", "selected ring and signer window",
                artifacts={
-                   "ring": run.digest(wire.encode_ring(run.ctx, run.ring)),
+                   "ring": run.digest(wire.encode_ring(ctx, run.ring)),
                })
+    run.end_step(2)
 
-
-def step3_alice_presign(run: SwapRun):
-    """Alice checks Bob's pre-signature, then pre-signs her chain-B tx."""
-    ctx = run.ctx
-    ok = schnorr.preverify(ctx, run.bob_keypair.pk, run.state.presig_plain,
-                           run.state.msg_plain, run.state.statement.w1)
+    # 3. Alice checks Bob's pre-signature, then pre-signs her chain-B tx.
+    ok = schnorr.preverify(ctx, run.bob_keypair.pk, presig_plain, msg_plain,
+                           statement.w1)
     run.record(3, "alice", "checked plain pre-signature", verdict=ok)
     if not ok:
         run.abort(3, "alice", "preverify_plain")
-    run.state.tx_ring, run.state.msg_ring, psig = _presign_ring_tx(
-        run, b"bob", run.state.statement)
-    run.state.presig_ring_local = psig
-    psig = run.state.presig_ring_sent = run.deliver(3, "presig-ring", psig)
-    run.state.phase = Phase.ALICE_COMMITTED
+    state.tx_ring, msg_ring, presig_ring = _presign_ring_tx(run, b"bob",
+                                                            statement)
+    presig_sent = run.deliver(3, "presig-ring", presig_ring)
+    state.phase = Phase.ALICE_COMMITTED
     run.record(3, "alice", "committed chain-B tx and ring pre-signature",
                artifacts={
-                   "tx_ring": run.digest(run.state.msg_ring),
+                   "tx_ring": run.digest(msg_ring),
                    "presig_ring": run.digest(
-                       wire.encode_presignature(ctx, psig)),
+                       wire.encode_presignature(ctx, presig_sent)),
                })
+    run.end_step(3)
 
-
-def step4_bob_adapt_and_claim(run: SwapRun):
-    """Bob checks Alice's pre-signature and adapts it with his witness."""
-    ctx = run.ctx
-    ok = preverify(ctx, run.ring, run.state.presig_ring_sent,
-                   run.window.width, run.state.msg_ring, run.state.statement)
+    # 4. Bob checks Alice's pre-signature and adapts it with w.
+    ok = preverify(ctx, run.ring, presig_sent, run.window.width, msg_ring,
+                   statement)
     run.record(4, "bob", "checked ring pre-signature", verdict=ok)
     if not ok:
         run.abort(4, "bob", "preverify_ring")
-    sig = adapt(ctx, run.state.presig_ring_sent, run.bob_witness)
-    run.state.sig_ring = sig
+    sig_ring = adapt(ctx, presig_sent, run.bob_witness)
     run.record(4, "bob", "adapted ring pre-signature, broadcasting",
                artifacts={
-                   "sig_ring": run.digest(wire.encode_signature(ctx, sig)),
+                   "sig_ring": run.digest(wire.encode_signature(ctx, sig_ring)),
                })
+    run.end_step(4)
 
-
-def step5_ledger_confirm(run: SwapRun):
-    """Chain-B miners verify, link-check and confirm Alice's transaction."""
-    run.state.sig_ring = run.deliver(5, "broadcast", run.state.sig_ring)
-    result = ledger_submit(run.ledger_ring, run.state.tx_ring,
-                           run.state.sig_ring)
-    run.record(5, "miners", "chain-B admission",
-               verdict=result.accepted,
+    # 5. Chain-B miners verify, link-check and confirm Alice's tx.
+    sig_ring = run.deliver(5, "broadcast", sig_ring)
+    result = ledger_submit(run.ledger_ring, state.tx_ring, sig_ring)
+    run.record(5, "miners", "chain-B admission", verdict=result.accepted,
                artifacts={} if result.accepted else
                {"reject_reason": result.reason})
     if not result.accepted:
         run.abort(5, "miners", f"ledger-ring-{result.reason}")
-    run.state.phase = Phase.BOB_CLAIMED
+    state.phase = Phase.BOB_CLAIMED
     run.record(5, "miners", "chain-B confirmed ring transaction")
 
-
-def step6_alice_extract_and_claim(run: SwapRun):
-    """Alice extracts w from the on-chain signature and claims on chain A."""
-    ctx = run.ctx
-    witness = ext(ctx, run.state.statement, run.state.presig_ring_local,
-                  run.state.sig_ring)
+    # 6. Alice extracts w from the confirmed signature and claims on chain A.
+    witness = ext(ctx, statement, presig_ring, sig_ring)
     run.record(6, "alice", "extracted witness from on-chain signature",
                verdict=witness is not None,
                artifacts={} if witness is None else
                {"witness": wire.encode_scalar(ctx, witness).hex()})
     if witness is None:
         run.abort(6, "alice", "ext")
-    run.state.extracted_witness = witness
-    sig = schnorr.adapt(ctx, run.state.presig_plain, witness)
-    result = ledger_submit(run.ledger_plain, run.state.tx_plain, sig)
-    run.record(6, "miners", "chain-A admission",
-               verdict=result.accepted,
+    state.extracted_witness = witness
+    result = ledger_submit(run.ledger_plain, state.tx_plain,
+                           schnorr.adapt(ctx, presig_plain, witness))
+    run.record(6, "miners", "chain-A admission", verdict=result.accepted,
                artifacts={} if result.accepted else
                {"reject_reason": result.reason})
     if not result.accepted:
         run.abort(6, "alice", f"ledger-plain-{result.reason}")
-    run.state.phase = Phase.ALICE_CLAIMED
+    state.phase = Phase.ALICE_CLAIMED
     run.record(6, "alice", "chain-A confirmed plain transaction")
-
-
-_STEPS = (
-    step1_bob_commit,
-    step2_alice_select_ring,
-    step3_alice_presign,
-    step4_bob_adapt_and_claim,
-    step5_ledger_confirm,
-    step6_alice_extract_and_claim,
-)
 
 
 def run_swap(ctx: GroupContext, *, ring: Ring, window: SignerWindow,
@@ -440,10 +413,7 @@ def run_swap(ctx: GroupContext, *, ring: Ring, window: SignerWindow,
     if fault.corruption == REPLAY_WINDOW:
         _prepublish_window(run)
     with suppress(_Aborted):
-        for number, step in enumerate(_STEPS, start=1):
-            step(run)
-            if fault.abort_after == number:
-                run.abort(number, "adversary", f"abort-after-step{number}")
+        _protocol(run)
     return run
 
 

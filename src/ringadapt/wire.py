@@ -282,23 +282,19 @@ def encode_transaction(ctx: GroupContext, tx: SwapTransaction) -> bytes:
     return b"".join(out)
 
 
-def _element(ctx: GroupContext, reader: _Reader, what: str) -> Element:
-    return _field(ctx.decode_element, reader.take(ctx.element_size, what),
-                  what)
-
-
 def decode_transaction(ctx: GroupContext, data: bytes) -> SwapTransaction:
+    # Every field is sliced and the length checked before any element is
+    # decoded; SwapTransaction rejects an empty ring and a bad threshold.
     reader = _Reader(_payload(data, TAG_TRANSACTION))
     chain = reader.take(1, "chain id").decode("ascii", errors="replace")
-    payer_key = None
-    ring_keys = None
+    sg = ctx.element_size
     threshold = None
     if chain == CHAIN_PLAIN:
-        payer_key = _element(ctx, reader, "payer key")
+        names = ("payer key",)
+        raw = reader.take(sg, "payer key")
     elif chain == CHAIN_RING:
-        # SwapTransaction rejects an empty ring and a threshold out of range.
-        ring_keys = tuple(_element(ctx, reader, f"ring key {i}")
-                          for i in range(reader.u16("ring size")))
+        names = tuple(f"ring key {i}" for i in range(reader.u16("ring size")))
+        raw = reader.take(len(names) * sg, "ring keys")
         threshold = reader.u16("threshold")
     else:
         raise WireError(f"unknown chain id {chain!r}")
@@ -306,9 +302,13 @@ def decode_transaction(ctx: GroupContext, data: bytes) -> SwapTransaction:
     amount = reader.u64("amount")
     nonce = reader.u64("nonce")
     reader.done()
+    keys = tuple(_field(ctx.decode_element, raw[i:i + sg], what)
+                 for i, what in zip(range(0, len(raw), sg), names))
     try:
-        return SwapTransaction(chain, payee, amount, nonce,
-                               payer_key=payer_key, ring_keys=ring_keys,
-                               threshold=threshold)
+        return SwapTransaction(
+            chain, payee, amount, nonce,
+            payer_key=keys[0] if chain == CHAIN_PLAIN else None,
+            ring_keys=keys if chain == CHAIN_RING else None,
+            threshold=threshold)
     except ValueError as exc:
         raise WireError(str(exc)) from None

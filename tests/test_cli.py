@@ -238,6 +238,17 @@ def test_usage_error_exits_2(capsys):
     capsys.readouterr()
 
 
+def test_presign_usage_errors_exit_2(workspace, capsys):
+    # One --key file for a window of width 2.
+    assert _presign(workspace, capsys, slots=(1,))[0] == 2
+    assert not workspace["presig"].exists()
+    for window in ("1", "1,2,3", "a,2"):
+        with pytest.raises(SystemExit) as exc:
+            _presign(workspace, capsys, window=window)
+        assert exc.value.code == 2
+    assert "window must be 'j,t'" in capsys.readouterr().err
+
+
 def test_seed_is_refused_where_no_randomness_is_drawn(workspace, capsys):
     _presign(workspace, capsys)
     run(capsys, "adapt", "--group", "toy", "--ring", str(workspace["ring"]),

@@ -132,6 +132,12 @@ def test_decode_rejects_non_canonical(toy, prod):
         # Not read as bytes(n), n zero bytes: on prod, the identity.
         with pytest.raises(TypeError):
             ctx.decode_element(ctx.element_size)
+        for k in (-1, ctx.order):
+            with pytest.raises(ValueError, match="out of range"):
+                ctx.encode_scalar(k)
+        for size in (ctx.scalar_size - 1, ctx.scalar_size + 1):
+            with pytest.raises(ValueError, match="wrong length"):
+                ctx.decode_scalar(bytes(size))
 
 
 def test_hash_to_scalar_contract(toy, prod):

@@ -193,6 +193,21 @@ def test_exact_presignature_counts_nothing(chain):
     assert ctx.take() == {}
 
 
+def test_exact_misframed_transaction_counts_nothing():
+    ctx = CountingToy()
+    tx, _ = _ring_spend(ctx, 4, 2)
+    data = wire.encode_transaction(ctx, tx)
+    keys_end = wire.HEADER_SIZE + 3 + 4 * ctx.element_size
+    ctx.take()
+    for bad, error in ((data[:-1], "truncated nonce"),
+                       (data + b"\x00", "trailing bytes"),
+                       (data[:keys_end - 1], "truncated ring keys")):
+        with pytest.raises(wire.WireError, match=error):
+            wire.decode_transaction(ctx, bad)
+    # The length is checked before any ring key is validated.
+    assert ctx.take() == {}
+
+
 def test_exact_plain_replay_counts_nothing():
     ctx = CountingToy()
     tx, sig = _plain_spend(ctx)

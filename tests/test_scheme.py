@@ -352,6 +352,27 @@ class TestExtraction:
         other = presign(toy, ring, window, b"m2", statement, rng)
         assert ext(toy, statement, other, adapt(toy, psig, w)) is None
 
+    def test_list_built_presignature_adapts_to_a_signature(self, toy, prod):
+        for ctx in (toy, prod):
+            rng = SeededRandomness(8)
+            ring, members = build_ring(ctx, 4, rng)
+            window = build_window(ctx, ring, members, 3, 2)
+            statement, w = gen_r(ctx, rng)
+            psig = presign(ctx, ring, window, b"m", statement, rng)
+            listed = PreSignature(psig.z_tilde, list(psig.challenges),
+                                  list(psig.tags))
+            assert listed == psig
+            assert preverify(ctx, ring, listed, 2, b"m", statement)
+            sig, honest = adapt(ctx, listed, w), adapt(ctx, psig, w)
+            assert sig == Signature(sig.z, psig.challenges, psig.tags)
+            assert sig == honest and hash(sig) == hash(honest)
+            assert ext(ctx, statement, listed, sig) == w
+            assert ext(ctx, statement, listed, honest) == w
+            floated = PreSignature(float(psig.z_tilde), psig.challenges,
+                                   psig.tags)
+            with pytest.raises(ValueError):
+                adapt(ctx, floated, w)
+
     def test_adapt_then_ext_roundtrip(self, toy, rng):
         ring, members = build_ring(toy, 5, rng)
         window = build_window(toy, ring, members, 2, 3)
@@ -434,6 +455,9 @@ class TestConstruction:
                                             for i in range(5)])
             with pytest.raises(KeyMismatchError):   # slot 1 holds key 0
                 SignerWindow(ctx, ring, 3, [members[3].sk, members[1].sk])
+            for sk in (0, ctx.order):
+                with pytest.raises(ValueError, match="secret key out of range"):
+                    SignerWindow(ctx, ring, 0, [sk])
 
     def test_presign_rejects_foreign_ring(self, toy, rng):
         ring, members = build_ring(toy, 3, rng)

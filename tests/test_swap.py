@@ -157,6 +157,29 @@ class TestLedger:
             assert not ledger.confirmed
             assert not ledger.published_tags
 
+    @pytest.mark.parametrize("backend", ["toy", "prod"])
+    def test_resigned_plain_copy_is_a_double_spend(self, backend):
+        # Chain A publishes no tags: the confirmed lookup alone stops a
+        # second, differently signed copy of a confirmed transaction.
+        ctx = setup_group(backend)
+        rng = SeededRandomness(23)   # toy's two nonces r + w differ
+        ledger = MockLedger(ctx, "A")
+        bob = keygen(ctx, rng)
+        tx = SwapTransaction("A", b"alice", 1, 2, payer_key=bob.pk)
+        message = wire.encode_transaction(ctx, tx)
+        sigs = []
+        for _ in range(2):
+            statement, w = gen_r(ctx, rng)
+            sigs.append(schnorr.adapt(ctx, schnorr.presign(
+                ctx, bob, message, statement.w1, rng), w))
+        first, second = sigs
+        assert first != second
+        assert schnorr.verify(ctx, bob.pk, second, message)
+        assert ledger_submit(ledger, tx, first).accepted
+        result = ledger_submit(ledger, _copy_by_value(ctx, tx), second)
+        assert (result.accepted, result.reason) == (False, "double-spend-link")
+        assert ledger.confirmed == {tx: first}
+
     def test_tampered_ring_signature_rejected(self, toy, rng):
         ledger = MockLedger(toy, "B")
         ring, members = build_ring(toy, 4, rng)

@@ -207,6 +207,12 @@ class TestRejection:
         data[2] = ord("C")
         with pytest.raises(wire.WireError):
             wire.decode_transaction(toy, bytes(data))
+        data[2] = ord("B")
+        at = wire.HEADER_SIZE + 3 + 3 * toy.element_size     # threshold
+        for threshold in (0, 4):
+            data[at:at + 2] = threshold.to_bytes(2, "big")
+            with pytest.raises(wire.WireError, match="threshold"):
+                wire.decode_transaction(toy, bytes(data))
         with pytest.raises(ValueError):
             wire.SwapTransaction("B", b"x", 1, 1, ring_keys=ring.keys,
                                  threshold=4)
