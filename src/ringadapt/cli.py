@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Artifacts are passed between subcommands as files holding wire-format
-bytes (key files are small JSON documents wrapping the hex of the wire
-encodings).  Verdict subcommands print 1 or 0; extraction prints the
-witness or the failure marker.
+bytes; a key file holds the secret scalar, as a witness file does, and
+``keygen`` prints the public key's hex for ``ring-build --pubkey``.
+Verdict subcommands print 1 or 0; extraction prints the witness or the
+failure marker.
 
 Exit codes: 0 success / verdict true, 1 verdict false or extraction
 failure, 2 usage or decode error.
@@ -32,19 +33,8 @@ def _write(path: str, data: bytes):
         fh.write(data)
 
 
-def _load_key(ctx, path: str) -> tuple[int, object]:
-    import json
-    doc = json.loads(_read(path))
-    if not (isinstance(doc, dict) and isinstance(doc.get("sk"), str)
-            and isinstance(doc.get("pk"), str)):
-        raise ValueError(f"key file {path} is not an object with hex "
-                         "'sk' and 'pk' strings")
-    if doc.get("group") != ctx.label:
-        raise ValueError(f"key file {path} was made for group "
-                         f"{doc.get('group')!r}, not {ctx.label!r}")
-    sk = wire.decode_scalar(ctx, bytes.fromhex(doc["sk"]))
-    pk = wire.decode_element(ctx, bytes.fromhex(doc["pk"]))
-    return sk, pk
+def _secret(ctx, path: str) -> int:
+    return wire.decode_scalar(ctx, _read(path))
 
 
 def _ring(ctx, path: str) -> Ring:
@@ -91,17 +81,9 @@ def _fault_plan(name: str):
 
 
 def cmd_keygen(ctx, args) -> int:
-    import json
     pair = keygen(ctx, _rng(args))
-    doc = json.dumps({
-        "group": ctx.label,
-        "sk": wire.encode_scalar(ctx, pair.sk).hex(),
-        "pk": wire.encode_element(ctx, pair.pk).hex(),
-    }, indent=2)
-    if args.out:
-        _write(args.out, doc.encode())
-    else:
-        print(doc)
+    _write(args.out, wire.encode_scalar(ctx, pair.sk))
+    print(wire.encode_element(ctx, pair.pk).hex())
     return 0
 
 
@@ -113,7 +95,8 @@ def cmd_genr(ctx, args) -> int:
 
 
 def cmd_ring_build(ctx, args) -> int:
-    keys = [_load_key(ctx, path)[1] for path in args.key or []]
+    keys = [ctx.exp(ctx.generator_g, _secret(ctx, path))
+            for path in args.key or []]
     keys += [wire.decode_element(ctx, bytes.fromhex(hexval))
              for hexval in args.pubkey or []]
     _write(args.out, wire.encode_ring(ctx, Ring(ctx, keys)))
@@ -123,7 +106,7 @@ def cmd_ring_build(ctx, args) -> int:
 def cmd_presign(ctx, args) -> int:
     ring = _ring(ctx, args.ring)
     start, width = args.window
-    secrets = [_load_key(ctx, path)[0] for path in args.key or []]
+    secrets = [_secret(ctx, path) for path in args.key or []]
     if len(secrets) != width:
         raise ValueError(f"window width {width} needs {width} --key files, "
                          f"got {len(secrets)}")
@@ -146,8 +129,8 @@ def cmd_preverify(ctx, args) -> int:
 def cmd_adapt(ctx, args) -> int:
     ring = _ring(ctx, args.ring)
     psig = _presig(ctx, args.presig, ring, args.threshold)
-    witness = wire.decode_scalar(ctx, _read(args.witness))
-    _write(args.out, wire.encode_signature(ctx, adapt(ctx, psig, witness)))
+    _write(args.out, wire.encode_signature(
+        ctx, adapt(ctx, psig, _secret(ctx, args.witness))))
     return 0
 
 
@@ -234,7 +217,8 @@ COMMON = (
 # draw randomness take SEED.
 COMMANDS = {
     "keygen": (cmd_keygen, "generate a key pair", [
-        SEED, ("--out", {"help": "key file (default: print to stdout)"})]),
+        SEED, ("--out", {"required": True, "help": "secret key file; the "
+                         "public key's hex is printed"})]),
     "genr": (cmd_genr, "sample a hard-relation statement/witness", [
         SEED, ("--out", {"required": True, "help": "statement output file"}),
         ("--witness-out", {"required": True, "help": "witness output file"})]),

@@ -148,7 +148,8 @@ def ledger_submit(ledger: MockLedger, tx: SwapTransaction, sig) -> SubmitResult:
     the constructors, chain id and keys (``malformed``), the signature
     (``bad-signature``), then the confirmed lookup and, on chain B, the
     link-tag overlap (``double-spend-link``); accepted tags are published.
-    Chain B takes its ring from the ledger's ring cache.  An exact replay,
+    Chain B refuses a signature of the wrong shape as ``bad-signature``
+    before it takes its ring from the ledger's ring cache.  An exact replay,
     a pair equal to a confirmed one, is answered ``double-spend-link``
     right after the chain id: every other check would pass again.
     """
@@ -168,6 +169,9 @@ def ledger_submit(ledger: MockLedger, tx: SwapTransaction, sig) -> SubmitResult:
     if ledger.chain_id == CHAIN_PLAIN:
         if not ctx.is_nonidentity(tx.payer_key):
             return SubmitResult(False, REJECT_MALFORMED)
+    elif (len(sig.tags) != tx.threshold
+          or len(sig.challenges) != len(tx.ring_keys)):
+        return SubmitResult(False, REJECT_BAD_SIGNATURE)
     else:
         try:
             ring = ledger._cached_ring(tx.ring_keys)

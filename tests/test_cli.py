@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from ringadapt import (Ring, SeededRandomness, gen_r, keygen, setup_group,
+                       wire)
 from ringadapt.cli import build_parser, main
 
 
@@ -34,7 +36,7 @@ def workspace(tmp_path, capsys):
     keys = []
     # Seeds picked to give four distinct toy-group keys.
     for i, seed in enumerate((100, 101, 103, 104)):
-        key_path = tmp_path / f"key{i}.json"
+        key_path = tmp_path / f"key{i}.key"
         code = main(["keygen", "--group", "toy", "--seed", str(seed),
                      "--out", str(key_path)])
         assert code == 0
@@ -196,7 +198,7 @@ def test_link_subcommand(workspace, capsys, tmp_path):
     for i, seed in enumerate((105, None, 106)):
         key_path = workspace["keys"][2]
         if seed is not None:
-            key_path = tmp_path / f"ring_d_key{i}.json"
+            key_path = tmp_path / f"ring_d_key{i}.key"
             assert main(["keygen", "--group", "toy", "--seed", str(seed),
                          "--out", str(key_path)]) == 0
         args += ["--key", str(key_path)]
@@ -276,14 +278,66 @@ def test_wrong_group_key_file_exits_2(workspace, capsys, tmp_path):
 
 
 def test_keygen_stdout_and_pubkey_ring(capsys, tmp_path):
-    code, out = run(capsys, "keygen", "--group", "toy", "--seed", "42")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["group"] == "toy-607"
-    code = main(["ring-build", "--group", "toy", "--pubkey", doc["pk"],
-                 "--out", str(tmp_path / "ring.bin")])
-    capsys.readouterr()
-    assert code == 0
+    # The key file is the secret's wire scalar; stdout is the public key.
+    for group in ("toy", "prod"):
+        ctx = setup_group(group)
+        pair = keygen(ctx, SeededRandomness(42))
+        key = tmp_path / f"{group}.key"
+        code, out = run(capsys, "keygen", "--group", group, "--seed", "42",
+                        "--out", str(key))
+        assert code == 0
+        assert key.read_bytes() == wire.encode_scalar(ctx, pair.sk)
+        assert out == wire.encode_element(ctx, pair.pk).hex() + "\n"
+        assert wire.encode_scalar(ctx, pair.sk).hex() not in out
+        rings = [tmp_path / f"{group}-{i}.bin" for i in range(2)]
+        assert main(["ring-build", "--group", group, "--key", str(key),
+                     "--out", str(rings[0])]) == 0
+        assert main(["ring-build", "--group", group, "--pubkey", out.strip(),
+                     "--out", str(rings[1])]) == 0
+        capsys.readouterr()
+        assert rings[0].read_bytes() == rings[1].read_bytes()
+
+
+def test_keygen_requires_out(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["keygen", "--group", "toy", "--seed", "42"])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("group", ["toy", "prod"])
+def test_zero_key_file_exits_2(capsys, tmp_path, group):
+    ctx = setup_group(group)
+    zero = tmp_path / "zero.key"
+    zero.write_bytes(wire.encode_scalar(ctx, 0))
+    ring = tmp_path / "ring.bin"
+    # g^0 is the identity, which no ring may hold.
+    code = main(["ring-build", "--group", group, "--key", str(zero),
+                 "--out", str(ring)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not ring.exists()
+    pk = keygen(ctx, SeededRandomness(1)).pk
+    ring.write_bytes(wire.encode_ring(ctx, Ring(ctx, [pk])))
+    statement, message = tmp_path / "statement.bin", tmp_path / "m.bin"
+    statement.write_bytes(wire.encode_statement(
+        ctx, gen_r(ctx, SeededRandomness(2))[0]))
+    message.write_bytes(b"m")
+    code = main(["presign", "--group", group, "--ring", str(ring),
+                 "--window", "0,1", "--key", str(zero),
+                 "--message", str(message), "--statement", str(statement),
+                 "--out", str(tmp_path / "presig.bin")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_json_key_file_is_refused(capsys, tmp_path):
+    key = tmp_path / "old.json"
+    key.write_text('{"group": "toy-607", "sk": "0002002a", "pk": "00010031"}')
+    code = main(["ring-build", "--group", "toy", "--key", str(key),
+                 "--out", str(tmp_path / "r.bin")])
+    assert code == 2
+    assert "unsupported version" in capsys.readouterr().err
 
 
 def test_swap_demo_happy_and_faulty(capsys, tmp_path):
@@ -413,7 +467,8 @@ def _opt(flag, type_=None, default=None, help_=None, action="store"):
 CLI_SURFACE = {
     "keygen": ("generate a key pair", [
         _SEED,
-        _opt("--out", help_="key file (default: print to stdout)")]),
+        (("--out",), "store", True, None, None, None, None,
+         "secret key file; the public key's hex is printed")]),
     "genr": ("sample a hard-relation statement/witness", [
         _SEED,
         (("--out",), "store", True, None, None, None, None,

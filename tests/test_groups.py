@@ -220,6 +220,23 @@ def test_sodium_loader_reports_missing_library(no_sonames, monkeypatch,
         groups._sodium.__wrapped__()
 
 
+def test_prod_guards_refuse_bad_elements_in_process(prod):
+    g = prod.generator_g
+    short, non_point = g[:31], b"\xff" * 32
+    # The length is checked before libsodium reads 32 bytes behind it.
+    for call in (lambda: prod.mul(short, g), lambda: prod.exp(short, 2)):
+        with pytest.raises(ValueError,
+                           match="^ristretto255 element must be 32 bytes$"):
+            call()
+    # libsodium refuses a 32-byte non-point with a nonzero status.
+    for call, name in ((lambda: prod.mul(non_point, g),
+                        "crypto_core_ristretto255_add"),
+                       (lambda: prod.exp(non_point, 2),
+                        "crypto_scalarmult_ristretto255")):
+        with pytest.raises(ValueError, match=f"^{name} rejected its input$"):
+            call()
+
+
 # Bad elements for prod: each call must return False or raise ValueError,
 # not crash inside libsodium, which reads 32 bytes behind every element
 # pointer.

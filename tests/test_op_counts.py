@@ -176,6 +176,18 @@ def test_exact_forced_field_counts_nothing():
     assert ctx.take() == {}
 
 
+def test_exact_misshaped_signature_counts_nothing():
+    ctx = CountingToy()
+    tx, sig = _ring_spend(ctx, 8, 3)
+    ctx.take()
+    for short in (Signature(sig.z, sig.challenges, sig.tags[:-1]),
+                  Signature(sig.z, sig.challenges[:-1], sig.tags)):
+        result = ledger_submit(MockLedger(ctx, "B"), tx, short)
+        assert result.reason == "bad-signature"
+        # The lengths are compared before the cold ring is built.
+        assert ctx.take() == {}
+
+
 @pytest.mark.parametrize("chain", ["A", "B"])
 def test_exact_presignature_counts_nothing(chain):
     ctx = CountingToy()

@@ -55,6 +55,8 @@ def _signed_ring_tx(ctx, ring, window, payee, nonce, rng):
 
 class TestLedger:
     def test_plain_chain_admission(self, toy, rng):
+        with pytest.raises(ValueError, match="unknown chain id"):
+            MockLedger(toy, "C")
         ledger = MockLedger(toy, "A")
         bob = keygen(toy, rng)
         statement, w = gen_r(toy, rng)

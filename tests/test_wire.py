@@ -229,6 +229,10 @@ class TestRejection:
             wire.SwapTransaction("B", b"x", 1, 1,
                                  ring_keys=ring.keys[:1] * 0x10000,
                                  threshold=1)
+        with pytest.raises(ValueError, match="payee identifier too long"):
+            wire.SwapTransaction("A", bytes(0x10000), 1, 1, payer_key=pk)
+        with pytest.raises(ValueError, match="unknown chain id"):
+            wire.SwapTransaction("C", b"x", 1, 1, payer_key=pk)
         # Integer fields must be real ints, or encoding raises struct.error.
         for bad in (dict(amount=3.0), dict(nonce=1.0), dict(amount=True),
                     dict(nonce=False), dict(amount="3")):
