@@ -13,6 +13,7 @@ failure, 2 usage or decode error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import wire
@@ -28,13 +29,23 @@ def _read(path: str) -> bytes:
         return fh.read()
 
 
-def _write(path: str, data: bytes):
-    with open(path, "wb") as fh:
+def _write(path: str, data: bytes, secret: bool = False):
+    # A secret file is created owner-only, and never over an existing file.
+    flags = os.O_WRONLY | os.O_CREAT | (os.O_EXCL if secret else os.O_TRUNC)
+    with open(os.open(path, flags, 0o600 if secret else 0o666), "wb") as fh:
         fh.write(data)
 
 
 def _secret(ctx, path: str) -> int:
-    return wire.decode_scalar(ctx, _read(path))
+    data = _read(path)
+    try:
+        return wire.decode_scalar(ctx, data)
+    except wire.WireError as exc:
+        # Name each group's width: the other group's key differs in length.
+        sizes = ", ".join(f"{wire.HEADER_SIZE + cls.scalar_size} bytes for "
+                          f"--group {name}" for name, cls in _BACKENDS.items())
+        raise ValueError(f"{exc}: secret file {path} is {len(data)} bytes; "
+                         f"a secret file is {sizes}") from None
 
 
 def _ring(ctx, path: str) -> Ring:
@@ -82,15 +93,15 @@ def _fault_plan(name: str):
 
 def cmd_keygen(ctx, args) -> int:
     pair = keygen(ctx, _rng(args))
-    _write(args.out, wire.encode_scalar(ctx, pair.sk))
+    _write(args.out, wire.encode_scalar(ctx, pair.sk), secret=True)
     print(wire.encode_element(ctx, pair.pk).hex())
     return 0
 
 
 def cmd_genr(ctx, args) -> int:
     statement, witness = gen_r(ctx, _rng(args))
+    _write(args.witness_out, wire.encode_scalar(ctx, witness), secret=True)
     _write(args.out, wire.encode_statement(ctx, statement))
-    _write(args.witness_out, wire.encode_scalar(ctx, witness))
     return 0
 
 

@@ -118,13 +118,9 @@ class SignerWindow:
         self.tags = tuple(ctx.exp(ctx.generator_h, sk) for sk in secrets)
 
 
-class PreSignature(Record):
-    """Keeps challenges and tags as tuples, as ``Signature`` does, so
-    ``ext`` can compare the two."""
-
-    z_tilde: int
-    challenges: tuple  # c_0 .. c_{n-1}
-    tags: tuple        # window order, one per signing key
+class _Signed:
+    """What a pre-signature and a signature share: challenges and tags
+    kept as tuples, so ``ext`` can compare the two, and the tag set."""
 
     def __post_init__(self):
         object.__setattr__(self, "challenges", tuple(self.challenges))
@@ -135,23 +131,24 @@ class PreSignature(Record):
         return frozenset(self.tags)
 
 
-class Signature(Record):
+class PreSignature(_Signed, Record):
+    z_tilde: int
+    challenges: tuple  # c_0 .. c_{n-1}
+    tags: tuple        # window order, one per signing key
+
+
+class Signature(_Signed, Record):
     """The constructor takes exact ints and elements alone, as a ledger
-    admits them, and keeps challenges and tags as tuples."""
+    admits them."""
 
     z: int
     challenges: tuple
     tags: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "challenges", tuple(self.challenges))
-        object.__setattr__(self, "tags", tuple(self.tags))
+        super().__post_init__()
         require_exact("signature scalar", (self.z, *self.challenges), (int,))
         require_exact("link tag", self.tags)
-
-    @cached_property
-    def tag_set(self) -> frozenset:
-        return frozenset(self.tags)
 
 
 def keygen(ctx: GroupContext, rng=None) -> KeyPair:
@@ -255,25 +252,25 @@ def presign(ctx: GroupContext, ring: Ring, window: SignerWindow,
                          *_draw(ctx, ring, window, rng))
 
 
-def _check_shape(ctx: GroupContext, ring: Ring, z: int, challenges, tags,
-                 t: int) -> bool:
+def _verifies(ctx: GroupContext, ring: Ring, z: int, challenges, tags,
+              t: int, statement: Optional[StatementPair],
+              message: bytes) -> bool:
+    """The check PreVrfy and Vrfy share: the shape, then the statement
+    when given, then sum(C) == c with s = z."""
     n = len(ring)
+    statement_parts = () if statement is None else (statement.w1, statement.w2)
     return (1 <= t <= n and len(challenges) == n and len(tags) == t
             and ctx.is_scalar(z) and all(map(ctx.is_scalar, challenges))
-            and all(map(ctx.is_nonidentity, tags)))
+            and all(map(ctx.is_nonidentity, (*tags, *statement_parts)))
+            and sum(challenges) % ctx.order == _commit(
+                ctx, ring, z, challenges, tags, statement, message)[2])
 
 
 def preverify(ctx: GroupContext, ring: Ring, psig: PreSignature, t: int,
               message: bytes, statement: StatementPair) -> bool:
     """Deterministic pre-signature check; malformed input yields False."""
-    if not _check_shape(ctx, ring, psig.z_tilde, psig.challenges, psig.tags, t):
-        return False
-    if not (ctx.is_nonidentity(statement.w1)
-            and ctx.is_nonidentity(statement.w2)):
-        return False
-    return sum(psig.challenges) % ctx.order == _commit(
-        ctx, ring, psig.z_tilde, psig.challenges, psig.tags, statement,
-        message)[2]
+    return _verifies(ctx, ring, psig.z_tilde, psig.challenges, psig.tags, t,
+                     statement, message)
 
 
 def adapt(ctx: GroupContext, psig: PreSignature, w: int) -> Signature:
@@ -288,10 +285,8 @@ def adapt(ctx: GroupContext, psig: PreSignature, w: int) -> Signature:
 def verify(ctx: GroupContext, ring: Ring, sig: Signature, t: int,
            message: bytes) -> bool:
     """Deterministic full-signature check; malformed input yields False."""
-    if not _check_shape(ctx, ring, sig.z, sig.challenges, sig.tags, t):
-        return False
-    return sum(sig.challenges) % ctx.order == _commit(
-        ctx, ring, sig.z, sig.challenges, sig.tags, None, message)[2]
+    return _verifies(ctx, ring, sig.z, sig.challenges, sig.tags, t, None,
+                     message)
 
 
 def ext(ctx: GroupContext, statement: StatementPair, psig: PreSignature,

@@ -50,21 +50,24 @@ def presign(ctx: GroupContext, keypair: KeyPair, message: bytes,
     return PlainPreSignature(c, (r + c * keypair.sk) % ctx.order)
 
 
-def _recommit(ctx: GroupContext, pk: Element, c: int, s: int) -> Element:
-    # g^s * pk^(-c); equals g^r (+W1 for a pre-signature) when honest.
-    return ctx.mul(ctx.exp(ctx.generator_g, s),
-                   ctx.exp(pk, (ctx.order - c) % ctx.order))
+def _verifies(ctx: GroupContext, pk: Element, c: int, s: int,
+              statement_g: Optional[Element], message: bytes) -> bool:
+    """The check preverify and verify share: g^s * pk^(-c), times W1 when
+    given, equals g^r (+W1) when honest and must hash back to c."""
+    if not (ctx.is_scalar(c) and ctx.is_scalar(s) and ctx.is_nonidentity(pk)
+            and (statement_g is None or ctx.is_nonidentity(statement_g))):
+        return False
+    commit = ctx.mul(ctx.exp(ctx.generator_g, s),
+                     ctx.exp(pk, (ctx.order - c) % ctx.order))
+    if statement_g is not None:
+        commit = ctx.mul(commit, statement_g)
+    return c == _challenge(ctx, pk, commit, message)
 
 
 def preverify(ctx: GroupContext, pk: Element, psig: PlainPreSignature,
               message: bytes, statement_g: Element) -> bool:
-    if not (ctx.is_scalar(psig.challenge)
-            and ctx.is_scalar(psig.masked_response)
-            and ctx.is_nonidentity(pk) and ctx.is_nonidentity(statement_g)):
-        return False
-    commit = ctx.mul(_recommit(ctx, pk, psig.challenge, psig.masked_response),
-                     statement_g)
-    return psig.challenge == _challenge(ctx, pk, commit, message)
+    return _verifies(ctx, pk, psig.challenge, psig.masked_response,
+                     statement_g, message)
 
 
 def adapt(ctx: GroupContext, psig: PlainPreSignature, w: int) -> PlainSignature:
@@ -74,11 +77,7 @@ def adapt(ctx: GroupContext, psig: PlainPreSignature, w: int) -> PlainSignature:
 
 def verify(ctx: GroupContext, pk: Element, sig: PlainSignature,
            message: bytes) -> bool:
-    if not (ctx.is_scalar(sig.challenge) and ctx.is_scalar(sig.response)
-            and ctx.is_nonidentity(pk)):
-        return False
-    commit = _recommit(ctx, pk, sig.challenge, sig.response)
-    return sig.challenge == _challenge(ctx, pk, commit, message)
+    return _verifies(ctx, pk, sig.challenge, sig.response, None, message)
 
 
 def ext(ctx: GroupContext, statement_g: Element, psig: PlainPreSignature,

@@ -100,7 +100,7 @@ class SubmitResult(Record):
 
 class MockLedger:
     """Confirmed transactions, keyed by value and mapped to their
-    signatures in admission order; chain B also tracks published link tags.
+    signatures in admission order, and the tags their spends published.
     Every stored transaction and signature was built by its type's
     constructor, whatever object was submitted, so it holds exact ints,
     bytes, strings and tuples alone.
@@ -146,8 +146,9 @@ def ledger_submit(ledger: MockLedger, tx: SwapTransaction, sig) -> SubmitResult:
 
     Checks run in this order, and the first that fails gives the verdict:
     the constructors, chain id and keys (``malformed``), the signature
-    (``bad-signature``), then the confirmed lookup and, on chain B, the
-    link-tag overlap (``double-spend-link``); accepted tags are published.
+    (``bad-signature``), then the confirmed lookup and the spend's tags,
+    link tags on chain B and the payer key on chain A, against the
+    published ones (``double-spend-link``); accepted tags are published.
     Chain B refuses a signature of the wrong shape as ``bad-signature``
     before it takes its ring from the ledger's ring cache.  An exact replay,
     a pair equal to a confirmed one, is answered ``double-spend-link``
@@ -185,14 +186,12 @@ def ledger_submit(ledger: MockLedger, tx: SwapTransaction, sig) -> SubmitResult:
     # transaction is reported as bad-signature, not as a double spend.
     if not valid:
         return SubmitResult(False, REJECT_BAD_SIGNATURE)
-    if tx in ledger.confirmed:
+    # On chain B the rule link() applies; a chain-A key pays once.  Both
+    # kinds of tag are checked elements, which compare by canonical value.
+    tags = sig.tag_set if ledger.chain_id == CHAIN_RING else {tx.payer_key}
+    if tx in ledger.confirmed or not tags.isdisjoint(ledger.published_tags):
         return SubmitResult(False, REJECT_DOUBLE_SPEND)
-    if ledger.chain_id == CHAIN_RING:
-        # The rule link() applies; verify has checked that every tag is
-        # a group element, and elements compare by canonical value.
-        if not sig.tag_set.isdisjoint(ledger.published_tags):
-            return SubmitResult(False, REJECT_DOUBLE_SPEND)
-        ledger.published_tags |= sig.tag_set
+    ledger.published_tags |= tags
     ledger.confirmed[tx] = sig
     return SubmitResult(True)
 

@@ -15,9 +15,9 @@ a payload of the wrong length, non-canonical field encodings and
 trailing bytes all raise WireError naming the first violated constraint.
 Decoders take any bytes-like payload: bytes, bytearray or memoryview.
 
-Decoders check every element, as do ``Ring``, the verifiers and the
-ledger; encoders only serialize.  Pre-signatures and signatures carry
-no dimension fields (that is what keeps the size law exact), so their
+Decoders check every element but a ring's keys, which ``Ring`` checks
+once; encoders only serialize.  Pre-signatures and signatures carry no
+dimension fields (that is what keeps the size law exact), so their
 decoders take the ring size and threshold from context.
 """
 
@@ -68,8 +68,7 @@ def _payload(data: bytes, tag: int) -> bytes:
 
 
 class _Reader:
-    """Cursor over a transaction payload that rejects short reads and
-    leftovers."""
+    """Cursor over a payload that rejects short reads and leftovers."""
 
     def __init__(self, data: bytes):
         self._data = data
@@ -107,24 +106,19 @@ def _encode(ctx: GroupContext, tag: int, scalars=(), elements=()) -> bytes:
 
 
 def _decode(ctx: GroupContext, data: bytes, tag: int, scalars=(),
-            elements=()) -> tuple[list, list]:
+            elements=(), parse_element=None) -> tuple[list, list]:
     """Decode a run of scalars, then a run of elements, each field named
-    for WireError.  The length is checked before any field is decoded."""
-    payload = _payload(data, tag)
-    sz, sg = ctx.scalar_size, ctx.element_size
-    split = len(scalars) * sz
-    size = split + len(elements) * sg
-    if len(payload) > size:
-        raise WireError("trailing bytes after payload")
-    if len(payload) < size:
-        short = len(payload)
-        what = (scalars[short // sz] if short < split
-                else elements[(short - split) // sg])
-        raise WireError(f"truncated {what}")
-    return ([_field(ctx.decode_scalar, payload[i:i + sz], what)
-             for i, what in zip(range(0, split, sz), scalars)],
-            [_field(ctx.decode_element, payload[i:i + sg], what)
-             for i, what in zip(range(split, size, sg), elements)])
+    for WireError.  Every field is sliced, and the length checked, before
+    any is decoded.  Elements go through ``parse_element`` if given, for
+    a caller that validates them itself, else ``ctx.decode_element``."""
+    reader = _Reader(_payload(data, tag))
+    raw_scalars = [reader.take(ctx.scalar_size, what) for what in scalars]
+    raw_elements = [reader.take(ctx.element_size, what) for what in elements]
+    reader.done()
+    return ([_field(ctx.decode_scalar, raw, what)
+             for raw, what in zip(raw_scalars, scalars)],
+            [_field(parse_element or ctx.decode_element, raw, what)
+             for raw, what in zip(raw_elements, elements)])
 
 
 # --- element / scalar -------------------------------------------------------
@@ -148,9 +142,11 @@ def encode_ring(ctx: GroupContext, ring: Ring) -> bytes:
     return _header(TAG_RING) + b"".join(ring.encodings)
 
 def decode_ring(ctx: GroupContext, data: bytes) -> Ring:
-    # n comes from the length; Ring rejects an empty ring and duplicates.
+    # n comes from the length.  Ring checks each key, once, and rejects an
+    # empty ring and duplicates.
     n = (len(data) - HEADER_SIZE) // ctx.element_size
-    keys = _decode(ctx, data, TAG_RING, elements=("ring key",) * n)[1]
+    keys = _decode(ctx, data, TAG_RING, elements=("ring key",) * n,
+                   parse_element=ctx._parse_element)[1]
     try:
         return Ring(ctx, keys)
     except ValueError as exc:

@@ -58,6 +58,35 @@ def test_beyond_parent_iqr(bench_pairs):
     assert bench_pairs.summarize(LOWER, parent, [0.5] * 5)["beyond_parent_iqr"]
 
 
+PARENT_TEN = [100.0] * 10
+
+
+@pytest.mark.parametrize("spec, parent, change, expected", [
+    # The parent's IQR (80..120) is wider than 0.25 x its median of 100.
+    (HIGHER, [60.0, 80.0, 100.0, 120.0, 140.0], [100.0] * 5, "unresolved"),
+    (LOWER, [60.0, 80.0, 100.0, 120.0, 140.0], [100.0] * 5, "unresolved"),
+    # ... unless every change run beats every parent run.
+    (HIGHER, [60.0, 80.0, 100.0, 120.0, 140.0], [150.0] * 5, "better"),
+    (LOWER, [60.0, 80.0, 100.0, 120.0, 140.0], [50.0] * 5, "better"),
+    (HIGHER, PARENT_TEN, [74.0] * 10, "worse"),
+    (LOWER, PARENT_TEN, [126.0] * 10, "worse"),
+    # 9 of 10 pairs won, by more than the parent's IQR of 0.
+    (HIGHER, PARENT_TEN, [101.0] * 9 + [99.0], "better"),
+    (LOWER, PARENT_TEN, [99.0] * 9 + [101.0], "better"),
+    # 8 of 10 pairs won is not enough.
+    (HIGHER, PARENT_TEN, [101.0] * 8 + [99.0] * 2, "within-bound"),
+    # Every pair won, but not beyond the parent's IQR (98..102).
+    (HIGHER, [98.0, 98.0, 100.0, 102.0, 102.0], [101.0, 101.0, 101.0, 103.0,
+                                                 103.0], "within-bound"),
+    # Worse, but inside the bound.
+    (LOWER, PARENT_TEN, [110.0] * 10, "within-bound"),
+], ids=["unresolved-higher", "unresolved-lower", "resolved-higher",
+        "resolved-lower", "worse-higher", "worse-lower", "better-higher",
+        "better-lower", "8-of-10", "inside-iqr", "inside-bound"])
+def test_verdict(bench_pairs, spec, parent, change, expected):
+    assert bench_pairs.summarize(spec, parent, change)["verdict"] == expected
+
+
 STUB_RUN = '''import json, sys
 env = {"nproc": 1, "python": "3", "libsodium": "1"}
 print(json.dumps({"report": {"env": env}}))
@@ -94,3 +123,13 @@ def test_incorrect_runs_are_counted(bench_pairs, tmp_path, capsys):
         assert (f"swap-e2e: incorrect runs, parent 0, change {expected}"
                 in printed)
         assert printed.count("INCORRECT") == expected
+
+
+def test_verdict_is_printed(bench_pairs, tmp_path, capsys):
+    parent = _stub_tree(tmp_path, "parent", "True", 0)
+    specs = [dict(HIGHER, name="ops_per_s")]
+    entry, _ = bench_pairs.run_pairs(parent, parent, "cli-verify", [1, 2],
+                                     1.0, specs)
+    assert entry["metrics"]["ops_per_s"]["verdict"] == "within-bound"
+    assert ("cli-verify ops_per_s: within-bound (median ratio 1.0, change "
+            "wins 0/2)") in capsys.readouterr().err

@@ -267,14 +267,41 @@ def test_seed_is_refused_where_no_randomness_is_drawn(workspace, capsys):
 
 
 def test_wrong_group_key_file_exits_2(workspace, capsys, tmp_path):
-    key = tmp_path / "prodkey.json"
-    assert main(["keygen", "--group", "prod", "--seed", "1",
-                 "--out", str(key)]) == 0
-    capsys.readouterr()
-    code = main(["ring-build", "--group", "toy", "--key", str(key),
-                 "--out", str(tmp_path / "r.bin")])
-    capsys.readouterr()
-    assert code == 2
+    # The error names the file's length and each group's key file width.
+    for made, used, size in (("prod", "toy", 34), ("toy", "prod", 4)):
+        key = tmp_path / f"{made}.key"
+        assert main(["keygen", "--group", made, "--seed", "1",
+                     "--out", str(key)]) == 0
+        capsys.readouterr()
+        code = main(["ring-build", "--group", used, "--key", str(key),
+                     "--out", str(tmp_path / "r.bin")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ")
+        assert f"is {size} bytes" in err
+        assert "34 bytes for --group prod, 4 bytes for --group toy" in err
+        assert not (tmp_path / "r.bin").exists()
+
+
+@pytest.mark.parametrize("command", ["keygen", "genr"])
+def test_secret_files_are_private_and_never_replaced(capsys, tmp_path,
+                                                     command):
+    secret = tmp_path / "secret.bin"
+    argv = {"keygen": ["keygen", "--out", str(secret)],
+            "genr": ["genr", "--out", str(tmp_path / "statement.bin"),
+                     "--witness-out", str(secret)]}[command]
+    old_umask = os.umask(0o022)
+    try:
+        assert main([*argv, "--group", "toy", "--seed", "1"]) == 0
+        assert secret.stat().st_mode & 0o777 == 0o600
+        first = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        capsys.readouterr()
+        assert main([*argv, "--group", "toy", "--seed", "2"]) == 2
+    finally:
+        os.umask(old_umask)
+    assert capsys.readouterr().err.startswith("error: ")
+    # Nothing is written: genr checks its witness path first.
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == first
 
 
 def test_keygen_stdout_and_pubkey_ring(capsys, tmp_path):

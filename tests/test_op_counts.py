@@ -220,6 +220,50 @@ def test_exact_misframed_transaction_counts_nothing():
     assert ctx.take() == {}
 
 
+def test_exact_truncated_field_counts_nothing():
+    ctx = CountingToy()
+    _, sig = _ring_spend(ctx, 4, 2)
+    psig = PreSignature(sig.z, sig.challenges, sig.tags)
+    statement, _ = gen_r(ctx, SeededRandomness(3))
+    signed = ["leading scalar", *(f"challenge {i}" for i in range(4)),
+              "link tag 0", "link tag 1"]
+    cases = [
+        (wire.encode_signature(ctx, sig), signed,
+         lambda data: wire.decode_signature(ctx, data, 4, 2)),
+        (wire.encode_presignature(ctx, psig), signed,
+         lambda data: wire.decode_presignature(ctx, data, 4, 2)),
+        (wire.encode_statement(ctx, statement),
+         ["statement W1", "statement W2"],
+         lambda data: wire.decode_statement(ctx, data)),
+    ]
+    width = ctx.scalar_size
+    assert ctx.element_size == width
+    ctx.take()
+    for data, fields, decode in cases:
+        for i, field in enumerate(fields):
+            # Cut one byte into the field: the error names it.
+            cut = data[:wire.HEADER_SIZE + i * width + 1]
+            with pytest.raises(wire.WireError, match=f"^truncated {field}$"):
+                decode(cut)
+        with pytest.raises(wire.WireError,
+                           match="^trailing bytes after payload$"):
+            decode(data + b"\x00")
+    # Every field is sliced, and the length checked, before any decodes.
+    assert ctx.take() == {}
+
+
+@pytest.mark.parametrize("n", [1, 4, 8])
+def test_exact_decode_ring_counts(n):
+    ctx = CountingToy()
+    ring, _ = build_ring(ctx, n, SeededRandomness(n))
+    data = wire.encode_ring(ctx, ring)
+    ctx.take()
+    assert wire.decode_ring(ctx, data) == ring
+    # The decoder only parses the keys; Ring checks each once and hashes
+    # the digest.
+    assert ctx.take() == {"is_element": n, "hash": 1}
+
+
 def test_exact_plain_replay_counts_nothing():
     ctx = CountingToy()
     tx, sig = _plain_spend(ctx)

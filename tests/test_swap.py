@@ -161,8 +161,8 @@ class TestLedger:
 
     @pytest.mark.parametrize("backend", ["toy", "prod"])
     def test_resigned_plain_copy_is_a_double_spend(self, backend):
-        # Chain A publishes no tags: the confirmed lookup alone stops a
-        # second, differently signed copy of a confirmed transaction.
+        # A second, differently signed copy of a confirmed transaction is
+        # a double spend.
         ctx = setup_group(backend)
         rng = SeededRandomness(23)   # toy's two nonces r + w differ
         ledger = MockLedger(ctx, "A")
@@ -181,6 +181,26 @@ class TestLedger:
         result = ledger_submit(ledger, _copy_by_value(ctx, tx), second)
         assert (result.accepted, result.reason) == (False, "double-spend-link")
         assert ledger.confirmed == {tx: first}
+
+    @pytest.mark.parametrize("backend", ["toy", "prod"])
+    def test_plain_payer_key_spends_once(self, backend):
+        # After a happy swap Bob's chain-A key has paid: a new transaction
+        # it validly signs is a double spend, as a reused ring key is.
+        ctx = setup_group(backend)
+        run = swap_demo(ctx, 6, 2, seed=3)
+        assert run.state.phase is Phase.ALICE_CLAIMED
+        bob = make_demo_parties(ctx, 6, 2, seed=3)[2]
+        tx = SwapTransaction("A", b"bob-self", 1, 9, payer_key=bob.pk)
+        message = wire.encode_transaction(ctx, tx)
+        rng = SeededRandomness(4)
+        statement, w = gen_r(ctx, rng)
+        sig = schnorr.adapt(ctx, schnorr.presign(ctx, bob, message,
+                                                 statement.w1, rng), w)
+        assert ledger_submit(MockLedger(ctx, "A"), tx, sig).accepted
+        result = ledger_submit(run.ledger_plain, tx, sig)
+        assert (result.accepted, result.reason) == (False, "double-spend-link")
+        assert run.ledger_plain.published_tags == {bob.pk}
+        assert tx not in run.ledger_plain.confirmed
 
     def test_tampered_ring_signature_rejected(self, toy, rng):
         ledger = MockLedger(toy, "B")

@@ -16,7 +16,18 @@ whose epochs disagree on results), printed as well.  Per end-to-end
 metric it lists each side's median and quartiles, the pairs the change
 wins (ties count for neither side), whether the change's median is
 within the metric's bound, whether the medians differ by more than the
-parent's interquartile range, and every run.  Standard library only.
+parent's interquartile range, every run, and a verdict, also printed.
+The verdict is the first of these that holds:
+
+* ``unresolved``: the parent's interquartile range is wider than the
+  bound times its median, and not every change run beats every parent
+  run, so the parent's own spread hides a move of the bound's size;
+* ``worse``: the change's median is outside the bound;
+* ``better``: the change wins at least 9 of 10 pairs, and its median is
+  better than the parent's by more than the parent's interquartile range;
+* ``within-bound``: anything else.
+
+Standard library only.
 """
 
 from __future__ import annotations
@@ -78,6 +89,18 @@ def summarize(spec: dict, parent: list[float], change: list[float]) -> dict:
     ratio = c["median"] / p["median"]
     within = (ratio >= 1 - spec["bound"] if higher
               else ratio <= 1 + spec["bound"])
+    gain = c["median"] - p["median"] if higher else p["median"] - c["median"]
+    beats_all = (min(change) > max(parent) if higher
+                 else max(change) < min(parent))
+    # The first rule that holds gives the verdict.
+    if p["iqr"] > spec["bound"] * p["median"] and not beats_all:
+        verdict = "unresolved"      # the parent alone spreads past the bound
+    elif not within:
+        verdict = "worse"
+    elif 10 * wins >= 9 * len(parent) and gain > p["iqr"]:
+        verdict = "better"
+    else:
+        verdict = "within-bound"
     return {
         "unit": spec["unit"], "better": spec["better"],
         "bound": spec["bound"], "pairs": len(parent), "change_wins": wins,
@@ -85,6 +108,7 @@ def summarize(spec: dict, parent: list[float], change: list[float]) -> dict:
         "median_change_ratio": round(ratio, 4),
         "within_bound": within,
         "beyond_parent_iqr": abs(c["median"] - p["median"]) > p["iqr"],
+        "verdict": verdict,
         "parent_runs": [round(v, 4) for v in parent],
         "change_runs": [round(v, 4) for v in change],
     }
@@ -121,6 +145,10 @@ def run_pairs(parent: Path, change: Path, workload: str, seeds: list[int],
     }
     print(f"{workload}: incorrect runs, parent {entry['incorrect']['parent']}"
           f", change {entry['incorrect']['change']}", file=sys.stderr)
+    for name, metric in entry["metrics"].items():
+        print(f"{workload} {name}: {metric['verdict']} (median ratio "
+              f"{metric['median_change_ratio']}, change wins "
+              f"{metric['change_wins']}/{metric['pairs']})", file=sys.stderr)
     return entry, runs["change"][0]["report"]["env"]
 
 
