@@ -13,12 +13,12 @@ scalars followed by a run of elements, and one encoder and one decoder
 serve them all.  Decoding is the validity gate: wrong version or tag,
 a payload of the wrong length, non-canonical field encodings and
 trailing bytes all raise WireError naming the first violated constraint.
-Decoders take any bytes-like payload: bytes, bytearray or memoryview.
+Decoders take any bytes-like payload, and a decoder's work and memory
+are bounded by the bytes it holds, not by the sizes it is told.
 
 Decoders check every element but a ring's keys, which ``Ring`` checks
 once; encoders only serialize.  Pre-signatures and signatures carry no
-dimension fields (that is what keeps the size law exact), so their
-decoders take the ring size and threshold from context.
+dimension fields (so the size law is exact): n and t come from context.
 """
 
 from __future__ import annotations
@@ -108,17 +108,17 @@ def _encode(ctx: GroupContext, tag: int, scalars=(), elements=()) -> bytes:
 def _decode(ctx: GroupContext, data: bytes, tag: int, scalars=(),
             elements=(), parse_element=None) -> tuple[list, list]:
     """Decode a run of scalars, then a run of elements, each field named
-    for WireError.  Every field is sliced, and the length checked, before
-    any is decoded.  Elements go through ``parse_element`` if given, for
-    a caller that validates them itself, else ``ctx.decode_element``."""
+    as the reader reaches it.  Every field is sliced, and the length
+    checked, before any is decoded.  Elements go through ``parse_element``
+    if given (the caller validates them), else ``ctx.decode_element``."""
     reader = _Reader(_payload(data, tag))
-    raw_scalars = [reader.take(ctx.scalar_size, what) for what in scalars]
-    raw_elements = [reader.take(ctx.element_size, what) for what in elements]
+    sz, sg = ctx.scalar_size, ctx.element_size
+    raw_scalars = [(reader.take(sz, what), what) for what in scalars]
+    raw_elements = [(reader.take(sg, what), what) for what in elements]
     reader.done()
-    return ([_field(ctx.decode_scalar, raw, what)
-             for raw, what in zip(raw_scalars, scalars)],
-            [_field(parse_element or ctx.decode_element, raw, what)
-             for raw, what in zip(raw_elements, elements)])
+    return ([_field(ctx.decode_scalar, *raw) for raw in raw_scalars],
+            [_field(parse_element or ctx.decode_element, *raw)
+             for raw in raw_elements])
 
 
 # --- element / scalar -------------------------------------------------------
@@ -145,8 +145,8 @@ def decode_ring(ctx: GroupContext, data: bytes) -> Ring:
     # n comes from the length.  Ring checks each key, once, and rejects an
     # empty ring and duplicates.
     n = (len(data) - HEADER_SIZE) // ctx.element_size
-    keys = _decode(ctx, data, TAG_RING, elements=("ring key",) * n,
-                   parse_element=ctx._parse_element)[1]
+    keys = _decode(ctx, data, TAG_RING, parse_element=ctx._parse_element,
+                   elements=("ring key" for _ in range(n)))[1]
     try:
         return Ring(ctx, keys)
     except ValueError as exc:
@@ -172,8 +172,9 @@ def _decode_sig(ctx: GroupContext, data: bytes, tag: int, n: int, t: int):
         raise WireError("ring size and threshold out of range")
     scalars, tags = _decode(
         ctx, data, tag,
-        ("leading scalar", *(f"challenge {i}" for i in range(n))),
-        tuple(f"link tag {i}" for i in range(t)))
+        (f"challenge {i}" if i >= 0 else "leading scalar"
+         for i in range(-1, n)),
+        (f"link tag {i}" for i in range(t)))
     return scalars[0], tuple(scalars[1:]), tuple(tags)
 
 
@@ -279,18 +280,16 @@ def encode_transaction(ctx: GroupContext, tx: SwapTransaction) -> bytes:
 
 
 def decode_transaction(ctx: GroupContext, data: bytes) -> SwapTransaction:
-    # Every field is sliced and the length checked before any element is
-    # decoded; SwapTransaction rejects an empty ring and a bad threshold.
+    # Every field is sliced and the length checked before any key is named
+    # and decoded; SwapTransaction rejects an empty ring and bad threshold.
     reader = _Reader(_payload(data, TAG_TRANSACTION))
     chain = reader.take(1, "chain id").decode("ascii", errors="replace")
     sg = ctx.element_size
     threshold = None
     if chain == CHAIN_PLAIN:
-        names = ("payer key",)
         raw = reader.take(sg, "payer key")
     elif chain == CHAIN_RING:
-        names = tuple(f"ring key {i}" for i in range(reader.u16("ring size")))
-        raw = reader.take(len(names) * sg, "ring keys")
+        raw = reader.take(reader.u16("ring size") * sg, "ring keys")
         threshold = reader.u16("threshold")
     else:
         raise WireError(f"unknown chain id {chain!r}")
@@ -298,8 +297,9 @@ def decode_transaction(ctx: GroupContext, data: bytes) -> SwapTransaction:
     amount = reader.u64("amount")
     nonce = reader.u64("nonce")
     reader.done()
-    keys = tuple(_field(ctx.decode_element, raw[i:i + sg], what)
-                 for i, what in zip(range(0, len(raw), sg), names))
+    keys = tuple(_field(ctx.decode_element, raw[i:i + sg], "payer key"
+                        if chain == CHAIN_PLAIN else f"ring key {i // sg}")
+                 for i in range(0, len(raw), sg))
     try:
         return SwapTransaction(
             chain, payee, amount, nonce,

@@ -1,5 +1,7 @@
 """Wire codec: round trips, exact size laws, decode as the validity gate."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -301,3 +303,27 @@ class TestRejection:
             pass
         else:
             assert tx.chain_id in ("A", "B")
+
+
+@pytest.mark.parametrize("backend", ["toy", "prod"])
+def test_claimed_sizes_cost_only_the_bytes_held(backend):
+    # A decoder walks the bytes it holds: a ring size or n read from
+    # context that the payload cannot back is refused at its first
+    # missing field, without first naming every field the claim implies.
+    ctx = setup_group(backend)
+    tx = wire._header(wire.TAG_TRANSACTION) + b"B\xff\xff"
+    sig = wire._header(wire.TAG_SIGNATURE)
+    cases = (
+        (lambda: wire.decode_transaction(ctx, tx), "^truncated ring keys$"),
+        (lambda: wire.decode_signature(ctx, sig, 0xFFFF, 1),
+         "^truncated leading scalar$"),
+    )
+    for decode, error in cases:
+        tracemalloc.start()
+        try:
+            with pytest.raises(wire.WireError, match=error):
+                decode()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, (error, peak)
