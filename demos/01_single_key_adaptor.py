@@ -16,8 +16,8 @@ rng = SeededRandomness(2)
 print("== keys and statement ==")
 signer = keygen(ctx, rng)
 statement, witness = gen_r(ctx, rng)
-print(f"public key      {ctx.encode_element(signer.pk).hex()}")
-print(f"statement W1    {ctx.encode_element(statement.w1).hex()}")
+print(f"public key      {signer.pk.hex()}")
+print(f"statement W1    {statement.w1.hex()}")
 print(f"witness w       (kept secret by the other party)")
 
 print("\n== pre-signing ==")

@@ -293,7 +293,7 @@ def main(argv=None) -> int:
     try:
         # A module global looked up per call, so a tracer can replace it.
         return args.fn(setup_group(args.group), args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

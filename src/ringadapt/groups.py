@@ -10,20 +10,21 @@ interchangeable backends provide that group:
 * ``toy``  -- the order-101 subgroup of Z_607^*: small enough that tests
   can check every identity by exhaustive exponent-table lookup.
 
-Group elements are opaque values (32-byte strings for ristretto255, int
-residues mod 607 for the toy group); scalars are plain ints in [0, p).
-All arithmetic goes through the context object so calling code never
-branches on the backend.  Contexts are immutable and safe to share
-across threads.
+A group element is its canonical encoding, a ``bytes`` string of
+``element_size`` (32 bytes for ristretto255, a 2-byte big-endian residue
+mod 607 for the toy group), so it is hashed and written as it is;
+scalars are plain ints in [0, p).  All arithmetic goes through the
+context object so calling code never branches on the backend.  Contexts
+are immutable and safe to share across threads.
 
 An element is validated where it enters the program (``decode_element``,
-``Ring``, the verifiers, the ledger), so ``encode_element`` only
-serializes: a value the program computed is never re-checked.  A ring
-key, link tag, statement or payer key must not be the identity either
-(``is_nonidentity``); a computed R or T may be, and still encodes.  Both
-backends decode by one rule, ``GroupContext.decode_element``.  In these
-operations ``verify`` costs n+3 scalar multiplications and n+t point
-adds (``exp``, ``mul``), and ``presign``/``preverify`` n+3 and n+t+2.
+``Ring``, the verifiers, the ledger); a value the program computed is
+never re-checked.  A ring key, link tag, statement or payer key must not
+be the identity either (``is_nonidentity``); a computed R or T may be.
+Both backends decode by one rule, ``GroupContext.decode_element``.  In
+these operations ``verify`` costs n+3 scalar multiplications and n+t
+point adds (``exp``, ``mul``), and ``presign``/``preverify`` n+3 and
+n+t+2.
 """
 
 from __future__ import annotations
@@ -35,12 +36,12 @@ import random
 import secrets
 import struct
 from operator import attrgetter
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
-Element = Union[bytes, int]
+Element = bytes
 
 
-def require_exact(what: str, values, types=(bytes, int)) -> None:
+def require_exact(what: str, values, types=(bytes,)) -> None:
     """Raise ValueError unless each value's type is exactly one of
     ``types``, by default an Element's.  A look-alike (True for 1, 5.0 for
     5, a memoryview for bytes) can equal a value yet fail its checks."""
@@ -179,25 +180,16 @@ class GroupContext:
         return self.is_element(a) and a != self.identity
 
     def is_scalar(self, k) -> bool:
-        return isinstance(k, int) and 0 <= k < self.order
-
-    def encode_element(self, a: Element) -> bytes:
-        """Serialize an element; it was validated where it entered."""
-        raise NotImplementedError
-
-    def _parse_element(self, data: bytes) -> Element:
-        """The value ``element_size`` bytes name, not yet validated."""
-        raise NotImplementedError
+        return type(k) is int and 0 <= k < self.order
 
     def decode_element(self, data: bytes) -> Element:
-        """Parse and validate an element from any bytes-like object."""
+        """Validate an element from any bytes-like object."""
         data = memoryview(data).tobytes()  # not bytes(32), the identity
         if len(data) != self.element_size:
             raise ValueError("element encoding has wrong length")
-        a = self._parse_element(data)
-        if not self.is_element(a):
+        if not self.is_element(data):
             raise ValueError("element encoding not a group element")
-        return a
+        return data
 
     def encode_scalar(self, k: int) -> bytes:
         if not self.is_scalar(k):
@@ -229,43 +221,43 @@ class GroupContext:
 
 TOY_MODULUS = 607
 TOY_ORDER = 101
-TOY_G = 7  # smallest element of multiplicative order 101 mod 607
+TOY_G = 7  # smallest residue of multiplicative order 101 mod 607
 TOY_H = 8  # second smallest
 
 
+def _toy(residue: int) -> bytes:
+    return residue.to_bytes(2, "big")
+
+
 class ToyGroup(GroupContext):
-    """Order-101 subgroup of Z_607^*, the exhaustive test oracle backend."""
+    """Order-101 subgroup of Z_607^*, the exhaustive test oracle backend.
+    An element is its residue as 2 big-endian bytes."""
 
     label = "toy-607"
     order = TOY_ORDER
     scalar_size = 2
     element_size = 2
-    generator_g = TOY_G
-    generator_h = TOY_H
-    identity = 1
+    generator_g = _toy(TOY_G)
+    generator_h = _toy(TOY_H)
+    identity = _toy(1)
 
-    def mul(self, a: int, b: int) -> int:
-        return a * b % TOY_MODULUS
+    def mul(self, a: bytes, b: bytes) -> bytes:
+        return _toy(int.from_bytes(a, "big") * int.from_bytes(b, "big")
+                    % TOY_MODULUS)
 
-    def exp(self, a: int, k: int) -> int:
-        return pow(a, k % TOY_ORDER, TOY_MODULUS)
+    def exp(self, a: bytes, k: int) -> bytes:
+        return _toy(pow(int.from_bytes(a, "big"), k % TOY_ORDER, TOY_MODULUS))
 
     def is_element(self, a: Element) -> bool:
         return (
-            isinstance(a, int)
-            and 1 <= a < TOY_MODULUS
-            and pow(a, TOY_ORDER, TOY_MODULUS) == 1
+            isinstance(a, bytes) and len(a) == 2
+            and 1 <= (residue := int.from_bytes(a, "big")) < TOY_MODULUS
+            and pow(residue, TOY_ORDER, TOY_MODULUS) == 1
         )
 
-    def encode_element(self, a: int) -> bytes:
-        return a.to_bytes(2, "big")
-
-    def _parse_element(self, data: bytes) -> int:
-        return int.from_bytes(data, "big")
-
-    def elements(self) -> list[int]:
+    def elements(self) -> list[bytes]:
         """All 101 subgroup elements, for exhaustive checks."""
-        return [pow(TOY_G, k, TOY_MODULUS) for k in range(TOY_ORDER)]
+        return [_toy(pow(TOY_G, k, TOY_MODULUS)) for k in range(TOY_ORDER)]
 
 
 # --- ristretto255 backend --------------------------------------------------
@@ -363,12 +355,6 @@ class RistrettoGroup(GroupContext):
     def is_element(self, a: Element) -> bool:
         return (isinstance(a, bytes) and len(a) == 32
                 and _sodium().crypto_core_ristretto255_is_valid_point(a) == 1)
-
-    def encode_element(self, a: bytes) -> bytes:
-        return a
-
-    def _parse_element(self, data: bytes) -> bytes:
-        return data
 
 
 _BACKENDS = {"prod": RistrettoGroup, "toy": ToyGroup}

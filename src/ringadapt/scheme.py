@@ -57,7 +57,8 @@ class StatementPair(Record):
 
 
 class Ring:
-    """Ordered list of distinct public keys plus its cached digest d."""
+    """Ordered list of distinct public keys plus its cached digest d.
+    ``encodings`` is ``keys``: an element is its encoding."""
 
     __slots__ = ("keys", "encodings", "d")
 
@@ -68,23 +69,21 @@ class Ring:
         if not all(map(ctx.is_nonidentity, keys)):
             raise ValueError("ring key is not a group element other than "
                              "the identity")
-        encodings = tuple(map(ctx.encode_element, keys))
-        if len(set(encodings)) != len(keys):
+        if len(set(keys)) != len(keys):
             # Duplicate keys would make distinct windows aggregate to the
             # same value, silently weakening linkability.
             raise ValueError("duplicate ring keys")
-        self.keys = keys
-        self.encodings = encodings
-        self.d = ctx.hash_to_scalar(DOMAIN_RING_DIGEST, encodings)
+        self.keys = self.encodings = keys
+        self.d = ctx.hash_to_scalar(DOMAIN_RING_DIGEST, keys)
 
     def __len__(self) -> int:
         return len(self.keys)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Ring) and self.encodings == other.encodings
+        return isinstance(other, Ring) and self.keys == other.keys
 
     def __hash__(self) -> int:
-        return hash(self.encodings)
+        return hash(self.keys)
 
 
 class SignerWindow:
@@ -207,8 +206,7 @@ def _commit(ctx: GroupContext, ring: Ring, base: int, challenges, tags,
     if statement is not None:
         commit_g = ctx.mul(commit_g, statement.w1)
         commit_h = ctx.mul(commit_h, statement.w2)
-    parts = [*ring.encodings, ctx.encode_element(commit_g),
-             ctx.encode_element(commit_h), message]
+    parts = [*ring.keys, commit_g, commit_h, message]
     return commit_g, commit_h, ctx.hash_to_scalar(DOMAIN_CHALLENGE, parts)
 
 

@@ -35,10 +35,7 @@ class PlainSignature(Record):
 
 def _challenge(ctx: GroupContext, pk: Element, commit: Element,
                message: bytes) -> int:
-    return ctx.hash_to_scalar(
-        DOMAIN_CHALLENGE,
-        [ctx.encode_element(pk), ctx.encode_element(commit), message],
-    )
+    return ctx.hash_to_scalar(DOMAIN_CHALLENGE, [pk, commit, message])
 
 
 def presign(ctx: GroupContext, keypair: KeyPair, message: bytes,

@@ -7,18 +7,18 @@ signature payload is (n+1)*S_z + t*S_g bytes, a statement pair 2*S_g,
 where S_z and S_g are the backend's scalar and element widths.  The
 header is bookkeeping and excluded from those counts.
 
-Scalars are little-endian fixed width; elements use the backend's
-canonical encoding.  Every object but the transaction is a run of
-scalars followed by a run of elements, and one encoder and one decoder
-serve them all.  Decoding is the validity gate: wrong version or tag,
-a payload of the wrong length, non-canonical field encodings and
+Scalars are little-endian fixed width; an element is its own canonical
+encoding, written as it is.  Every object but the transaction is a run
+of scalars followed by a run of elements, and one encoder and one
+decoder serve them all.  Decoding is the validity gate: wrong version or
+tag, a payload of the wrong length, non-canonical field encodings and
 trailing bytes all raise WireError naming the first violated constraint.
 Decoders take any bytes-like payload, and a decoder's work and memory
 are bounded by the bytes it holds, not by the sizes it is told.
 
 Decoders check every element but a ring's keys, which ``Ring`` checks
-once; encoders only serialize.  Pre-signatures and signatures carry no
-dimension fields (so the size law is exact): n and t come from context.
+once.  Pre-signatures and signatures carry no dimension fields (so the
+size law is exact): n and t come from context.
 """
 
 from __future__ import annotations
@@ -102,22 +102,22 @@ def _field(decode, raw: bytes, what: str):
 
 def _encode(ctx: GroupContext, tag: int, scalars=(), elements=()) -> bytes:
     return b"".join([_header(tag), *map(ctx.encode_scalar, scalars),
-                     *map(ctx.encode_element, elements)])
+                     *elements])
 
 
 def _decode(ctx: GroupContext, data: bytes, tag: int, scalars=(),
-            elements=(), parse_element=None) -> tuple[list, list]:
+            elements=(), decode_element=None) -> tuple[list, list]:
     """Decode a run of scalars, then a run of elements, each field named
     as the reader reaches it.  Every field is sliced, and the length
-    checked, before any is decoded.  Elements go through ``parse_element``
-    if given (the caller validates them), else ``ctx.decode_element``."""
+    checked, before any is decoded.  Elements go through
+    ``decode_element`` if given, else ``ctx.decode_element``."""
     reader = _Reader(_payload(data, tag))
     sz, sg = ctx.scalar_size, ctx.element_size
     raw_scalars = [(reader.take(sz, what), what) for what in scalars]
     raw_elements = [(reader.take(sg, what), what) for what in elements]
     reader.done()
     return ([_field(ctx.decode_scalar, *raw) for raw in raw_scalars],
-            [_field(parse_element or ctx.decode_element, *raw)
+            [_field(decode_element or ctx.decode_element, *raw)
              for raw in raw_elements])
 
 
@@ -139,13 +139,13 @@ def decode_scalar(ctx: GroupContext, data: bytes) -> int:
 # --- ring / statement -------------------------------------------------------
 
 def encode_ring(ctx: GroupContext, ring: Ring) -> bytes:
-    return _header(TAG_RING) + b"".join(ring.encodings)
+    return _header(TAG_RING) + b"".join(ring.keys)
 
 def decode_ring(ctx: GroupContext, data: bytes) -> Ring:
-    # n comes from the length.  Ring checks each key, once, and rejects an
-    # empty ring and duplicates.
+    # n comes from the length.  Each key is kept as the bytes read, and
+    # Ring checks it, once, and rejects an empty ring and duplicates.
     n = (len(data) - HEADER_SIZE) // ctx.element_size
-    keys = _decode(ctx, data, TAG_RING, parse_element=ctx._parse_element,
+    keys = _decode(ctx, data, TAG_RING, decode_element=bytes,
                    elements=("ring key" for _ in range(n)))[1]
     try:
         return Ring(ctx, keys)
@@ -267,10 +267,10 @@ class SwapTransaction(Record):
 def encode_transaction(ctx: GroupContext, tx: SwapTransaction) -> bytes:
     out = [_header(TAG_TRANSACTION), tx.chain_id.encode("ascii")]
     if tx.chain_id == CHAIN_PLAIN:
-        out.append(ctx.encode_element(tx.payer_key))
+        out.append(tx.payer_key)
     else:
         out.append(struct.pack(">H", len(tx.ring_keys)))
-        out.extend(ctx.encode_element(pk) for pk in tx.ring_keys)
+        out.extend(tx.ring_keys)
         out.append(struct.pack(">H", tx.threshold))
     out.append(struct.pack(">H", len(tx.payee)))
     out.append(tx.payee)

@@ -19,6 +19,11 @@ def rng():
     return SeededRandomness(12345)
 
 
+def toy_element(residue):
+    """The toy group's element for a residue mod 607: 2 big-endian bytes."""
+    return residue.to_bytes(2, "big")
+
+
 def build_ring(ctx, n, rng):
     """Ring of n distinct members; returns (ring, list of keypairs)."""
     members = distinct_keypairs(ctx, n, rng)

@@ -4,6 +4,8 @@ Deliberately redundant with the library: every quantity is computed with
 raw modular arithmetic and term-by-term products, following the scheme
 equations literally, so the tests can compare the main implementation's
 intermediates against a second derivation that shares no code with it.
+Elements come in and go out as the library writes them, 2-byte big-endian
+residues; the arithmetic in between is on the residues.
 """
 
 import hashlib
@@ -13,11 +15,17 @@ MODULUS = 607
 ORDER = 101
 G = 7
 H = 8
-IDENTITY = 1  # g^0 = h^0: no tag or statement component may be it
 
 
-def enc_element(x: int) -> bytes:
+def element(x: int) -> bytes:
     return x.to_bytes(2, "big")
+
+
+def residue(a: bytes) -> int:
+    return int.from_bytes(a, "big")
+
+
+IDENTITY = element(1)  # g^0 = h^0: no tag or statement component may be it
 
 
 def hash_scalar(tag: bytes, parts) -> int:
@@ -28,12 +36,11 @@ def hash_scalar(tag: bytes, parts) -> int:
 
 
 def ring_digest(pks) -> int:
-    return hash_scalar(b"LTRAS/d", [enc_element(pk) for pk in pks])
+    return hash_scalar(b"LTRAS/d", pks)
 
 
 def challenge_hash(pks, commit_g: int, commit_h: int, message: bytes) -> int:
-    parts = [enc_element(pk) for pk in pks]
-    parts += [enc_element(commit_g), enc_element(commit_h), message]
+    parts = [*pks, element(commit_g), element(commit_h), message]
     return hash_scalar(b"LTRAS/c", parts)
 
 
@@ -43,7 +50,8 @@ def window_products(pks, t: int, d: int):
     for i in range(n):
         acc = 1
         for off in range(t):
-            acc = acc * pow(pks[(i + off) % n], d, MODULUS) % MODULUS
+            pk = residue(pks[(i + off) % n])
+            acc = acc * pow(pk, d, MODULUS) % MODULUS
         out.append(acc)
     return out
 
@@ -51,7 +59,7 @@ def window_products(pks, t: int, d: int):
 def tag_product(tags, d: int) -> int:
     acc = 1
     for tag in tags:
-        acc = acc * pow(tag, d, MODULUS) % MODULUS
+        acc = acc * pow(residue(tag), d, MODULUS) % MODULUS
     return acc
 
 
@@ -65,12 +73,12 @@ def presign(pks, start, window_secrets, message, w1, w2, nonce,
     """
     n = len(pks)
     t = len(window_secrets)
-    tags = [pow(H, sk, MODULUS) for sk in window_secrets]
+    tags = [element(pow(H, sk, MODULUS)) for sk in window_secrets]
     d = ring_digest(pks)
     products = window_products(pks, t, d)
     aggregate = tag_product(tags, d)
-    commit_g = pow(G, nonce, MODULUS) * w1 % MODULUS
-    commit_h = pow(H, nonce, MODULUS) * w2 % MODULUS
+    commit_g = pow(G, nonce, MODULUS) * residue(w1) % MODULUS
+    commit_h = pow(H, nonce, MODULUS) * residue(w2) % MODULUS
     for i in range(n):
         if i != start:
             commit_g = commit_g * pow(products[i], decoy_challenges[i],
@@ -85,10 +93,10 @@ def presign(pks, start, window_secrets, message, w1, w2, nonce,
     return {
         "tags": tags,
         "d": d,
-        "window_products": products,
-        "tag_product": aggregate,
-        "commit_g": commit_g,
-        "commit_h": commit_h,
+        "window_products": [element(y) for y in products],
+        "tag_product": element(aggregate),
+        "commit_g": element(commit_g),
+        "commit_h": element(commit_h),
         "challenge": c,
         "window_challenge": c_window,
         "z_tilde": z_tilde,
@@ -103,8 +111,8 @@ def preverify(pks, z_tilde, challenges, tags, t, message, w1, w2) -> bool:
     d = ring_digest(pks)
     products = window_products(pks, t, d)
     aggregate = tag_product(tags, d)
-    commit_g = pow(G, z_tilde, MODULUS) * w1 % MODULUS
-    commit_h = pow(H, z_tilde, MODULUS) * w2 % MODULUS
+    commit_g = pow(G, z_tilde, MODULUS) * residue(w1) % MODULUS
+    commit_h = pow(H, z_tilde, MODULUS) * residue(w2) % MODULUS
     for i in range(n):
         commit_g = commit_g * pow(products[i], challenges[i], MODULUS) % MODULUS
         commit_h = commit_h * pow(aggregate, challenges[i], MODULUS) % MODULUS
@@ -129,7 +137,7 @@ def verify(pks, z, challenges, tags, t, message) -> bool:
 
 def plain_presign(sk, nonce, message, w1):
     pk = pow(G, sk, MODULUS)
-    commit = pow(G, nonce, MODULUS) * w1 % MODULUS
+    commit = pow(G, nonce, MODULUS) * residue(w1) % MODULUS
     c = hash_scalar(b"schnorr-adaptor/c",
-                    [enc_element(pk), enc_element(commit), message])
+                    [element(pk), element(commit), message])
     return c, (nonce + c * sk) % ORDER

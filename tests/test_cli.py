@@ -434,6 +434,16 @@ def test_malformed_key_file_exits_2(capsys, tmp_path, doc):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_programming_errors_propagate(monkeypatch, tmp_path):
+    # Exit 2 is for bad input and files; a KeyError in a command is a bug.
+    def lookup_bug(*args):
+        raise KeyError("missing")
+
+    monkeypatch.setattr("ringadapt.cli.keygen", lookup_bug)
+    with pytest.raises(KeyError):
+        main(["keygen", "--group", "toy", "--out", str(tmp_path / "k.key")])
+
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 

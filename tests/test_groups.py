@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import toy_element
 from ringadapt import SeededRandomness, groups, setup_group
 from ringadapt.groups import (TOY_MODULUS, TOY_ORDER, UnknownBackendError,
                               frame_parts)
@@ -39,7 +40,8 @@ def test_toy_parameters(toy):
     assert (toy.order, TOY_MODULUS) == (101, 607)
     smallest = [a for a in range(2, TOY_MODULUS)
                 if _mult_order(a) == TOY_ORDER][:2]
-    assert smallest == [toy.generator_g, toy.generator_h]
+    assert list(map(toy_element, smallest)) == [toy.generator_g,
+                                                toy.generator_h]
     assert len(set(toy.elements())) == 101
 
 
@@ -97,12 +99,12 @@ def test_exp_identities(toy, prod):
 
 def test_toy_exp_chain_value(toy):
     # 7^(7*13 mod 101) mod 607
-    assert toy.exp(toy.exp(toy.generator_g, 7), 13) == 574
+    assert toy.exp(toy.exp(toy.generator_g, 7), 13) == toy_element(574)
 
 
 def test_toy_roundtrip_exhaustive(toy):
     for a in toy.elements():
-        assert toy.decode_element(toy.encode_element(a)) == a
+        assert toy.decode_element(a) == a
     for k in range(toy.order):
         assert toy.decode_scalar(toy.encode_scalar(k)) == k
 
@@ -110,9 +112,8 @@ def test_toy_roundtrip_exhaustive(toy):
 def test_prod_roundtrip_random(prod, rng):
     for _ in range(1000):
         a = prod.exp(prod.generator_g, prod.random_scalar_nonzero(rng))
-        assert prod.decode_element(prod.encode_element(a)) == a
-    assert prod.decode_element(prod.encode_element(prod.identity)) \
-        == prod.identity
+        assert prod.decode_element(a) == a
+    assert prod.decode_element(prod.identity) == prod.identity
 
 
 def test_decode_rejects_non_canonical(toy, prod):
@@ -140,6 +141,14 @@ def test_decode_rejects_non_canonical(toy, prod):
                 ctx.decode_scalar(bytes(size))
 
 
+def test_scalars_are_exact_ints(toy, prod):
+    # True == 1, but a look-alike is no scalar: it would encode as 01 00...
+    for ctx in (toy, prod):
+        assert ctx.is_scalar(1) and not ctx.is_scalar(True)
+        with pytest.raises(ValueError, match="out of range"):
+            ctx.encode_scalar(True)
+
+
 def test_hash_to_scalar_contract(toy, prod):
     for ctx in (toy, prod):
         a = ctx.hash_to_scalar(b"tag", [b"ab", b"c"])
@@ -151,7 +160,7 @@ def test_hash_to_scalar_contract(toy, prod):
 
 def test_toy_hash_of_ring_in_range(toy, rng):
     keys = [toy.exp(toy.generator_g, k) for k in (2, 3, 7)]
-    digest = toy.hash_to_scalar(b"d", [toy.encode_element(k) for k in keys])
+    digest = toy.hash_to_scalar(b"d", keys)
     assert 0 <= digest < 101
 
 

@@ -27,7 +27,7 @@ def test_ring_rejects_identity_key(backend):
     data = wire.encode_ring(ctx, ring)
     start = wire.HEADER_SIZE + ctx.element_size     # ring key 1
     end = start + ctx.element_size
-    data = data[:start] + ctx.encode_element(ctx.identity) + data[end:]
+    data = data[:start] + ctx.identity + data[end:]
     with pytest.raises(wire.WireError):
         wire.decode_ring(ctx, data)
 
@@ -43,17 +43,15 @@ def test_identity_ring_key_spend_is_malformed(backend):
     tx = wire.SwapTransaction("B", b"mallory", 1, 1, ring_keys=keys,
                               threshold=1)
     message = wire.encode_transaction(ctx, tx)
-    encodings = [ctx.encode_element(pk) for pk in keys]
-    d = ctx.hash_to_scalar(DOMAIN_RING_DIGEST, encodings)
+    d = ctx.hash_to_scalar(DOMAIN_RING_DIGEST, keys)
     r = ctx.random_scalar_nonzero(rng)
     challenges = [rng.randbelow(ctx.order), 0, rng.randbelow(ctx.order)]
     commit_g = ctx.exp(ctx.generator_g, r)
     for pk, c in zip(keys, challenges):    # window i's key is pk_i^d
         commit_g = ctx.mul(commit_g, ctx.exp(pk, d * c))
     commit_h = ctx.exp(ctx.generator_h, r)  # the tag product is the identity
-    c = ctx.hash_to_scalar(DOMAIN_CHALLENGE, [
-        *encodings, ctx.encode_element(commit_g),
-        ctx.encode_element(commit_h), message])
+    c = ctx.hash_to_scalar(DOMAIN_CHALLENGE,
+                           [*keys, commit_g, commit_h, message])
     challenges[1] = (c - sum(challenges)) % ctx.order
     forged = Signature(r, challenges, (ctx.identity,))
     result = ledger_submit(MockLedger(ctx, "B"), tx, forged)

@@ -7,7 +7,7 @@ product) and no inversion.  verify makes n+t point adds (n-1 folding the
 ring-key powers, t-1 the tags, one per h^s and g^s), and presign and
 preverify two more for the statement.  adapt/ext/link do not depend on n.
 An element is validated only where it enters (ring, tags, statement,
-payer key), never when the program encodes a value it computed.
+payer key), never when the program writes a value it computed.
 """
 
 import copy
@@ -140,8 +140,9 @@ def test_exact_plain_ledger_submit_counts():
     tx, sig = _plain_spend(ctx)
     ctx.take()
     assert ledger_submit(MockLedger(ctx, "A"), tx, sig).accepted
-    # The payer key is the one element checked: by the ledger, then by
-    # schnorr.verify, which a library caller may reach directly.
+    # The payer key is the one element checked: by the ledger, whose
+    # verdict for a non-element is malformed, then by schnorr.verify,
+    # which a library caller may reach directly.
     assert ctx.take() == {"exp": 2, "mul": 1, "is_element": 2, "hash": 1}
 
 

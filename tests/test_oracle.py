@@ -73,7 +73,7 @@ def test_every_intermediate_matches(toy):
                              list(sig.tags), window.width, message)
 
 
-IDENTITY = pow(oracle.H, 0, oracle.MODULUS)
+IDENTITY = oracle.element(pow(oracle.H, 0, oracle.MODULUS))
 
 # Inputs both sides must reject, each made from an honest (z~, c, tags)
 # at n = 3, t = 2.  The differential test below reaches the last two only
@@ -83,8 +83,9 @@ REJECTIONS = {
     # A random-tags draw whose first exponent is 0.
     "identity-tag": lambda z, c, tags: (z, c, (IDENTITY, *tags[1:])),
     # One tag moved onto the other: the product holds, the identity is left.
-    "split-to-identity": lambda z, c, tags: (
-        z, c, (tags[0] * tags[1] % oracle.MODULUS, IDENTITY)),
+    "split-to-identity": lambda z, c, tags: (z, c, (oracle.element(
+        oracle.residue(tags[0]) * oracle.residue(tags[1]) % oracle.MODULUS),
+        IDENTITY)),
 }
 
 
@@ -133,7 +134,7 @@ def test_folded_verification_agrees_with_oracle(toy, n, data):
     if mutation == "random-challenges":
         challenges = data.draw(st.lists(scalar, min_size=n, max_size=n))
     elif mutation == "random-tags":
-        tags = [pow(oracle.H, k, oracle.MODULUS)
+        tags = [oracle.element(pow(oracle.H, k, oracle.MODULUS))
                 for k in data.draw(st.lists(scalar, min_size=t,
                                             max_size=t))]
     elif mutation == "split-tags":
@@ -141,7 +142,9 @@ def test_folded_verification_agrees_with_oracle(toy, n, data):
         # the equation over T checks.
         offsets = data.draw(st.lists(scalar, min_size=t, max_size=t))
         offsets[-1] = -sum(offsets[:-1]) % oracle.ORDER
-        tags = [tag * pow(oracle.H, r, oracle.MODULUS) % oracle.MODULUS
+        tags = [oracle.element(oracle.residue(tag)
+                               * pow(oracle.H, r, oracle.MODULUS)
+                               % oracle.MODULUS)
                 for tag, r in zip(tags, offsets)]
     elif mutation == "zero-challenge-sum":
         challenges = data.draw(st.lists(scalar, min_size=n, max_size=n))

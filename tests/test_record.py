@@ -10,15 +10,18 @@ from ringadapt.groups import Record
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ringadapt"
 
+# Two elements, as the toy group writes the residues 7 and 8.
+P, Q = (7).to_bytes(2, "big"), (8).to_bytes(2, "big")
+
 # One valid set of field values per Record subclass in src/, in field order.
 SAMPLES = {
-    scheme.KeyPair: (5, 7),
-    scheme.StatementPair: (7, 8),
-    scheme.PreSignature: (3, (1, 2), (7,)),
-    scheme.Signature: (3, (1, 2), (7,)),
+    scheme.KeyPair: (5, P),
+    scheme.StatementPair: (P, Q),
+    scheme.PreSignature: (3, (1, 2), (P,)),
+    scheme.Signature: (3, (1, 2), (P,)),
     schnorr.PlainPreSignature: (1, 2),
     schnorr.PlainSignature: (1, 2),
-    wire.SwapTransaction: ("A", b"x", 1, 2, 7, None, None),
+    wire.SwapTransaction: ("A", b"x", 1, 2, P, None, None),
     swap.FaultPlan: (2, None),
     swap.SubmitResult: (False, "malformed"),
     bench.BenchRecord: ("verify", 4, 2, 10, 10, 20, "20", "30"),
@@ -74,8 +77,8 @@ class TestRecord:
 
 
 def test_same_fields_different_type_are_unequal():
-    psig = scheme.PreSignature(3, (1, 2), (7,))
-    sig = scheme.Signature(3, (1, 2), (7,))
+    psig = scheme.PreSignature(3, (1, 2), (P,))
+    sig = scheme.Signature(3, (1, 2), (P,))
     assert psig != sig and sig != psig
     assert len({psig, sig}) == 2
 
@@ -84,38 +87,38 @@ def test_defaults_and_post_init():
     assert swap.FaultPlan() == swap.FaultPlan(None, None)
     assert swap.FaultPlan().abort_after is None
     assert swap.SubmitResult(True).reason is None
-    tx = wire.SwapTransaction("A", b"x", 1, 2, payer_key=7)
+    tx = wire.SwapTransaction("A", b"x", 1, 2, payer_key=P)
     assert (tx.ring_keys, tx.threshold) == (None, None)
     with pytest.raises(ValueError):
         swap.FaultPlan(abort_after=9)
     with pytest.raises(ValueError):
         swap.FaultPlan(abort_after=1, corruption=swap.CORRUPTIONS[0])
     # __post_init__ normalises through object.__setattr__
-    tx = wire.SwapTransaction("B", bytearray(b"x"), 1, 2, ring_keys=[7, 8],
+    tx = wire.SwapTransaction("B", bytearray(b"x"), 1, 2, ring_keys=[P, Q],
                               threshold=1)
-    assert (tx.payee, tx.ring_keys) == (b"x", (7, 8))
-    for tag in (b"k", 7):
+    assert (tx.payee, tx.ring_keys) == (b"x", (P, Q))
+    for tag in (b"k", P):
         sig = scheme.Signature(3, [1, 2], [tag])
         assert (sig.challenges, sig.tags) == ((1, 2), (tag,))
     # A look-alike equals a scalar or an element yet fails its checks, so
     # the signatures a ledger admits refuse them.
     for bad in (2.0, True):
-        for fields in ((bad, (1, 2), (7,)), (3, (1, bad), (7,))):
+        for fields in ((bad, (1, 2), (P,)), (3, (1, bad), (P,))):
             with pytest.raises(ValueError):
                 scheme.Signature(*fields)
         for fields in ((bad, 2), (1, bad)):
             with pytest.raises(ValueError):
                 schnorr.PlainSignature(*fields)
-    for tag in (memoryview(b"k"), bytearray(b"k"), 7.0):
+    for tag in (memoryview(b"k"), bytearray(b"k"), 7.0, 7):
         with pytest.raises(ValueError):
-            scheme.Signature(3, (1, 2), (7, tag))
+            scheme.Signature(3, (1, 2), (P, tag))
 
 
 def test_tag_set_is_cached():
-    sig = scheme.Signature(3, (1, 2), (7, 8, 7))
-    assert sig.tag_set == frozenset({7, 8})
+    sig = scheme.Signature(3, (1, 2), (P, Q, P))
+    assert sig.tag_set == frozenset({P, Q})
     assert sig.tag_set is sig.tag_set
-    assert sig == scheme.Signature(3, (1, 2), (7, 8, 7))
+    assert sig == scheme.Signature(3, (1, 2), (P, Q, P))
 
 
 def test_only_swap_imports_dataclasses():

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_ring, build_window, presign_intermediates
+from conftest import (build_ring, build_window, presign_intermediates,
+                      toy_element)
 from ringadapt import (KeyMismatchError, PreSignature, Ring, SeededRandomness,
                        Signature, SignerWindow, StatementPair, adapt, ext,
                        gen_r, keygen, link, presign, preverify, setup_group,
@@ -17,7 +18,7 @@ from ringadapt.scheme import _presign_body
 
 # Ring used by the frozen vectors: secrets (2, 3, 7) under g = 7 mod 607.
 VEC_SKS = (2, 3, 7)
-VEC_PKS = (49, 343, 451)
+VEC_PKS = tuple(map(toy_element, (49, 343, 451)))
 
 
 def _vector_ring(toy):
@@ -38,7 +39,7 @@ class TestKeygenAndRelation:
             def randbelow(self, n):
                 return self.v
 
-        assert keygen(toy, Fixed(5)).pk == 418  # 7^5 mod 607
+        assert keygen(toy, Fixed(5)).pk == toy_element(418)  # 7^5 mod 607
         assert keygen(toy, Fixed(1)).pk == toy.generator_g
 
     def test_keygen_samples_nonzero(self, toy):
@@ -55,7 +56,8 @@ class TestKeygenAndRelation:
 
         statement, w = gen_r(toy, Fixed())
         assert w == 42
-        assert (statement.w1, statement.w2) == (193, 201)  # (7^42, 8^42)
+        assert (statement.w1, statement.w2) == \
+            (toy_element(193), toy_element(201))  # (7^42, 8^42)
 
     def test_gen_r_unit_witness(self, toy):
         class One:
@@ -78,7 +80,8 @@ class TestKeygenAndRelation:
         assert not verify_relation(toy, StatementPair(toy.exp(g, 7),
                                                       toy.exp(h, 8)), 7)
         # (g^13, h^13) against w = 14
-        assert not verify_relation(toy, StatementPair(8, 212), 14)
+        assert not verify_relation(
+            toy, StatementPair(toy_element(8), toy_element(212)), 14)
 
 
 class TestPresignFrozen:
@@ -99,17 +102,17 @@ class TestPresignFrozen:
         psig, (commit_g, commit_h, c, c_j) = self._run(toy, 0, {1: 4, 2: 9},
                                                        nonce=11)
         assert _vector_ring(toy).d == 40
-        assert (commit_g, commit_h) == (573, 64)
+        assert (commit_g, commit_h) == (toy_element(573), toy_element(64))
         assert c == 13
         assert c_j == 0
         assert psig.z_tilde == 11
         assert psig.challenges == (0, 4, 9)
-        assert psig.tags == (64, 512)
+        assert psig.tags == (toy_element(64), toy_element(512))
 
     def test_trace_vector_b(self, toy):
         psig, (commit_g, commit_h, c, c_j) = self._run(toy, 0, {1: 5, 2: 9},
                                                        nonce=11)
-        assert (commit_g, commit_h) == (316, 1)
+        assert (commit_g, commit_h) == (toy_element(316), toy_element(1))
         assert (c, c_j) == (75, 61)
         assert psig.challenges[0] == c_j
         assert psig.z_tilde == 32
@@ -117,8 +120,8 @@ class TestPresignFrozen:
     def test_trace_vector_c_middle_window(self, toy):
         psig, (commit_g, commit_h, c, c_j) = self._run(
             toy, 1, {0: 8, 2: 31}, nonce=23, message=b"toy message 2")
-        assert psig.tags == (512, 574)  # h^3, h^7
-        assert (commit_g, commit_h) == (565, 451)
+        assert psig.tags == (toy_element(512), toy_element(574))  # h^3, h^7
+        assert (commit_g, commit_h) == (toy_element(565), toy_element(451))
         assert (c, c_j) == (10, 72)
         assert psig.challenges[1] == c_j
         assert psig.z_tilde == 8
@@ -314,8 +317,24 @@ class TestTamper:
                           Signature(sig.z + toy.order, sig.challenges,
                                     sig.tags), 2, b"m")
         assert not verify(toy, ring,
-                          Signature(sig.z, sig.challenges, (2, 64)),
+                          Signature(sig.z, sig.challenges,
+                                    (toy_element(2), toy_element(64))),
                           2, b"m")  # 2 is not in the subgroup
+
+    def test_bool_scalar_returns_false(self, toy):
+        # True == 1, so a z~ of 1 written as True would encode and hash
+        # alike; the verifiers take exact ints, as the constructors do.
+        ring = _vector_ring(toy)
+        window = _vector_window(toy, ring, 0, 2)
+        statement, _ = gen_r(toy, SeededRandomness(6))
+        psig = next(psig for psig in (
+            _presign_body(toy, ring, window, b"m", statement, nonce,
+                          {1: 4, 2: 9}) for nonce in range(1, toy.order))
+            if psig.z_tilde == 1)
+        assert preverify(toy, ring, psig, 2, b"m", statement)
+        forged = PreSignature(True, psig.challenges, psig.tags)
+        assert forged == psig
+        assert not preverify(toy, ring, forged, 2, b"m", statement)
 
     def test_garbage_statement_returns_false(self, toy, prod):
         # A statement that is not even a group element must not raise.
@@ -331,9 +350,10 @@ class TestTamper:
 
 class TestExtraction:
     def test_frozen_subtraction(self, toy):
-        statement = StatementPair(478, 562)  # (g^23, h^23)
-        psig = PreSignature(10, (1, 2), (64,))
-        sig = Signature(33, (1, 2), (64,))
+        statement = StatementPair(toy_element(478),
+                                  toy_element(562))  # (g^23, h^23)
+        psig = PreSignature(10, (1, 2), (toy_element(64),))
+        sig = Signature(33, (1, 2), (toy_element(64),))
         assert ext(toy, statement, psig, sig) == 23
 
     def test_unadapted_signature_fails(self, toy, rng):
@@ -425,8 +445,8 @@ class TestLink:
 
 class TestConstruction:
     def test_duplicate_ring_keys_rejected(self, toy):
-        with pytest.raises(ValueError):
-            Ring(toy, (49, 343, 49))
+        with pytest.raises(ValueError, match="duplicate"):
+            Ring(toy, tuple(map(toy_element, (49, 343, 49))))
 
     def test_empty_ring_rejected(self, toy):
         with pytest.raises(ValueError):

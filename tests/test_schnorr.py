@@ -3,7 +3,7 @@
 import pytest
 
 import straightline as oracle
-from conftest import build_ring, build_window
+from conftest import build_ring, build_window, toy_element
 from ringadapt import (KeyPair, SeededRandomness, StatementPair, gen_r,
                        keygen, schnorr, setup_group)
 from ringadapt import adapt as ring_adapt
@@ -23,7 +23,7 @@ class Fixed:
 def test_frozen_trace(toy):
     # sk = 3, nonce = 9, witness = 4 over the toy group.
     keypair = KeyPair(3, toy.exp(toy.generator_g, 3))
-    assert keypair.pk == 343
+    assert keypair.pk == toy_element(343)
     statement_g = toy.exp(toy.generator_g, 4)
     psig = schnorr.presign(toy, keypair, b"plain message", statement_g,
                            Fixed(9))
@@ -88,7 +88,8 @@ def test_non_element_key_is_rejected(backend):
     psig = schnorr.presign(ctx, keypair, b"m", statement.w1, rng)
     sig = schnorr.adapt(ctx, psig, w)
     g = ctx.generator_g
-    bad_keys = ([0, 2, 607, b"\x00\x07", None] if backend == "toy"
+    bad_keys = ([toy_element(0), toy_element(2), toy_element(607), 7, None]
+                if backend == "toy"
                 else [5, b"\xff" * 32, g[:31], bytearray(g), None])
     for pk in bad_keys:
         assert not ctx.is_element(pk)

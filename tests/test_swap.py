@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from conftest import build_ring, build_window
+from conftest import build_ring, build_window, toy_element
 from ringadapt import (PreSignature, Ring, SeededRandomness, Signature,
                        SignerWindow, adapt, gen_r, keygen, presign, schnorr,
                        setup_group, swap, wire)
@@ -134,7 +134,8 @@ class TestLedger:
         assert not ledger_a.confirmed and not ledger_b.confirmed
 
     @pytest.mark.parametrize("backend, junk",
-                             [("toy", 2), ("prod", b"\xff" * 32)],
+                             [("toy", toy_element(2)),
+                              ("prod", b"\xff" * 32)],
                              ids=["toy", "prod"])
     def test_non_element_keys_are_malformed(self, backend, junk):
         ctx = setup_group(backend)
@@ -391,10 +392,9 @@ class TestRingCache:
         duplicate = _force(tx1, ring_keys=ring.keys[:-1] + ring.keys[:1])
         # Look-alikes equal a confirmed value, but the constructors refuse
         # them, so these are forced past the constructors.
-        lookalike = memoryview if backend == "prod" else float
+        lookalike = memoryview
         lookalike_keys = tuple(map(lookalike, ring.keys))
-        unhashable_keys = tuple(bytearray(ctx.encode_element(pk))
-                                for pk in ring.keys)
+        unhashable_keys = tuple(map(bytearray, ring.keys))
         submissions = [
             (tx1, sig1),                                      # accepted
             (tx1, sig1),                                      # exact replay

@@ -252,11 +252,11 @@ class TestRejection:
         for payee in (bytearray(b"x"), memoryview(b"x")):
             tx = wire.SwapTransaction("A", payee, 1, 1, payer_key=pk)
             assert type(tx.payee) is bytes and tx.payee == b"x"
-        # Keys must be exactly bytes or int: a look-alike equals a key yet
-        # fails its checks.
+        # Keys must be exactly bytes: a look-alike equals a key yet fails
+        # its checks.
         prod_ring, _ = build_ring(prod, 3, rng)
         for keys, lookalike in ((prod_ring.keys, memoryview),
-                                (ring.keys, float)):
+                                (ring.keys, bytearray)):
             forged = (lookalike(keys[0]), *keys[1:])
             with pytest.raises(ValueError):
                 wire.SwapTransaction("B", b"x", 1, 1, ring_keys=forged,
