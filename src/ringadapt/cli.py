@@ -7,7 +7,10 @@ Verdict subcommands print 1 or 0; extraction prints the witness or the
 failure marker.
 
 Exit codes: 0 success / verdict true, 1 verdict false or extraction
-failure, 2 usage or decode error.
+failure, 2 usage, decode or I/O error (a closed stdout pipe included).
+The process leaves through ``os._exit`` once its output is flushed:
+interpreter teardown frees every module and runs a last garbage
+collection, which takes longer than a ``verify``.
 """
 
 from __future__ import annotations
@@ -274,7 +277,9 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """Every subcommand, with options only on ``command``'s parser, or on
+    all of them when it is None: only the invoked one ever parses."""
     parser = argparse.ArgumentParser(
         prog="ringadapt",
         description="Linkable threshold ring adaptor signatures",
@@ -283,23 +288,37 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (fn, help_, options) in COMMANDS.items():
         p = sub.add_parser(name, help=help_)
         p.set_defaults(fn=fn)
-        for flag, keywords in (*COMMON, *options):
-            p.add_argument(flag, **keywords)
+        if command in (None, name):
+            for flag, keywords in (*COMMON, *options):
+                p.add_argument(flag, **keywords)
     return parser
 
 
+def _error(exc: Exception) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         # A module global looked up per call, so a tracer can replace it.
         return args.fn(setup_group(args.group), args)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
 
 
 def entry():
-    sys.exit(main())
+    code = main()
+    try:
+        if sys.stdout is not None:   # None when fd 1 was closed at start-up
+            sys.stdout.flush()
+    except OSError as exc:   # a reader that left early, as if print failed
+        code = _error(exc)
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Prime-order group backends.
 
 Every scheme in this package runs over a cyclic group of prime order p with
-two independent generators g and h and a hash function into Z_p.  Two
-interchangeable backends provide that group:
+two independent generators g and h and a hash function into Z_p (libsodium's
+SHA-512 on both backends).  Two interchangeable backends provide that group:
 
 * ``prod`` -- ristretto255 through one ctypes wrapper of the system
   libsodium: prime order ~2^252, 32-byte canonical element encodings,
@@ -31,9 +31,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import hashlib
 import random
-import secrets
 import struct
 from operator import attrgetter
 from typing import Iterable, Sequence
@@ -117,10 +115,13 @@ class UnknownBackendError(ValueError):
 
 
 class SystemRandomness:
-    """Randomness from the OS CSPRNG."""
+    """Randomness from the OS CSPRNG: ``random.SystemRandom`` draws from
+    ``os.urandom``, as ``secrets`` does, without loading OpenSSL."""
+
+    _rng = random.SystemRandom()
 
     def randbelow(self, bound: int) -> int:
-        return secrets.randbelow(bound)
+        return self._rng.randrange(bound)
 
 
 class SeededRandomness:
@@ -205,7 +206,7 @@ class GroupContext:
         return k
 
     def hash_to_scalar(self, domain_tag: bytes, parts: Sequence[bytes]) -> int:
-        digest = hashlib.sha512(frame_parts(domain_tag, parts)).digest()
+        digest = _sha512(frame_parts(domain_tag, parts))
         return int.from_bytes(digest, "big") % self.order
 
     def random_scalar_nonzero(self, rng=None) -> int:
@@ -280,6 +281,8 @@ _SIGNATURES = {
     "crypto_scalarmult_ristretto255": (ctypes.c_char_p,) * 3,
     "crypto_scalarmult_ristretto255_base": (ctypes.c_char_p,) * 2,
     "crypto_core_ristretto255_from_hash": (ctypes.c_char_p,) * 2,
+    "crypto_hash_sha512": (ctypes.c_char_p, ctypes.c_char_p,
+                           ctypes.c_ulonglong),
 }
 
 
@@ -314,6 +317,13 @@ def _point(name: str, *args: bytes) -> bytes:
     return out.raw
 
 
+def _sha512(data: bytes) -> bytes:
+    """SHA-512 from libsodium, the one hash of both backends."""
+    out = ctypes.create_string_buffer(64)
+    _sodium().crypto_hash_sha512(out, data, len(data))
+    return out.raw
+
+
 def _require_points(*elements):
     """libsodium reads 32 bytes behind each element pointer it is given."""
     for a in elements:
@@ -334,7 +344,7 @@ class RistrettoGroup(GroupContext):
         self.generator_g = _point("crypto_scalarmult_ristretto255_base",
                                   (1).to_bytes(32, "little"))
         self.generator_h = _point("crypto_core_ristretto255_from_hash",
-                                  hashlib.sha512(H_DERIVATION_STRING).digest())
+                                  _sha512(H_DERIVATION_STRING))
 
     def mul(self, a: bytes, b: bytes) -> bytes:
         _require_points(a, b)

@@ -66,13 +66,15 @@ class Ring:
         keys = tuple(keys)
         if not keys:
             raise ValueError("ring needs at least one key")
+        require_exact("ring key", keys)
+        if len(set(keys)) != len(keys):
+            # Duplicate keys would make distinct windows aggregate to the
+            # same value, silently weakening linkability.  Checked before
+            # the keys, so a refused ring costs no group operation.
+            raise ValueError("duplicate ring keys")
         if not all(map(ctx.is_nonidentity, keys)):
             raise ValueError("ring key is not a group element other than "
                              "the identity")
-        if len(set(keys)) != len(keys):
-            # Duplicate keys would make distinct windows aggregate to the
-            # same value, silently weakening linkability.
-            raise ValueError("duplicate ring keys")
         self.keys = self.encodings = keys
         self.d = ctx.hash_to_scalar(DOMAIN_RING_DIGEST, keys)
 

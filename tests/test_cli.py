@@ -461,8 +461,10 @@ TRACED_CLI_NAMES = ("verify", "presign", "preverify", "adapt", "ext", "gen_r",
 
 
 def test_cli_import_loads_only_the_scheme():
+    # hashlib and secrets load OpenSSL; libsodium hashes, os.urandom draws.
     heavy = ("ringadapt.bench", "ringadapt.swap", "dataclasses", "inspect",
-             "ctypes.util", "subprocess", "statistics", "csv")
+             "ctypes.util", "subprocess", "statistics", "csv", "hashlib",
+             "_hashlib", "secrets", "hmac")
     # Modules the interpreter's start-up already loaded do not count.
     out = _child("import sys\n"
                  "before = set(sys.modules)\n"
@@ -483,6 +485,106 @@ def test_lazy_modules_still_resolve():
                  "from ringadapt import swap\n"
                  "print(swap is ringadapt.swap, hasattr(ringadapt, 'nope'))")
     assert out == "10\nTrue False\n"
+
+
+def _python(*args, unbuffered, stdout=subprocess.PIPE):
+    """A Python child whose stdout is unbuffered or block-buffered, as it
+    is on a pipe without PYTHONUNBUFFERED."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, *args], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, timeout=60)
+
+
+def _cli(*argv, unbuffered, stdout=subprocess.PIPE):
+    return _python("-m", "ringadapt.cli", *argv, unbuffered=unbuffered,
+                   stdout=stdout)
+
+
+BUFFERING = pytest.mark.parametrize("unbuffered", [False, True],
+                                    ids=["buffered", "unbuffered"])
+
+
+@BUFFERING
+def test_child_swap_demo_stdout_matches_out_file(tmp_path, unbuffered):
+    argv = ("swap-demo", "--group", "toy", "--seed", "5")
+    printed = _cli(*argv, unbuffered=unbuffered)
+    written = _cli(*argv, "--out", str(tmp_path / "t.jsonl"),
+                   unbuffered=unbuffered)
+    # Buffered, the whole transcript is still in the buffer when main
+    # returns, so only the flush before os._exit delivers it.
+    assert (printed.returncode, printed.stderr) == (0, b"")
+    assert (written.returncode, written.stdout, written.stderr) == (0, b"",
+                                                                    b"")
+    assert printed.stdout == (tmp_path / "t.jsonl").read_bytes()
+    assert printed.stdout.endswith(b'"outcome": "both-confirmed", '
+                                   b'"phase": "alice-claimed"}\n')
+
+
+@BUFFERING
+def test_child_entry_delivers_more_than_a_pipe_holds(unbuffered):
+    # No subcommand prints 64 KiB, so main is replaced by one that does.
+    code = ("import ringadapt.cli as cli\n"
+            "cli.main = lambda: print('x' * 99999, end='!') or 3\n"
+            "cli.entry()\n")
+    result = _python("-c", code, unbuffered=unbuffered)
+    assert (result.returncode, result.stderr) == (3, b"")
+    assert result.stdout == b"x" * 99999 + b"!"
+
+
+@BUFFERING
+def test_child_verify_exit_codes_and_lines(workspace, capsys, tmp_path,
+                                           unbuffered):
+    _presign(workspace, capsys)
+    run(capsys, "adapt", "--group", "toy", "--ring", str(workspace["ring"]),
+        "--threshold", "2", "--presig", str(workspace["presig"]),
+        "--witness", str(workspace["witness"]), "--out", str(workspace["sig"]))
+    garbage = tmp_path / "garbage.bin"
+    garbage.write_bytes(b"\xff\xff\xff")
+    base = ("verify", "--group", "toy", "--ring", str(workspace["ring"]),
+            "--threshold", "2")
+    cases = [
+        (("--message", workspace["message"], "--sig", workspace["sig"]),
+         (0, b"1\n", b"")),
+        (("--message", workspace["statement"], "--sig", workspace["sig"]),
+         (1, b"0\n", b"")),
+        (("--message", workspace["message"], "--sig", garbage),
+         (2, b"", b"error: unsupported version 255\n")),
+    ]
+    for args, expected in cases:
+        result = _cli(*base, *map(str, args), unbuffered=unbuffered)
+        assert (result.returncode, result.stdout, result.stderr) == expected
+
+
+def test_child_usage_error_and_help(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")     # the width help is wrapped to
+    usage = _cli("verify", "--group", "toy", unbuffered=False)
+    assert (usage.returncode, usage.stdout) == (2, b"")
+    assert usage.stderr.decode().splitlines()[-1] == (
+        "ringadapt verify: error: the following arguments are required: "
+        "--ring, --threshold, --message, --sig")
+    shown = _cli("--help", unbuffered=False)
+    assert (shown.returncode, shown.stderr) == (0, b"")
+    # Every command is listed, as by the parser with every option.
+    assert shown.stdout.decode() == build_parser().format_help()
+
+
+@BUFFERING
+def test_child_reader_gone_exits_2(unbuffered):
+    # The pipe's only reader is closed before the child writes, as when
+    # `| head -c 1` has exited: the write fails with EPIPE at the print
+    # (unbuffered) or at entry's flush (buffered), and both exit 2.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = _cli("swap-demo", "--group", "toy", unbuffered=unbuffered,
+                      stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (
+        2, b"error: [Errno 32] Broken pipe\n")
 
 
 # The option surface of every subcommand, in order: flags, action, required,
@@ -558,18 +660,32 @@ CLI_SURFACE = {
 }
 
 
-def test_cli_option_surface_is_pinned():
-    sub = next(action for action in build_parser()._actions
+def _surface(command=None) -> dict:
+    """name -> (help, options) of every subcommand of build_parser."""
+    sub = next(action for action in build_parser(command)._actions
                if isinstance(action, argparse._SubParsersAction))
     helps = {choice.dest: choice.help for choice in sub._choices_actions}
-    assert list(sub.choices) == list(CLI_SURFACE)
-    for name, parser in sub.choices.items():
-        options = [
-            (tuple(a.option_strings),
-             "append" if isinstance(a, argparse._AppendAction) else "store",
-             a.required, getattr(a.type, "__name__", None), a.default,
-             tuple(a.choices) if a.choices else None, a.metavar, a.help)
-            for a in parser._actions
-            if not isinstance(a, argparse._HelpAction)]
-        help_, expected = CLI_SURFACE[name]
-        assert (helps[name], options) == (help_, [_GROUP, *expected]), name
+    return {name: (helps[name], [
+        (tuple(a.option_strings),
+         "append" if isinstance(a, argparse._AppendAction) else "store",
+         a.required, getattr(a.type, "__name__", None), a.default,
+         tuple(a.choices) if a.choices else None, a.metavar, a.help)
+        for a in parser._actions
+        if not isinstance(a, argparse._HelpAction)])
+        for name, parser in sub.choices.items()}
+
+
+def test_cli_option_surface_is_pinned():
+    surface = _surface()
+    assert list(surface) == list(CLI_SURFACE)
+    for name, (help_, expected) in CLI_SURFACE.items():
+        assert surface[name] == (help_, [_GROUP, *expected]), name
+
+
+@pytest.mark.parametrize("command", list(CLI_SURFACE))
+def test_parser_for_one_command_adds_only_its_options(command):
+    full = _surface()
+    # Every command is still listed; only the invoked one has options.
+    assert _surface(command) == {
+        name: (help_, options if name == command else [])
+        for name, (help_, options) in full.items()}

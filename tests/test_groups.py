@@ -2,6 +2,7 @@
 
 import ctypes
 import ctypes.util
+import hashlib
 import itertools
 import os
 import subprocess
@@ -14,8 +15,8 @@ from hypothesis import strategies as st
 
 from conftest import toy_element
 from ringadapt import SeededRandomness, groups, setup_group
-from ringadapt.groups import (TOY_MODULUS, TOY_ORDER, UnknownBackendError,
-                              frame_parts)
+from ringadapt.groups import (H_DERIVATION_STRING, TOY_MODULUS, TOY_ORDER,
+                              UnknownBackendError, frame_parts)
 
 
 def test_setup_is_deterministic():
@@ -156,6 +157,36 @@ def test_hash_to_scalar_contract(toy, prod):
         assert 0 <= a < ctx.order
         assert a != ctx.hash_to_scalar(b"tag", [b"a", b"bc"])
         assert a != ctx.hash_to_scalar(b"gat", [b"ab", b"c"])
+
+
+# FIPS 180-2, appendix C.1: SHA-512 of the one-block message "abc".
+SHA512_ABC = bytes.fromhex(
+    "ddaf35a193617abacc417349ae20413112e6fa4e89a97ea20a9eeee64b55d39a"
+    "2192992a274fc1a836ba3c23a3feebbd454d4423643ce80e2a9ac94fa54ca49f")
+
+
+def test_sha512_known_answer():
+    assert groups._sha512(b"abc") == SHA512_ABC
+    # Lengths around SHA-512's 128-byte block and its 112-byte padding
+    # limit, against the standard library's implementation.
+    data = bytes(range(256)) * 4
+    for size in (0, 111, 112, 127, 128, 129, 1000):
+        assert groups._sha512(data[:size]) == \
+            hashlib.sha512(data[:size]).digest(), size
+
+
+def test_hash_to_scalar_is_one_sha512_on_both_backends(toy, prod):
+    # Both backends reduce the same digest, each by its own order.
+    for tag, parts in ((b"tag", [b"ab", b"c"]), (b"", []),
+                       (b"LTRAS/c", [bytes(32)] * 9)):
+        digest = int.from_bytes(
+            hashlib.sha512(frame_parts(tag, parts)).digest(), "big")
+        assert toy.hash_to_scalar(tag, parts) == digest % toy.order
+        assert prod.hash_to_scalar(tag, parts) == digest % prod.order
+    # h is the hash-to-group image of the same SHA-512.
+    assert prod.generator_h == groups._point(
+        "crypto_core_ristretto255_from_hash",
+        hashlib.sha512(H_DERIVATION_STRING).digest())
 
 
 def test_toy_hash_of_ring_in_range(toy, rng):

@@ -16,17 +16,18 @@ from collections import Counter
 import pytest
 
 from conftest import build_ring, build_window
-from ringadapt import (PreSignature, SeededRandomness, Signature, adapt, ext,
-                       gen_r, keygen, link, presign, preverify, schnorr,
+from ringadapt import (PreSignature, Ring, SeededRandomness, Signature, adapt,
+                       ext, gen_r, keygen, link, presign, preverify, schnorr,
                        verify, wire)
-from ringadapt.groups import ToyGroup
+from ringadapt.groups import RistrettoGroup, ToyGroup
 from ringadapt.swap import MockLedger, ledger_submit
 
 
-class CountingToy(ToyGroup):
-    """The toy group with every operation counted by name."""
+class Counting:
+    """A group backend with every operation counted by name."""
 
     def __init__(self):
+        super().__init__()
         self.counts = Counter()
 
     def take(self) -> dict:
@@ -48,6 +49,14 @@ class CountingToy(ToyGroup):
     def hash_to_scalar(self, domain_tag, parts):
         self.counts["hash"] += 1
         return super().hash_to_scalar(domain_tag, parts)
+
+
+class CountingToy(Counting, ToyGroup):
+    pass
+
+
+class CountingRistretto(Counting, RistrettoGroup):
+    pass
 
 
 def _cells():
@@ -162,6 +171,21 @@ def test_exact_warm_ring_ledger_submit_counts(n, t):
     result = ledger_submit(ledger, copies[1], sig)
     assert result.reason == "double-spend-link"
     # An exact replay is answered before any group operation.
+    assert ctx.take() == {}
+
+
+@pytest.mark.parametrize("backend", [CountingToy, CountingRistretto])
+def test_exact_duplicate_key_ring_counts_nothing(backend):
+    ctx = backend()
+    ring, _ = build_ring(ctx, 4, SeededRandomness(4))
+    keys = (*ring.keys, ring.keys[1])
+    tx = wire.SwapTransaction("B", b"bob", 1, 2, ring_keys=keys, threshold=2)
+    sig = Signature(1, (0,) * len(keys), ring.keys[:2])   # of the right shape
+    ctx.take()
+    with pytest.raises(ValueError, match="^duplicate ring keys$"):
+        Ring(ctx, keys)
+    assert ledger_submit(MockLedger(ctx, "B"), tx, sig).reason == "malformed"
+    # The repeat is found by comparing bytes, before any key is checked.
     assert ctx.take() == {}
 
 

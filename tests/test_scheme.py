@@ -448,6 +448,19 @@ class TestConstruction:
         with pytest.raises(ValueError, match="duplicate"):
             Ring(toy, tuple(map(toy_element, (49, 343, 49))))
 
+    def test_ring_checks_types_then_duplicates_then_keys(self, toy):
+        a, b = toy_element(49), toy_element(343)
+        # A list key is refused by type, before set() could raise
+        # TypeError on it.
+        with pytest.raises(ValueError, match="ring key must be exactly"):
+            Ring(toy, (a, [1], a))
+        # A ring with both a repeated key and the identity reports the
+        # repetition, found without a group operation.
+        with pytest.raises(ValueError, match="^duplicate ring keys$"):
+            Ring(toy, (a, toy.identity, a))
+        with pytest.raises(ValueError, match="other than the identity"):
+            Ring(toy, (a, toy.identity, b))
+
     def test_empty_ring_rejected(self, toy):
         with pytest.raises(ValueError):
             Ring(toy, ())
