@@ -3,8 +3,10 @@
 Artifacts are passed between subcommands as files holding wire-format
 bytes; a key file holds the secret scalar, as a witness file does, and
 ``keygen`` prints the public key's hex for ``ring-build --pubkey``.
-Verdict subcommands print 1 or 0; extraction prints the witness or the
-failure marker.
+A (pre-)signature file's length gives its t once the ring is read, so
+only ``preverify`` and ``verify`` take ``--threshold``: the t they
+require.  Verdict subcommands print 1 or 0; extraction prints the
+witness or the failure marker.
 
 Exit codes: 0 success / verdict true, 1 verdict false or extraction
 failure, 2 usage, decode or I/O error (a closed stdout pipe included).
@@ -55,12 +57,11 @@ def _ring(ctx, path: str) -> Ring:
     return wire.decode_ring(ctx, _read(path))
 
 
-def _presig(ctx, path: str, ring: Ring, threshold: int):
-    return wire.decode_presignature(ctx, _read(path), len(ring), threshold)
-
-
-def _sig(ctx, path: str, ring: Ring, threshold: int):
-    return wire.decode_signature(ctx, _read(path), len(ring), threshold)
+def _signed(ctx, decode, path: str, ring: Ring):
+    """A (pre-)signature file, decoded by ``decode`` at its length's t."""
+    data = _read(path)
+    return decode(ctx, data, len(ring),
+                  wire.signature_threshold(ctx, data, len(ring)))
 
 
 def _statement(ctx, path: str):
@@ -70,15 +71,6 @@ def _statement(ctx, path: str):
 def _verdict(ok: bool) -> int:
     print(int(ok))
     return 0 if ok else 1
-
-
-def _window_arg(value: str) -> tuple[int, int]:
-    try:
-        start, width = value.split(",")
-        return int(start), int(width)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            "window must be 'j,t' (start index, width)") from None
 
 
 def _rng(args):
@@ -119,12 +111,8 @@ def cmd_ring_build(ctx, args) -> int:
 
 def cmd_presign(ctx, args) -> int:
     ring = _ring(ctx, args.ring)
-    start, width = args.window
-    secrets = [_secret(ctx, path) for path in args.key or []]
-    if len(secrets) != width:
-        raise ValueError(f"window width {width} needs {width} --key files, "
-                         f"got {len(secrets)}")
-    window = SignerWindow(ctx, ring, start, secrets)
+    window = SignerWindow(ctx, ring, args.window,
+                          [_secret(ctx, path) for path in args.key or []])
     statement = _statement(ctx, args.statement)
     psig = presign(ctx, ring, window, _read(args.message), statement,
                    _rng(args))
@@ -134,7 +122,7 @@ def cmd_presign(ctx, args) -> int:
 
 def cmd_preverify(ctx, args) -> int:
     ring = _ring(ctx, args.ring)
-    psig = _presig(ctx, args.presig, ring, args.threshold)
+    psig = _signed(ctx, wire.decode_presignature, args.presig, ring)
     statement = _statement(ctx, args.statement)
     return _verdict(preverify(ctx, ring, psig, args.threshold,
                               _read(args.message), statement))
@@ -142,7 +130,7 @@ def cmd_preverify(ctx, args) -> int:
 
 def cmd_adapt(ctx, args) -> int:
     ring = _ring(ctx, args.ring)
-    psig = _presig(ctx, args.presig, ring, args.threshold)
+    psig = _signed(ctx, wire.decode_presignature, args.presig, ring)
     _write(args.out, wire.encode_signature(
         ctx, adapt(ctx, psig, _secret(ctx, args.witness))))
     return 0
@@ -150,15 +138,15 @@ def cmd_adapt(ctx, args) -> int:
 
 def cmd_verify(ctx, args) -> int:
     ring = _ring(ctx, args.ring)
-    sig = _sig(ctx, args.sig, ring, args.threshold)
+    sig = _signed(ctx, wire.decode_signature, args.sig, ring)
     return _verdict(verify(ctx, ring, sig, args.threshold,
                            _read(args.message)))
 
 
 def cmd_ext(ctx, args) -> int:
     ring = _ring(ctx, args.ring)
-    psig = _presig(ctx, args.presig, ring, args.threshold)
-    sig = _sig(ctx, args.sig, ring, args.threshold)
+    psig = _signed(ctx, wire.decode_presignature, args.presig, ring)
+    sig = _signed(ctx, wire.decode_signature, args.sig, ring)
     witness = ext(ctx, _statement(ctx, args.statement), psig, sig)
     if witness is None:
         print(FAILURE_MARK)
@@ -170,9 +158,8 @@ def cmd_ext(ctx, args) -> int:
 def cmd_link(ctx, args) -> int:
     ring_a = _ring(ctx, args.ring)
     ring_b = _ring(ctx, args.ring_b) if args.ring_b else ring_a
-    t_b = args.threshold if args.threshold_b is None else args.threshold_b
-    sig_a = _sig(ctx, args.sig_a, ring_a, args.threshold)
-    sig_b = _sig(ctx, args.sig_b, ring_b, t_b)
+    sig_a = _signed(ctx, wire.decode_signature, args.sig_a, ring_a)
+    sig_b = _signed(ctx, wire.decode_signature, args.sig_b, ring_b)
     return _verdict(link(sig_a, sig_b))
 
 
@@ -243,24 +230,23 @@ COMMANDS = {
         OUT]),
     "presign": (cmd_presign, "produce a ring pre-signature", [
         SEED, RING,
-        ("--window", {"type": _window_arg, "required": True, "metavar": "j,t",
-                      "help": "window start and width; the window may "
-                              "wrap around the ring"}),
+        ("--window", {"type": int, "required": True, "metavar": "j",
+                      "help": "window start; one ring key per --key, and "
+                              "the window may wrap around the ring"}),
         ("--key", {"action": "append",
                    "help": "signer key file, one per window slot, in order"}),
         MESSAGE, STATEMENT, OUT]),
     "preverify": (cmd_preverify, "check a ring pre-signature",
                   [RING, THRESHOLD, MESSAGE, STATEMENT, PRESIG]),
     "adapt": (cmd_adapt, "complete a pre-signature with a witness",
-              [RING, THRESHOLD, PRESIG, ("--witness", REQUIRED), OUT]),
+              [RING, PRESIG, ("--witness", REQUIRED), OUT]),
     "verify": (cmd_verify, "check a full signature",
                [RING, THRESHOLD, MESSAGE, SIG]),
     "ext": (cmd_ext, "extract the witness from a signature pair",
-            [RING, THRESHOLD, STATEMENT, PRESIG, SIG]),
+            [RING, STATEMENT, PRESIG, SIG]),
     "link": (cmd_link, "test whether two signatures share a tag", [
-        RING, THRESHOLD, ("--sig-a", REQUIRED), ("--sig-b", REQUIRED),
-        ("--ring-b", {"help": "ring of the second signature, if different"}),
-        ("--threshold-b", {"type": int})]),
+        RING, ("--sig-a", REQUIRED), ("--sig-b", REQUIRED),
+        ("--ring-b", {"help": "ring of the second signature, if different"})]),
     "swap-demo": (cmd_swap_demo, "run the two-ledger atomic swap", [
         SEED, ("--ring-size", {"type": int, "default": 4}),
         ("--threshold", {"type": int, "default": 2}),

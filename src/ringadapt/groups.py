@@ -153,12 +153,11 @@ def frame_parts(domain_tag: bytes, parts: Iterable[bytes]) -> bytes:
 class GroupContext:
     """Common interface of the group backends.
 
-    Attributes set by subclasses: ``label``, ``order`` (the prime p),
+    Attributes set by subclasses: ``order`` (the prime p),
     ``scalar_size``/``element_size`` (canonical encoding widths in bytes),
     ``generator_g``, ``generator_h`` and ``identity``.
     """
 
-    label: str
     order: int
     scalar_size: int
     element_size: int
@@ -234,7 +233,6 @@ class ToyGroup(GroupContext):
     """Order-101 subgroup of Z_607^*, the exhaustive test oracle backend.
     An element is its residue as 2 big-endian bytes."""
 
-    label = "toy-607"
     order = TOY_ORDER
     scalar_size = 2
     element_size = 2
@@ -334,7 +332,6 @@ def _require_points(*elements):
 class RistrettoGroup(GroupContext):
     """ristretto255: prime order, canonical 32-byte encodings."""
 
-    label = "ristretto255"
     order = RISTRETTO_ORDER
     scalar_size = 32
     element_size = 32

@@ -18,8 +18,8 @@ Bob holds a single key on the plain chain ("A").  The protocol:
 One function, ``_protocol``, runs these steps from top to bottom, and
 every message in transit passes through ``SwapRun.deliver``.  A fault
 acts in one of three places: in ``deliver``, as a rewrite of one
-channel's messages declared once in ``_FAULTS`` (a rewrite to ``None``
-drops the message and aborts the run); in ``SwapRun.end_step``, as an
+channel's messages declared once in ``_FAULTS`` (the dropped broadcast
+aborts the run inside its rewrite); in ``SwapRun.end_step``, as an
 abort point after one of steps 1..4; or in the replay-window pre-run.
 Timeouts are modeled by these abort points, not by wall-clock timers:
 before step 5 nothing has touched a ledger, so an abort simply means no
@@ -209,24 +209,21 @@ class _Aborted(Exception):
     """Raised by ``SwapRun.abort``; ends the run inside ``run_swap``."""
 
 
-# Each channel and the party that receives its messages.
-_RECEIVERS = {"presig-plain": "alice", "presig-ring": "bob",
-              "broadcast": "miners"}
-
-# fault plan -> (channel, transcript event, rewrite of the message)
+# fault plan -> (channel, transcript event, rewrite(run, message))
 _FAULTS = {
     FaultPlan(corruption=TAMPER_PRESIG_B): (
         "presig-plain", "tampered plain pre-signature in transit",
-        lambda ctx, psig: schnorr.PlainPreSignature(
-            psig.challenge, (psig.masked_response + 1) % ctx.order)),
+        lambda run, psig: schnorr.PlainPreSignature(
+            psig.challenge, (psig.masked_response + 1) % run.ctx.order)),
     FaultPlan(corruption=TAMPER_PRESIG_A): (
         "presig-ring", "tampered ring pre-signature in transit",
-        lambda ctx, psig: PreSignature((psig.z_tilde + 1) % ctx.order,
+        lambda run, psig: PreSignature((psig.z_tilde + 1) % run.ctx.order,
                                        psig.challenges, psig.tags)),
     # The broadcast is dropped before the miners process it, so the
     # abort cannot leave assets on only one chain.
     FaultPlan(abort_after=5): (
-        "broadcast", "broadcast dropped before admission", lambda *_: None),
+        "broadcast", "broadcast dropped before admission",
+        lambda run, _: run.abort(5, "miners", "abort-after-step5")),
 }
 
 
@@ -270,16 +267,13 @@ class SwapRun:
             self.abort(step, "adversary", f"abort-after-step{step}")
 
     def deliver(self, step: int, kind: str, message):
-        """``message`` on channel ``kind`` as its receiver gets it: the
-        run's fault rewrites it, and a rewrite to ``None`` aborts the run."""
+        """``message`` on channel ``kind`` as its receiver gets it, after
+        the run's fault rewrites it."""
         channel, event, rewrite = _FAULTS.get(self.fault, (None,) * 3)
         if channel != kind:
             return message
         self.record(step, "adversary", event)
-        message = rewrite(self.ctx, message)
-        if message is None:
-            self.abort(step, _RECEIVERS[kind], f"abort-after-step{step}")
-        return message
+        return rewrite(self, message)
 
     def digest(self, data: bytes) -> str:
         return hashlib.sha256(data).hexdigest()

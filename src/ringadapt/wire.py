@@ -16,9 +16,12 @@ trailing bytes all raise WireError naming the first violated constraint.
 Decoders take any bytes-like payload, and a decoder's work and memory
 are bounded by the bytes it holds, not by the sizes it is told.
 
-Decoders check every element but a ring's keys, which ``Ring`` checks
-once.  Pre-signatures and signatures carry no dimension fields (so the
-size law is exact): n and t come from context.
+Decoders check every element but a ring file's keys, which ``Ring``
+checks.  A transaction's ring keys are checked by its decoder, and again
+by ``Ring`` when a ledger first builds that ring.  Pre-signatures and
+signatures carry no dimension fields (so the size law is exact): n and
+t come from context, and ``signature_threshold`` reads t back from a
+payload's length once n is known.
 """
 
 from __future__ import annotations
@@ -165,6 +168,14 @@ def decode_statement(ctx: GroupContext, data: bytes) -> StatementPair:
 def signature_payload_size(ctx: GroupContext, n: int, t: int) -> int:
     """(n+1)*S_z + t*S_g; also the pre-signature payload size."""
     return (n + 1) * ctx.scalar_size + t * ctx.element_size
+
+
+def signature_threshold(ctx: GroupContext, data: bytes, n: int) -> int:
+    """The t whose payload size fits ``len(data)``, clamped to 1..n so
+    that the decoder names what is wrong with bytes no t fits."""
+    t = ((len(data) - HEADER_SIZE - signature_payload_size(ctx, n, 0))
+         // ctx.element_size)
+    return min(max(t, 1), n)
 
 
 def _decode_sig(ctx: GroupContext, data: bytes, tag: int, n: int, t: int):

@@ -54,7 +54,7 @@ def workspace(tmp_path, capsys):
     return paths
 
 
-def _presign(workspace, capsys, out=None, window="1,2", slots=(1, 2)):
+def _presign(workspace, capsys, out=None, window="1", slots=(1, 2)):
     keys = [arg for slot in slots
             for arg in ("--key", str(workspace["keys"][slot]))]
     return run(capsys, "presign", "--group", "toy", "--seed", "9",
@@ -76,7 +76,7 @@ def test_presign_preverify_adapt_verify_ext(workspace, capsys):
     assert (code, out.strip()) == (0, "1")
 
     code, _ = run(capsys, "adapt", "--group", "toy",
-                  "--ring", str(workspace["ring"]), "--threshold", "2",
+                  "--ring", str(workspace["ring"]),
                   "--presig", str(workspace["presig"]),
                   "--witness", str(workspace["witness"]),
                   "--out", str(workspace["sig"]))
@@ -89,7 +89,7 @@ def test_presign_preverify_adapt_verify_ext(workspace, capsys):
     assert (code, out.strip()) == (0, "1")
 
     code, out = run(capsys, "ext", "--group", "toy",
-                    "--ring", str(workspace["ring"]), "--threshold", "2",
+                    "--ring", str(workspace["ring"]),
                     "--statement", str(workspace["statement"]),
                     "--presig", str(workspace["presig"]),
                     "--sig", str(workspace["sig"]))
@@ -99,12 +99,12 @@ def test_presign_preverify_adapt_verify_ext(workspace, capsys):
 
 
 def test_wrapping_window_round_trip(workspace, capsys):
-    # Window 3,2 holds ring keys 3 and 0: it wraps, as every window
-    # verification aggregates may.
-    code, _ = _presign(workspace, capsys, window="3,2", slots=(3, 0))
+    # Window 3 with two keys holds ring keys 3 and 0: it wraps, as every
+    # window verification aggregates may.
+    code, _ = _presign(workspace, capsys, window="3", slots=(3, 0))
     assert code == 0
     code, _ = run(capsys, "adapt", "--group", "toy",
-                  "--ring", str(workspace["ring"]), "--threshold", "2",
+                  "--ring", str(workspace["ring"]),
                   "--presig", str(workspace["presig"]),
                   "--witness", str(workspace["witness"]),
                   "--out", str(workspace["sig"]))
@@ -119,7 +119,7 @@ def test_wrapping_window_round_trip(workspace, capsys):
 def test_verify_rejects_wrong_message(workspace, capsys, tmp_path):
     _presign(workspace, capsys)
     run(capsys, "adapt", "--group", "toy", "--ring", str(workspace["ring"]),
-        "--threshold", "2", "--presig", str(workspace["presig"]),
+        "--presig", str(workspace["presig"]),
         "--witness", str(workspace["witness"]), "--out", str(workspace["sig"]))
     other = tmp_path / "other.bin"
     other.write_bytes(b"pay mallory everything")
@@ -133,7 +133,7 @@ def test_ext_mismatch_prints_failure_mark(workspace, capsys, tmp_path):
     _presign(workspace, capsys)
     other_presig = tmp_path / "presig2.bin"
     code, _ = run(capsys, "presign", "--group", "toy", "--seed", "10",
-                  "--ring", str(workspace["ring"]), "--window", "1,2",
+                  "--ring", str(workspace["ring"]), "--window", "1",
                   "--key", str(workspace["keys"][1]),
                   "--key", str(workspace["keys"][2]),
                   "--message", str(workspace["message"]),
@@ -141,10 +141,10 @@ def test_ext_mismatch_prints_failure_mark(workspace, capsys, tmp_path):
                   "--out", str(other_presig))
     assert code == 0
     run(capsys, "adapt", "--group", "toy", "--ring", str(workspace["ring"]),
-        "--threshold", "2", "--presig", str(workspace["presig"]),
+        "--presig", str(workspace["presig"]),
         "--witness", str(workspace["witness"]), "--out", str(workspace["sig"]))
     code, out = run(capsys, "ext", "--group", "toy",
-                    "--ring", str(workspace["ring"]), "--threshold", "2",
+                    "--ring", str(workspace["ring"]),
                     "--statement", str(workspace["statement"]),
                     "--presig", str(other_presig),
                     "--sig", str(workspace["sig"]))
@@ -155,13 +155,13 @@ def test_ext_mismatch_prints_failure_mark(workspace, capsys, tmp_path):
 def test_link_subcommand(workspace, capsys, tmp_path):
     _presign(workspace, capsys)
     run(capsys, "adapt", "--group", "toy", "--ring", str(workspace["ring"]),
-        "--threshold", "2", "--presig", str(workspace["presig"]),
+        "--presig", str(workspace["presig"]),
         "--witness", str(workspace["witness"]), "--out", str(workspace["sig"]))
     # overlapping window (1,2) vs (2,2): share key 2
     presig_b = tmp_path / "presig_b.bin"
     sig_b = tmp_path / "sig_b.bin"
     code, _ = run(capsys, "presign", "--group", "toy", "--seed", "11",
-                  "--ring", str(workspace["ring"]), "--window", "2,2",
+                  "--ring", str(workspace["ring"]), "--window", "2",
                   "--key", str(workspace["keys"][2]),
                   "--key", str(workspace["keys"][3]),
                   "--message", str(workspace["message"]),
@@ -169,28 +169,27 @@ def test_link_subcommand(workspace, capsys, tmp_path):
                   "--out", str(presig_b))
     assert code == 0
     run(capsys, "adapt", "--group", "toy", "--ring", str(workspace["ring"]),
-        "--threshold", "2", "--presig", str(presig_b),
+        "--presig", str(presig_b),
         "--witness", str(workspace["witness"]), "--out", str(sig_b))
     code, out = run(capsys, "link", "--group", "toy",
-                    "--ring", str(workspace["ring"]), "--threshold", "2",
+                    "--ring", str(workspace["ring"]),
                     "--sig-a", str(workspace["sig"]), "--sig-b", str(sig_b))
     assert (code, out.strip()) == (0, "1")
     # disjoint window (0,1) vs window (2,2)
     presig_c = tmp_path / "presig_c.bin"
     sig_c = tmp_path / "sig_c.bin"
     run(capsys, "presign", "--group", "toy", "--seed", "12",
-        "--ring", str(workspace["ring"]), "--window", "0,1",
+        "--ring", str(workspace["ring"]), "--window", "0",
         "--key", str(workspace["keys"][0]),
         "--message", str(workspace["message"]),
         "--statement", str(workspace["statement"]),
         "--out", str(presig_c))
     run(capsys, "adapt", "--group", "toy", "--ring", str(workspace["ring"]),
-        "--threshold", "1", "--presig", str(presig_c),
+        "--presig", str(presig_c),
         "--witness", str(workspace["witness"]), "--out", str(sig_c))
     code, out = run(capsys, "link", "--group", "toy",
-                    "--ring", str(workspace["ring"]), "--threshold", "2",
-                    "--sig-a", str(sig_b), "--sig-b", str(sig_c),
-                    "--threshold-b", "1")
+                    "--ring", str(workspace["ring"]),
+                    "--sig-a", str(sig_b), "--sig-b", str(sig_c))
     assert (code, out.strip()) == (1, "0")
     # a second ring (new, key 2, new) whose window covers the shared key 2
     ring_d = tmp_path / "ring_d.bin"
@@ -206,18 +205,18 @@ def test_link_subcommand(workspace, capsys, tmp_path):
     presig_d = tmp_path / "presig_d.bin"
     sig_d = tmp_path / "sig_d.bin"
     run(capsys, "presign", "--group", "toy", "--seed", "13",
-        "--ring", str(ring_d), "--window", "1,1",
+        "--ring", str(ring_d), "--window", "1",
         "--key", str(workspace["keys"][2]),
         "--message", str(workspace["message"]),
         "--statement", str(workspace["statement"]),
         "--out", str(presig_d))
     run(capsys, "adapt", "--group", "toy", "--ring", str(ring_d),
-        "--threshold", "1", "--presig", str(presig_d),
+        "--presig", str(presig_d),
         "--witness", str(workspace["witness"]), "--out", str(sig_d))
     code, out = run(capsys, "link", "--group", "toy",
-                    "--ring", str(workspace["ring"]), "--threshold", "2",
+                    "--ring", str(workspace["ring"]),
                     "--sig-a", str(workspace["sig"]), "--sig-b", str(sig_d),
-                    "--ring-b", str(ring_d), "--threshold-b", "1")
+                    "--ring-b", str(ring_d))
     assert (code, out.strip()) == (0, "1")
 
 
@@ -241,20 +240,111 @@ def test_usage_error_exits_2(capsys):
 
 
 def test_presign_usage_errors_exit_2(workspace, capsys):
-    # One --key file for a window of width 2.
-    assert _presign(workspace, capsys, slots=(1,))[0] == 2
+    # No --key file: the window's width is the number of them, 0.
+    code = main(["presign", "--group", "toy", "--ring", str(workspace["ring"]),
+                 "--window", "1", "--message", str(workspace["message"]),
+                 "--statement", str(workspace["statement"]),
+                 "--out", str(workspace["presig"])])
+    assert code == 2
+    assert "window width 0 out of range" in capsys.readouterr().err
     assert not workspace["presig"].exists()
-    for window in ("1", "1,2,3", "a,2"):
+    for window in ("1,2", "0,1", "a"):
         with pytest.raises(SystemExit) as exc:
             _presign(workspace, capsys, window=window)
         assert exc.value.code == 2
-    assert "window must be 'j,t'" in capsys.readouterr().err
+        assert "argument --window: invalid int value" in \
+            capsys.readouterr().err
+
+
+def _sign(workspace, capsys, window, slots):
+    """Presign and adapt with the workspace's files; both exit 0."""
+    assert _presign(workspace, capsys, window=window, slots=slots)[0] == 0
+    assert run(capsys, "adapt", "--group", "toy",
+               "--ring", str(workspace["ring"]),
+               "--presig", str(workspace["presig"]),
+               "--witness", str(workspace["witness"]),
+               "--out", str(workspace["sig"])) == (0, "")
+
+
+@pytest.mark.parametrize("window, slots", [("0", (0,)), ("1", (1, 2))],
+                         ids=["t=1", "t=2"])
+def test_files_give_their_threshold(workspace, capsys, window, slots):
+    # adapt, ext and link read t from each file's length.
+    _sign(workspace, capsys, window, slots)
+    ring = ("--group", "toy", "--ring", str(workspace["ring"]))
+    files = {name: str(workspace[name])
+             for name in ("message", "statement", "presig", "sig")}
+    t = str(len(slots))
+    assert run(capsys, "preverify", *ring, "--threshold", t,
+               "--message", files["message"],
+               "--statement", files["statement"],
+               "--presig", files["presig"]) == (0, "1\n")
+    assert run(capsys, "verify", *ring, "--threshold", t,
+               "--message", files["message"],
+               "--sig", files["sig"]) == (0, "1\n")
+    assert run(capsys, "ext", *ring, "--statement", files["statement"],
+               "--presig", files["presig"], "--sig", files["sig"]) == (
+        0, workspace["witness"].read_bytes().hex() + "\n")
+    assert run(capsys, "link", *ring, "--sig-a", files["sig"],
+               "--sig-b", files["sig"]) == (0, "1\n")
+
+
+def test_verdicts_take_the_threshold_as_policy(workspace, capsys):
+    # A well-formed t = 2 file under another --threshold, in range or
+    # not, is a false verdict, as the library's verify and preverify say.
+    _sign(workspace, capsys, "1", (1, 2))
+    ring = ("--group", "toy", "--ring", str(workspace["ring"]))
+    for t in ("1", "3", "0", "5"):
+        assert run(capsys, "verify", *ring, "--threshold", t,
+                   "--message", str(workspace["message"]),
+                   "--sig", str(workspace["sig"])) == (1, "0\n")
+        assert run(capsys, "preverify", *ring, "--threshold", t,
+                   "--message", str(workspace["message"]),
+                   "--statement", str(workspace["statement"]),
+                   "--presig", str(workspace["presig"])) == (1, "0\n")
+
+
+def test_adapt_takes_no_threshold(workspace, capsys, tmp_path):
+    assert _presign(workspace, capsys)[0] == 0
+    sig = tmp_path / "sig.bin"
+    with pytest.raises(SystemExit) as exc:
+        main(["adapt", "--group", "toy", "--ring", str(workspace["ring"]),
+              "--threshold", "2", "--presig", str(workspace["presig"]),
+              "--witness", str(workspace["witness"]), "--out", str(sig)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threshold 2" in capsys.readouterr().err
+    assert not sig.exists()
+
+
+def test_bad_signature_files_name_the_fault(workspace, capsys, tmp_path):
+    # The length fixes t before decoding; the decoder still names what
+    # is wrong with a file that is not a signature of this ring.
+    _sign(workspace, capsys, "1", (1, 2))
+    sig = workspace["sig"].read_bytes()
+    bad = tmp_path / "bad.bin"
+    cases = [
+        (b"\xff\xff\xff", "unsupported version 255"),
+        (workspace["statement"].read_bytes(),
+         "object tag 0x04 does not match expected 0x06"),
+        (sig[:-1], "trailing bytes after payload"),
+    ]
+    for data, error in cases:
+        bad.write_bytes(data)
+        for argv in (("verify", "--threshold", "2",
+                      "--message", str(workspace["message"]),
+                      "--sig", str(bad)),
+                     ("link", "--sig-a", str(workspace["sig"]),
+                      "--sig-b", str(bad))):
+            code = main([argv[0], "--group", "toy",
+                         "--ring", str(workspace["ring"]), *argv[1:]])
+            assert code == 2
+            assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
 def test_seed_is_refused_where_no_randomness_is_drawn(workspace, capsys):
     _presign(workspace, capsys)
     run(capsys, "adapt", "--group", "toy", "--ring", str(workspace["ring"]),
-        "--threshold", "2", "--presig", str(workspace["presig"]),
+        "--presig", str(workspace["presig"]),
         "--witness", str(workspace["witness"]), "--out", str(workspace["sig"]))
     argv = ["verify", "--group", "toy", "--ring", str(workspace["ring"]),
             "--threshold", "2", "--message", str(workspace["message"]),
@@ -351,7 +441,7 @@ def test_zero_key_file_exits_2(capsys, tmp_path, group):
         ctx, gen_r(ctx, SeededRandomness(2))[0]))
     message.write_bytes(b"m")
     code = main(["presign", "--group", group, "--ring", str(ring),
-                 "--window", "0,1", "--key", str(zero),
+                 "--window", "0", "--key", str(zero),
                  "--message", str(message), "--statement", str(statement),
                  "--out", str(tmp_path / "presig.bin")])
     assert code == 2
@@ -539,7 +629,7 @@ def test_child_verify_exit_codes_and_lines(workspace, capsys, tmp_path,
                                            unbuffered):
     _presign(workspace, capsys)
     run(capsys, "adapt", "--group", "toy", "--ring", str(workspace["ring"]),
-        "--threshold", "2", "--presig", str(workspace["presig"]),
+        "--presig", str(workspace["presig"]),
         "--witness", str(workspace["witness"]), "--out", str(workspace["sig"]))
     garbage = tmp_path / "garbage.bin"
     garbage.write_bytes(b"\xff\xff\xff")
@@ -622,8 +712,9 @@ CLI_SURFACE = {
     "presign": ("produce a ring pre-signature", [
         _SEED,
         _req("--ring"),
-        (("--window",), "store", True, "_window_arg", None, None, "j,t",
-         "window start and width; the window may wrap around the ring"),
+        (("--window",), "store", True, "int", None, None, "j",
+         "window start; one ring key per --key, and the window may wrap "
+         "around the ring"),
         _opt("--key", help_="signer key file, one per window slot, in order",
              action="append"),
         _req("--message"), _req("--statement"), _req("--out")]),
@@ -631,19 +722,15 @@ CLI_SURFACE = {
         _req("--ring"), _req("--threshold", "int"), _req("--message"),
         _req("--statement"), _req("--presig")]),
     "adapt": ("complete a pre-signature with a witness", [
-        _req("--ring"), _req("--threshold", "int"), _req("--presig"),
-        _req("--witness"), _req("--out")]),
+        _req("--ring"), _req("--presig"), _req("--witness"), _req("--out")]),
     "verify": ("check a full signature", [
         _req("--ring"), _req("--threshold", "int"), _req("--message"),
         _req("--sig")]),
     "ext": ("extract the witness from a signature pair", [
-        _req("--ring"), _req("--threshold", "int"), _req("--statement"),
-        _req("--presig"), _req("--sig")]),
+        _req("--ring"), _req("--statement"), _req("--presig"), _req("--sig")]),
     "link": ("test whether two signatures share a tag", [
-        _req("--ring"), _req("--threshold", "int"), _req("--sig-a"),
-        _req("--sig-b"),
-        _opt("--ring-b", help_="ring of the second signature, if different"),
-        _opt("--threshold-b", "int")]),
+        _req("--ring"), _req("--sig-a"), _req("--sig-b"),
+        _opt("--ring-b", help_="ring of the second signature, if different")]),
     "swap-demo": ("run the two-ledger atomic swap", [
         _SEED,
         _opt("--ring-size", "int", 4), _opt("--threshold", "int", 2),

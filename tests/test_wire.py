@@ -131,6 +131,27 @@ class TestSizeLaw:
                 == expected + wire.HEADER_SIZE
             assert wire.signature_payload_size(ctx, n, t) == expected
 
+    @pytest.mark.parametrize("backend", ["toy", "prod"])
+    def test_signature_threshold_inverts_the_size_law(self, backend):
+        ctx = setup_group(backend)
+        rng = SeededRandomness(4)
+        n = 6
+        for t in range(1, n + 1):
+            psig, sig = _random_sig_objects(ctx, rng, n, t)
+            for data in (wire.encode_presignature(ctx, psig),
+                         wire.encode_signature(ctx, sig)):
+                assert wire.signature_threshold(ctx, data, n) == t
+                # One byte short reads as t - 1 and a trailing byte.
+                assert wire.signature_threshold(ctx, data[:-1], n) \
+                    == max(t - 1, 1)
+        # A length no t fits is clamped, so the decoder names the fault.
+        assert wire.signature_threshold(ctx, b"", n) == 1
+        assert wire.signature_threshold(ctx, bytes(4096), n) == n
+        short = wire.encode_signature(ctx, sig)[:-1]
+        with pytest.raises(wire.WireError, match="trailing bytes"):
+            wire.decode_signature(ctx, short, n,
+                                  wire.signature_threshold(ctx, short, n))
+
     def test_prod_reference_point(self, prod, rng):
         # 32-byte scalars and elements: n=10, t=5 gives 11*32 + 5*32 = 512.
         psig, _ = _random_sig_objects(prod, rng, 10, 5)
