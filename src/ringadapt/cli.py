@@ -77,13 +77,10 @@ def _rng(args):
     return SeededRandomness(args.seed) if args.seed is not None else None
 
 
-def _fault_plan(name: str):
-    """None for 'none', else the plan named 'abortK' or its corruption."""
+def _fault_plans() -> dict:
+    """Each plan of ``swap.FAULT_PLANS`` by name: abortK or its corruption."""
     from .swap import FAULT_PLANS
-    plans = {p.corruption or f"abort{p.abort_after}": p for p in FAULT_PLANS}
-    if name != "none" and name not in plans:
-        raise ValueError(f"unknown fault {name!r}")
-    return plans.get(name)
+    return {p.corruption or f"abort{p.abort_after}": p for p in FAULT_PLANS}
 
 
 def cmd_keygen(ctx, args) -> int:
@@ -166,7 +163,10 @@ def cmd_link(ctx, args) -> int:
 def cmd_swap_demo(ctx, args) -> int:
     import json
     from .swap import Phase, swap_demo
-    fault = _fault_plan(args.fault)
+    plans = _fault_plans()
+    if args.fault != "none" and args.fault not in plans:
+        raise ValueError(f"unknown fault {args.fault!r}")
+    fault = plans.get(args.fault)
     result = swap_demo(ctx, ring_size=args.ring_size,
                        threshold=args.threshold, seed=args.seed or 0,
                        fault=fault)
@@ -296,7 +296,10 @@ def main(argv=None) -> int:
 
 
 def entry():
-    code = main()
+    try:
+        code = main()
+    except SystemExit as exc:   # argparse: 0 after --help, 2 on bad usage
+        code = exc.code
     try:
         if sys.stdout is not None:   # None when fd 1 was closed at start-up
             sys.stdout.flush()

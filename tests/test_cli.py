@@ -661,20 +661,39 @@ def test_child_usage_error_and_help(monkeypatch):
     assert shown.stdout.decode() == build_parser().format_help()
 
 
-@BUFFERING
-def test_child_reader_gone_exits_2(unbuffered):
-    # The pipe's only reader is closed before the child writes, as when
-    # `| head -c 1` has exited: the write fails with EPIPE at the print
-    # (unbuffered) or at entry's flush (buffered), and both exit 2.
+def _cli_into_closed_pipe(*argv, unbuffered):
+    """The child run with stdout a pipe whose only reader is closed before
+    the child writes, as when `| head -c 1` has exited."""
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        result = _cli("swap-demo", "--group", "toy", unbuffered=unbuffered,
-                      stdout=write_end)
+        return _cli(*argv, unbuffered=unbuffered, stdout=write_end)
     finally:
         os.close(write_end)
+
+
+@BUFFERING
+def test_child_reader_gone_exits_2(unbuffered):
+    # The write fails with EPIPE at the print (unbuffered) or at entry's
+    # flush (buffered), and both exit 2.
+    result = _cli_into_closed_pipe("swap-demo", "--group", "toy",
+                                   unbuffered=unbuffered)
     assert (result.returncode, result.stderr) == (
         2, b"error: [Errno 32] Broken pipe\n")
+
+
+@BUFFERING
+def test_child_help_into_a_closed_pipe(unbuffered):
+    # argparse prints help inside parse_args and leaves by SystemExit(0),
+    # which entry catches, so it still flushes and leaves by os._exit.
+    # Buffered, the help is still in the buffer: the flush meets the
+    # closed pipe and the child exits 2, as with a subcommand's output.
+    # Unbuffered, argparse's own write meets the pipe, and argparse's
+    # _print_message discards that error, so the child exits 0.
+    result = _cli_into_closed_pipe("link", "--group", "toy", "--help",
+                                   unbuffered=unbuffered)
+    assert (result.returncode, result.stderr) == (
+        (0, b"") if unbuffered else (2, b"error: [Errno 32] Broken pipe\n"))
 
 
 # The option surface of every subcommand, in order: flags, action, required,

@@ -83,16 +83,17 @@ def test_same_fields_different_type_are_unequal():
     assert len({psig, sig}) == 2
 
 
-def test_defaults_and_post_init():
+def test_defaults_and_post_init(toy):
     assert swap.FaultPlan() == swap.FaultPlan(None, None)
     assert swap.FaultPlan().abort_after is None
     assert swap.SubmitResult(True).reason is None
     tx = wire.SwapTransaction("A", b"x", 1, 2, payer_key=P)
     assert (tx.ring_keys, tx.threshold) == (None, None)
-    with pytest.raises(ValueError):
-        swap.FaultPlan(abort_after=9)
-    with pytest.raises(ValueError):
-        swap.FaultPlan(abort_after=1, corruption=swap.CORRUPTIONS[0])
+    # A fault plan is checked where it is run, not where it is built.
+    for plan in (swap.FaultPlan(abort_after=9),
+                 swap.FaultPlan(abort_after=1, corruption=swap.CORRUPTIONS[0])):
+        with pytest.raises(ValueError):
+            swap.swap_demo(toy, fault=plan)
     # __post_init__ normalises through object.__setattr__
     tx = wire.SwapTransaction("B", bytearray(b"x"), 1, 2, ring_keys=[P, Q],
                               threshold=1)

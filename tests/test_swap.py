@@ -312,13 +312,66 @@ class TestSwapRuns:
         assert swap_demo(toy, seed=21).transcript_jsonl() != \
             swap_demo(toy, seed=22).transcript_jsonl()
 
-    def test_fault_plan_validation(self):
+    def test_fault_plan_validation(self, toy):
+        # A plan is checked where it is run: one that is neither
+        # FaultPlan() nor a key of swap._FAULTS is refused by run_swap.
+        ring, window, bob = make_demo_parties(toy, 4, 2)
+        for plan in (FaultPlan(abort_after=6),
+                     FaultPlan(corruption="melt-the-ledger"),
+                     FaultPlan(abort_after=1, corruption="tamper-presig-a"),
+                     "abort1"):
+            with pytest.raises(ValueError, match="unknown fault plan"):
+                run_swap(toy, ring=ring, window=window, bob_keypair=bob,
+                         fault=plan)
+            with pytest.raises(ValueError, match="unknown fault plan"):
+                swap_demo(toy, fault=plan)
+
+    def test_a_new_fault_is_one_table_entry(self, toy, monkeypatch):
+        # A later fault is one swap._FAULTS entry: run_swap injects it,
+        # and CORRUPTIONS, the list perfbench's swap-e2e builds its mix
+        # from, does not change.
+        plan = FaultPlan(corruption="drop-presig-ring")
         with pytest.raises(ValueError):
-            FaultPlan(abort_after=6)
-        with pytest.raises(ValueError):
-            FaultPlan(corruption="melt-the-ledger")
-        with pytest.raises(ValueError):
-            FaultPlan(abort_after=1, corruption="tamper-presig-a")
+            swap_demo(toy, seed=5, fault=plan)
+        monkeypatch.setitem(swap._FAULTS, plan, (
+            3, "presig-ring", "ring pre-signature dropped in transit",
+            lambda run, _: run.abort(3, "adversary", "drop-presig-ring")))
+        result = swap_demo(toy, seed=5, fault=plan)
+        assert [(r["step"], r["actor"], r["event"])
+                for r in result.transcript[-2:]] == [
+            (3, "adversary", "ring pre-signature dropped in transit"),
+            (3, "adversary", "aborted: drop-presig-ring")]
+        assert result.state.phase is Phase.ABORTED
+        assert result.outcome() == "neither-confirmed"
+        assert not result.ledger_ring.confirmed
+        assert swap.CORRUPTIONS == ("tamper-presig-a", "tamper-presig-b",
+                                    "replay-window")
+
+    def test_toy_chance_events_are_counted(self, toy, prod):
+        # On toy (order 101) a tampered pre-signature passes its
+        # receiver's check by chance about 1 time in 101.  These are the
+        # seeds in 0..299 at (n, t) = (4, 2) where it does: tamper-presig-a
+        # then confirms chain B only, and tamper-presig-b's adapted
+        # signature verifies by the same collision, so both chains
+        # confirm.  A change to the algebra or to the samples (ROADMAP
+        # item 1) redraws these seeds, and must update them here.
+        chance = {}
+        for corruption, seed in itertools.product(
+                ("tamper-presig-a", "tamper-presig-b"), range(300)):
+            outcome = swap_demo(toy, ring_size=4, threshold=2, seed=seed,
+                                fault=FaultPlan(corruption=corruption)
+                                ).outcome()
+            if outcome != "neither-confirmed":
+                chance.setdefault((corruption, outcome), []).append(seed)
+        assert chance == {("tamper-presig-a", "mixed"): [199, 212, 243],
+                          ("tamper-presig-b", "both-confirmed"):
+                              [145, 158, 189]}
+        # On prod the chance is about 2^-252.
+        for corruption, seed in itertools.product(
+                ("tamper-presig-a", "tamper-presig-b"), range(20)):
+            assert swap_demo(prod, ring_size=4, threshold=2, seed=seed,
+                             fault=FaultPlan(corruption=corruption)
+                             ).outcome() == "neither-confirmed"
 
     def test_run_swap_validates_inputs(self, toy, rng):
         ring, members = build_ring(toy, 4, rng)
