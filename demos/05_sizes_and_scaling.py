@@ -24,7 +24,7 @@ for n in (10, 20, 50, 100):
 print("\nmeasuring runtimes (a few seconds)...")
 records = []
 for n in (10, 40, 100):
-    records.extend(bench_cell(ctx, n, n // 2, reps=10))
+    records.extend(bench_cell(ctx, n, n // 2))
 
 print(f"\n{'algorithm':>10} " + " ".join(f"{f'n={n}':>12}" for n in (10, 40, 100)))
 for algorithm in ("presign", "preverify", "verify", "adapt", "ext", "link"):

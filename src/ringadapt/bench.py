@@ -1,10 +1,11 @@
 """Runtime and size measurements across ring sizes.
 
 Measures the nine scheme algorithms for each ring size n with threshold
-t = n/2 and reports mean wall time plus the serialized size of each
-algorithm's output.  Absolute times are hardware-bound; the point of the
-sweep is the scaling shape (signing and verification grow linearly in n,
-adapt/ext/link do not grow at all).
+t = n/2 and reports the mean wall time of ``REPS`` samples plus the
+serialized size of each algorithm's output; every cell draws from seed 0.
+Absolute times are hardware-bound; the point of the sweep is the scaling
+shape (signing and verification grow linearly in n, adapt/ext/link do
+not grow at all).
 
 Each row also carries the communication cost of the algorithm evaluated
 for this scheme and for the baseline threshold-ring adaptor construction
@@ -25,7 +26,7 @@ from .scheme import (Ring, SignerWindow, adapt, distinct_keypairs, ext,
 from .wire import (HEADER_SIZE, encode_presignature, encode_signature,
                    signature_payload_size)
 
-MIN_REPS = 10
+REPS = 10
 
 
 class BenchRecord(Record):
@@ -54,7 +55,7 @@ def _comm_formulas(ctx: GroupContext, n: int, t: int) -> dict[str, tuple[str, st
     }
 
 
-def _mean_ns(fn, reps: int) -> int:
+def _mean_ns(fn) -> int:
     fn()
     fn()
     start = time.perf_counter_ns()
@@ -64,7 +65,7 @@ def _mean_ns(fn, reps: int) -> int:
     # resolution stops mattering.
     inner = max(1, min(2000, 200_000 // once))
     samples = []
-    for _ in range(reps):
+    for _ in range(REPS):
         start = time.perf_counter_ns()
         for _ in range(inner):
             fn()
@@ -72,12 +73,9 @@ def _mean_ns(fn, reps: int) -> int:
     return int(statistics.fmean(samples))
 
 
-def bench_cell(ctx: GroupContext, n: int, t: int, reps: int = MIN_REPS,
-               seed: int = 0) -> list[BenchRecord]:
+def bench_cell(ctx: GroupContext, n: int, t: int) -> list[BenchRecord]:
     """Measure all nine algorithms at one (n, t) point."""
-    if reps < MIN_REPS:
-        raise ValueError(f"reps must be at least {MIN_REPS}")
-    rng = SeededRandomness(seed)
+    rng = SeededRandomness(0)
     members = distinct_keypairs(ctx, n, rng)
     ring = Ring(ctx, [kp.pk for kp in members])
     window = SignerWindow(ctx, ring, 0, [kp.sk for kp in members[:t]])
@@ -109,18 +107,18 @@ def bench_cell(ctx: GroupContext, n: int, t: int, reps: int = MIN_REPS,
     records = []
     for name, fn, size in cases:
         ours, baseline = formulas.get(name, ("", ""))
-        records.append(BenchRecord(name, n, t, _mean_ns(fn, reps), reps,
-                                   size, ours, baseline))
+        records.append(BenchRecord(name, n, t, _mean_ns(fn), REPS, size,
+                                   ours, baseline))
     return records
 
 
-def run_bench(backend: str = "prod", sizes: Iterable[int] = range(10, 101, 10),
-              reps: int = MIN_REPS, seed: int = 0) -> list[BenchRecord]:
+def run_bench(backend: str = "prod", sizes: Iterable[int] = range(10, 101, 10)
+              ) -> list[BenchRecord]:
     """Sweep ring sizes with t = n/2 and collect all records."""
     ctx = setup_group(backend)
     records = []
     for n in sizes:
-        records.extend(bench_cell(ctx, n, max(1, n // 2), reps, seed))
+        records.extend(bench_cell(ctx, n, max(1, n // 2)))
     return records
 
 

@@ -176,11 +176,7 @@ def cmd_swap_demo(ctx, args) -> int:
         "abort_reason": result.state.abort_reason,
         "outcome": result.outcome(),
     }, sort_keys=True)
-    text = result.transcript_jsonl() + "\n" + summary + "\n"
-    if args.out:
-        _write(args.out, text.encode())
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write(result.transcript_jsonl() + "\n" + summary + "\n")
     mixed = result.outcome() == "mixed"
     stuck = fault is None and result.state.phase is not Phase.ALICE_CLAIMED
     return 1 if mixed or stuck else 0
@@ -189,13 +185,7 @@ def cmd_swap_demo(ctx, args) -> int:
 def cmd_bench(ctx, args) -> int:
     from . import bench
     sizes = range(args.min_n, args.max_n + 1, args.step)
-    reps = bench.MIN_REPS if args.reps is None else args.reps
-    records = bench.run_bench(args.group, sizes, reps, args.seed or 0)
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            bench.write_csv(records, fh)
-    else:
-        bench.write_csv(records, sys.stdout)
+    bench.write_csv(bench.run_bench(args.group, sizes), sys.stdout)
     return 0
 
 
@@ -214,8 +204,8 @@ COMMON = (
                  "help": "group backend (default prod)"}),
 )
 
-# name -> (handler, help, options after --group); only the commands that
-# draw randomness take SEED.
+# name -> (handler, help, options after --group); SEED goes to the commands
+# that draw randomness, but bench always draws from seed 0.
 COMMANDS = {
     "keygen": (cmd_keygen, "generate a key pair", [
         SEED, ("--out", {"required": True, "help": "secret key file; the "
@@ -251,21 +241,17 @@ COMMANDS = {
         SEED, ("--ring-size", {"type": int, "default": 4}),
         ("--threshold", {"type": int, "default": 2}),
         ("--fault", {"default": "none",
-                     "help": "none, abort1..abort5 or a corruption name"}),
-        ("--out", {"help": "transcript file (default: stdout)"})]),
+                     "help": "none, abort1..abort5 or a corruption name"})]),
     "bench": (cmd_bench, "sweep ring sizes and emit a CSV", [
-        SEED, ("--min-n", {"type": int, "default": 10}),
+        ("--min-n", {"type": int, "default": 10}),
         ("--max-n", {"type": int, "default": 100}),
-        ("--step", {"type": int, "default": 10}),
-        ("--reps", {"type": int,
-                    "help": "repetitions per cell (default bench.MIN_REPS)"}),
-        ("--out", {"help": "CSV file (default: stdout)"})]),
+        ("--step", {"type": int, "default": 10})]),
 }
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """Every subcommand, with options only on ``command``'s parser, or on
-    all of them when it is None: only the invoked one ever parses."""
+def build_parser(command) -> argparse.ArgumentParser:
+    """Every subcommand, with options only on ``command``'s parser: only
+    the invoked one ever parses."""
     parser = argparse.ArgumentParser(
         prog="ringadapt",
         description="Linkable threshold ring adaptor signatures",
@@ -274,7 +260,7 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     for name, (fn, help_, options) in COMMANDS.items():
         p = sub.add_parser(name, help=help_)
         p.set_defaults(fn=fn)
-        if command in (None, name):
+        if name == command:
             for flag, keywords in (*COMMON, *options):
                 p.add_argument(flag, **keywords)
     return parser

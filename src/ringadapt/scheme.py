@@ -164,6 +164,8 @@ def distinct_keypairs(ctx: GroupContext, count: int, rng=None
 
     Resamples on a duplicate key; collisions are routine in the toy group.
     """
+    if count >= ctx.order:   # there are order - 1 keys g^sk with sk != 0
+        raise ValueError(f"{count} keys asked; the group has {ctx.order - 1}")
     members = []
     seen = set()
     while len(members) < count:

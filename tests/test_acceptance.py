@@ -14,15 +14,14 @@ Criterion notes:
 import itertools
 from contextlib import contextmanager
 
-import straightline as oracle
-from conftest import build_ring, build_window, presign_intermediates
+from conftest import build_ring, build_window
 from ringadapt import (SeededRandomness, Signature, adapt, ext, gen_r, link,
                        presign, preverify, setup_group, verify,
                        verify_relation, wire)
 from ringadapt.bench import by_algorithm, run_bench
 from ringadapt.scheme import _presign_body
 from ringadapt.swap import FAULT_PLANS, MockLedger, ledger_submit, swap_demo
-from test_oracle import random_cases
+from test_oracle import assert_matches_oracle, random_cases
 from test_wire import _random_sig_objects
 
 
@@ -70,28 +69,8 @@ def test_criterion_2_oracle_equivalence(toy):
     """Straight-line oracle reproduces every intermediate bit for bit."""
     with criterion(2, "oracle equivalence on 100+ random traces"):
         rng = SeededRandomness(424242)
-        for ring, window, statement, w, message, nonce, decoys in \
-                random_cases(toy, rng, 100):
-            psig = _presign_body(toy, ring, window, message, statement,
-                                 nonce, decoys)
-            commit_g, commit_h, challenge, window_challenge = \
-                presign_intermediates(toy, ring, window, message, statement,
-                                      nonce, decoys)
-            expected = oracle.presign(ring.keys, window.start,
-                                      window.secrets, message, statement.w1,
-                                      statement.w2, nonce, decoys)
-            sig = adapt(toy, psig, w)
-            assert ring.d == expected["d"]
-            assert list(window.tags) == expected["tags"]
-            assert commit_g == expected["commit_g"]
-            assert commit_h == expected["commit_h"]
-            assert challenge == expected["challenge"]
-            assert window_challenge == expected["window_challenge"]
-            assert psig.challenges[window.start] == window_challenge
-            assert psig.z_tilde == expected["z_tilde"]
-            assert list(psig.challenges) == expected["challenges"]
-            assert sig.z == (expected["z_tilde"] + w) % oracle.ORDER
-            assert ext(toy, statement, psig, sig) == w
+        for case in random_cases(toy, rng, 100):
+            assert_matches_oracle(toy, case)
 
 
 def test_criterion_3_adaptability(toy):
@@ -290,7 +269,7 @@ def test_criterion_8_scaling_shape():
     with criterion(8, "scaling shape: n=100 within 14x of n=10 for "
                       "presign/preverify/verify; adapt/ext/link flat "
                       "within 3x"):
-        records = run_bench("prod", sizes=range(10, 101, 10), reps=10, seed=0)
+        records = run_bench("prod", sizes=range(10, 101, 10))
         for algorithm in ("presign", "preverify", "verify"):
             times = by_algorithm(records, algorithm)
             ratio = times[100].mean_ns / times[10].mean_ns

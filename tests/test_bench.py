@@ -2,28 +2,21 @@
 
 import io
 
-import pytest
-
-from ringadapt.bench import (CSV_COLUMNS, bench_cell, by_algorithm, run_bench,
-                             write_csv)
+from ringadapt.bench import (CSV_COLUMNS, REPS, bench_cell, by_algorithm,
+                             run_bench, write_csv)
 
 ALGORITHMS = {"setup", "keygen", "genr", "presign", "preverify", "adapt",
               "verify", "ext", "link"}
 
 
 def test_cell_covers_all_algorithms(toy):
-    records = bench_cell(toy, 6, 3, reps=10)
+    records = bench_cell(toy, 6, 3)
     assert {r.algorithm for r in records} == ALGORITHMS
-    assert all(r.reps >= 10 and r.mean_ns > 0 for r in records)
-
-
-def test_reps_floor_enforced(toy):
-    with pytest.raises(ValueError):
-        bench_cell(toy, 4, 2, reps=5)
+    assert all(r.reps == REPS == 10 and r.mean_ns > 0 for r in records)
 
 
 def test_prod_size_column(prod):
-    records = bench_cell(prod, 10, 5, reps=10)
+    records = bench_cell(prod, 10, 5)
     sizes = {r.algorithm: r.bytes for r in records}
     assert sizes["presign"] == 512  # (10+1)*32 + 5*32
     assert sizes["adapt"] == 512
@@ -34,7 +27,7 @@ def test_prod_size_column(prod):
 
 
 def test_table_annotations(toy):
-    records = bench_cell(toy, 10, 5, reps=10)
+    records = bench_cell(toy, 10, 5)
     per = {r.algorithm: r for r in records}
     # toy widths: S_z = S_g = 2
     assert per["presign"].comm_ours == str(11 * 2 + 5 * 2)
@@ -45,7 +38,7 @@ def test_table_annotations(toy):
 
 def test_csv_schema(toy):
     out = io.StringIO()
-    write_csv(bench_cell(toy, 4, 2, reps=10), out)
+    write_csv(bench_cell(toy, 4, 2), out)
     lines = out.getvalue().strip().splitlines()
     assert lines[0].split(",") == list(CSV_COLUMNS)
     assert len(lines) == 1 + len(ALGORITHMS)
@@ -54,7 +47,7 @@ def test_csv_schema(toy):
 def test_prod_scaling_sanity():
     # Means must grow with n for the ring-dependent algorithms; allow a
     # small dip for timer noise.
-    records = run_bench("prod", sizes=(10, 40, 70, 100), reps=10, seed=0)
+    records = run_bench("prod", sizes=(10, 40, 70, 100))
     for algorithm in ("presign", "preverify", "verify"):
         times = by_algorithm(records, algorithm)
         means = [times[n].mean_ns for n in (10, 40, 70, 100)]

@@ -457,7 +457,7 @@ def test_json_key_file_is_refused(capsys, tmp_path):
     assert "unsupported version" in capsys.readouterr().err
 
 
-def test_swap_demo_happy_and_faulty(capsys, tmp_path):
+def test_swap_demo_happy_and_faulty(capsys):
     code, out = run(capsys, "swap-demo", "--group", "toy", "--seed", "5",
                     "--ring-size", "4", "--threshold", "2")
     assert code == 0
@@ -465,13 +465,10 @@ def test_swap_demo_happy_and_faulty(capsys, tmp_path):
     assert lines[-1]["event"] == "outcome"
     assert lines[-1]["outcome"] == "both-confirmed"
 
-    out_file = tmp_path / "transcript.jsonl"
-    code = main(["swap-demo", "--group", "toy", "--seed", "5",
-                 "--fault", "abort3", "--out", str(out_file)])
-    capsys.readouterr()
+    code, out = run(capsys, "swap-demo", "--group", "toy", "--seed", "5",
+                    "--fault", "abort3")
     assert code == 0
-    records = [json.loads(line)
-               for line in out_file.read_text().strip().splitlines()]
+    records = [json.loads(line) for line in out.strip().splitlines()]
     assert records[-1]["outcome"] == "neither-confirmed"
     assert records[-1]["phase"] == "aborted"
 
@@ -489,8 +486,7 @@ def test_swap_demo_unknown_fault_exits_2(capsys, fault):
 
 def test_bench_csv_schema(capsys):
     code, out = run(capsys, "bench", "--group", "toy", "--min-n", "10",
-                    "--max-n", "20", "--step", "10", "--reps", "10",
-                    "--seed", "0")
+                    "--max-n", "20", "--step", "10")
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["algorithm", "n", "t", "mean_ns", "reps", "bytes",
@@ -505,12 +501,12 @@ def test_bench_csv_schema(capsys):
 
 
 def test_bench_default_reps(capsys):
-    from ringadapt.bench import MIN_REPS
+    from ringadapt.bench import REPS
     code, out = run(capsys, "bench", "--group", "toy", "--min-n", "2",
                     "--max-n", "2")
     assert code == 0
     body = list(csv.reader(io.StringIO(out)))[1:]
-    assert body and all(int(r[4]) == MIN_REPS for r in body)
+    assert body and all(int(r[4]) == REPS for r in body)
 
 
 @pytest.mark.parametrize("doc", ["[]", '{"group": "toy-607", "sk": 5, '
@@ -568,16 +564,16 @@ def test_cli_import_loads_only_the_scheme():
 
 def test_lazy_modules_still_resolve():
     out = _child("from ringadapt import *\n"
-                 "print(bench.MIN_REPS, swap.MockLedger.__name__)")
+                 "print(bench.REPS, swap.MockLedger.__name__)")
     assert out == "10 MockLedger\n"
     out = _child("import ringadapt\n"
-                 "print(ringadapt.bench.MIN_REPS)\n"
+                 "print(ringadapt.bench.REPS)\n"
                  "from ringadapt import swap\n"
                  "print(swap is ringadapt.swap, hasattr(ringadapt, 'nope'))")
     assert out == "10\nTrue False\n"
 
 
-def _python(*args, unbuffered, stdout=subprocess.PIPE):
+def _python(*args, unbuffered, stdout=subprocess.PIPE, timeout=60):
     """A Python child whose stdout is unbuffered or block-buffered, as it
     is on a pipe without PYTHONUNBUFFERED."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -585,12 +581,12 @@ def _python(*args, unbuffered, stdout=subprocess.PIPE):
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run([sys.executable, *args], env=env, stdout=stdout,
-                          stderr=subprocess.PIPE, timeout=60)
+                          stderr=subprocess.PIPE, timeout=timeout)
 
 
-def _cli(*argv, unbuffered, stdout=subprocess.PIPE):
+def _cli(*argv, unbuffered, stdout=subprocess.PIPE, timeout=60):
     return _python("-m", "ringadapt.cli", *argv, unbuffered=unbuffered,
-                   stdout=stdout)
+                   stdout=stdout, timeout=timeout)
 
 
 BUFFERING = pytest.mark.parametrize("unbuffered", [False, True],
@@ -598,19 +594,29 @@ BUFFERING = pytest.mark.parametrize("unbuffered", [False, True],
 
 
 @BUFFERING
-def test_child_swap_demo_stdout_matches_out_file(tmp_path, unbuffered):
+def test_child_swap_demo_stdout_matches_out_file(capsys, unbuffered):
+    # The child's stdout against main's output in this process.
     argv = ("swap-demo", "--group", "toy", "--seed", "5")
     printed = _cli(*argv, unbuffered=unbuffered)
-    written = _cli(*argv, "--out", str(tmp_path / "t.jsonl"),
-                   unbuffered=unbuffered)
+    code, out = run(capsys, *argv)
     # Buffered, the whole transcript is still in the buffer when main
     # returns, so only the flush before os._exit delivers it.
-    assert (printed.returncode, printed.stderr) == (0, b"")
-    assert (written.returncode, written.stdout, written.stderr) == (0, b"",
-                                                                    b"")
-    assert printed.stdout == (tmp_path / "t.jsonl").read_bytes()
+    assert (printed.returncode, printed.stderr, code) == (0, b"", 0)
+    assert printed.stdout == out.encode()
     assert printed.stdout.endswith(b'"outcome": "both-confirmed", '
                                    b'"phase": "alice-claimed"}\n')
+
+
+@pytest.mark.parametrize("argv", [("swap-demo", "--ring-size", "101"),
+                                  ("bench", "--min-n", "101", "--max-n",
+                                   "101")], ids=["swap-demo", "bench"])
+def test_child_ring_larger_than_the_toy_group_exits_2(argv):
+    # The toy group has 100 keys other than the identity: a 101-key ring
+    # is refused before any key is drawn, well within the timeout.
+    result = _cli(argv[0], "--group", "toy", *argv[1:], unbuffered=False,
+                  timeout=5)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        2, b"", b"error: 101 keys asked; the group has 100\n")
 
 
 @BUFFERING
@@ -657,8 +663,8 @@ def test_child_usage_error_and_help(monkeypatch):
         "--ring, --threshold, --message, --sig")
     shown = _cli("--help", unbuffered=False)
     assert (shown.returncode, shown.stderr) == (0, b"")
-    # Every command is listed, as by the parser with every option.
-    assert shown.stdout.decode() == build_parser().format_help()
+    # Every command is listed, as by main's parser for this argv.
+    assert shown.stdout.decode() == build_parser("--help").format_help()
 
 
 def _cli_into_closed_pipe(*argv, unbuffered):
@@ -754,20 +760,16 @@ CLI_SURFACE = {
         _SEED,
         _opt("--ring-size", "int", 4), _opt("--threshold", "int", 2),
         _opt("--fault", default="none",
-             help_="none, abort1..abort5 or a corruption name"),
-        _opt("--out", help_="transcript file (default: stdout)")]),
+             help_="none, abort1..abort5 or a corruption name")]),
     "bench": ("sweep ring sizes and emit a CSV", [
-        _SEED,
         _opt("--min-n", "int", 10), _opt("--max-n", "int", 100),
-        _opt("--step", "int", 10),
-        _opt("--reps", "int",
-             help_="repetitions per cell (default bench.MIN_REPS)"),
-        _opt("--out", help_="CSV file (default: stdout)")]),
+        _opt("--step", "int", 10)]),
 }
 
 
-def _surface(command=None) -> dict:
-    """name -> (help, options) of every subcommand of build_parser."""
+def _surface(command) -> dict:
+    """name -> (help, options) of every subcommand of
+    build_parser(command)."""
     sub = next(action for action in build_parser(command)._actions
                if isinstance(action, argparse._SubParsersAction))
     helps = {choice.dest: choice.help for choice in sub._choices_actions}
@@ -782,7 +784,8 @@ def _surface(command=None) -> dict:
 
 
 def test_cli_option_surface_is_pinned():
-    surface = _surface()
+    # One parser per command, as main builds it for that command.
+    surface = {name: _surface(name)[name] for name in _surface(None)}
     assert list(surface) == list(CLI_SURFACE)
     for name, (help_, expected) in CLI_SURFACE.items():
         assert surface[name] == (help_, [_GROUP, *expected]), name
@@ -790,8 +793,7 @@ def test_cli_option_surface_is_pinned():
 
 @pytest.mark.parametrize("command", list(CLI_SURFACE))
 def test_parser_for_one_command_adds_only_its_options(command):
-    full = _surface()
     # Every command is still listed; only the invoked one has options.
     assert _surface(command) == {
-        name: (help_, options if name == command else [])
-        for name, (help_, options) in full.items()}
+        name: (help_, [_GROUP, *options] if name == command else [])
+        for name, (help_, options) in CLI_SURFACE.items()}

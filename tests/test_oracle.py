@@ -39,32 +39,37 @@ def random_cases(toy, rng, trials):
             return
 
 
+def assert_matches_oracle(toy, case):
+    """Every intermediate of one case's presign, adapt and ext equals the
+    oracle's; returns the pre-signature and the adapted signature."""
+    ring, window, statement, w, message, nonce, decoys = case
+    psig = _presign_body(toy, ring, window, message, statement, nonce, decoys)
+    commit_g, commit_h, challenge, window_challenge = presign_intermediates(
+        toy, ring, window, message, statement, nonce, decoys)
+    expected = oracle.presign(ring.keys, window.start, window.secrets,
+                              message, statement.w1, statement.w2, nonce,
+                              decoys)
+    assert ring.d == expected["d"]
+    assert list(window.tags) == expected["tags"]
+    assert commit_g == expected["commit_g"]
+    assert commit_h == expected["commit_h"]
+    assert challenge == expected["challenge"]
+    assert window_challenge == expected["window_challenge"]
+    assert psig.challenges[window.start] == window_challenge
+    assert psig.z_tilde == expected["z_tilde"]
+    assert list(psig.challenges) == expected["challenges"]
+
+    sig = adapt(toy, psig, w)
+    assert sig.z == (expected["z_tilde"] + w) % oracle.ORDER
+    assert ext(toy, statement, psig, sig) == w
+    return psig, sig
+
+
 def test_every_intermediate_matches(toy):
     rng = SeededRandomness(2024)
-    for ring, window, statement, w, message, nonce, decoys in \
-            random_cases(toy, rng, 120):
-        psig = _presign_body(toy, ring, window, message, statement, nonce,
-                             decoys)
-        commit_g, commit_h, challenge, window_challenge = \
-            presign_intermediates(toy, ring, window, message, statement,
-                                  nonce, decoys)
-        expected = oracle.presign(ring.keys, window.start, window.secrets,
-                                  message, statement.w1, statement.w2,
-                                  nonce, decoys)
-        assert ring.d == expected["d"]
-        assert list(window.tags) == expected["tags"]
-        assert commit_g == expected["commit_g"]
-        assert commit_h == expected["commit_h"]
-        assert challenge == expected["challenge"]
-        assert window_challenge == expected["window_challenge"]
-        assert psig.challenges[window.start] == window_challenge
-        assert psig.z_tilde == expected["z_tilde"]
-        assert list(psig.challenges) == expected["challenges"]
-
-        sig = adapt(toy, psig, w)
-        assert sig.z == (expected["z_tilde"] + w) % oracle.ORDER
-        assert ext(toy, statement, psig, sig) == w
-
+    for case in random_cases(toy, rng, 120):
+        psig, sig = assert_matches_oracle(toy, case)
+        ring, window, statement, _, message, _, _ = case
         assert oracle.preverify(ring.keys, psig.z_tilde,
                                 list(psig.challenges), list(psig.tags),
                                 window.width, message, statement.w1,

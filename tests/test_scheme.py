@@ -14,7 +14,7 @@ from ringadapt import (KeyMismatchError, PreSignature, Ring, SeededRandomness,
                        Signature, SignerWindow, StatementPair, adapt, ext,
                        gen_r, keygen, link, presign, preverify, setup_group,
                        verify, verify_relation)
-from ringadapt.scheme import _presign_body
+from ringadapt.scheme import _presign_body, distinct_keypairs
 
 # Ring used by the frozen vectors: secrets (2, 3, 7) under g = 7 mod 607.
 VEC_SKS = (2, 3, 7)
@@ -48,6 +48,20 @@ class TestKeygenAndRelation:
             kp = keygen(toy, rng)
             assert 1 <= kp.sk < toy.order
             assert kp.pk == toy.exp(toy.generator_g, kp.sk)
+
+    def test_distinct_keypairs_stops_at_the_group_size(self, toy):
+        # The toy group has 100 keys g^sk, sk != 0: all of them can be
+        # drawn, and a 101st is refused before any draw.
+        members = distinct_keypairs(toy, toy.order - 1, SeededRandomness(3))
+        assert sorted(kp.sk for kp in members) == list(range(1, toy.order))
+
+        class NoDraws:
+            def randbelow(self, n):
+                raise AssertionError("a key was drawn")
+
+        with pytest.raises(ValueError, match="101 keys asked; the group "
+                                             "has 100"):
+            distinct_keypairs(toy, toy.order, NoDraws())
 
     def test_gen_r_frozen(self, toy):
         class Fixed:
