@@ -112,10 +112,9 @@ def bench_cell(ctx: GroupContext, n: int, t: int) -> list[BenchRecord]:
     return records
 
 
-def run_bench(backend: str = "prod", sizes: Iterable[int] = range(10, 101, 10)
-              ) -> list[BenchRecord]:
-    """Sweep ring sizes with t = n/2 and collect all records."""
-    ctx = setup_group(backend)
+def run_bench(sizes: Iterable[int] = range(10, 101, 10)) -> list[BenchRecord]:
+    """Sweep ring sizes with t = n/2 on prod and collect all records."""
+    ctx = setup_group("prod")
     records = []
     for n in sizes:
         records.extend(bench_cell(ctx, n, max(1, n // 2)))

@@ -1,4 +1,4 @@
-"""Command-line surface.
+"""Command-line surface, on ristretto255 with OS randomness.
 
 Artifacts are passed between subcommands as files holding wire-format
 bytes; a key file holds the secret scalar, as a witness file does, and
@@ -22,7 +22,7 @@ import os
 import sys
 
 from . import wire
-from .groups import _BACKENDS, SeededRandomness, setup_group
+from .groups import setup_group
 from .scheme import (Ring, SignerWindow, adapt, ext, keygen, gen_r, link,
                      presign, preverify, verify)
 
@@ -42,15 +42,7 @@ def _write(path: str, data: bytes, secret: bool = False):
 
 
 def _secret(ctx, path: str) -> int:
-    data = _read(path)
-    try:
-        return wire.decode_scalar(ctx, data)
-    except wire.WireError as exc:
-        # Name each group's width: the other group's key differs in length.
-        sizes = ", ".join(f"{wire.HEADER_SIZE + cls.scalar_size} bytes for "
-                          f"--group {name}" for name, cls in _BACKENDS.items())
-        raise ValueError(f"{exc}: secret file {path} is {len(data)} bytes; "
-                         f"a secret file is {sizes}") from None
+    return wire.decode_scalar(ctx, _read(path))
 
 
 def _ring(ctx, path: str) -> Ring:
@@ -73,10 +65,6 @@ def _verdict(ok: bool) -> int:
     return 0 if ok else 1
 
 
-def _rng(args):
-    return SeededRandomness(args.seed) if args.seed is not None else None
-
-
 def _fault_plans() -> dict:
     """Each plan of ``swap.FAULT_PLANS`` by name: abortK or its corruption."""
     from .swap import FAULT_PLANS
@@ -84,15 +72,18 @@ def _fault_plans() -> dict:
 
 
 def cmd_keygen(ctx, args) -> int:
-    pair = keygen(ctx, _rng(args))
+    pair = keygen(ctx)
     _write(args.out, wire.encode_scalar(ctx, pair.sk), secret=True)
     print(wire.encode_element(ctx, pair.pk).hex())
     return 0
 
 
 def cmd_genr(ctx, args) -> int:
-    statement, witness = gen_r(ctx, _rng(args))
+    statement, witness = gen_r(ctx)
     _write(args.witness_out, wire.encode_scalar(ctx, witness), secret=True)
+    if os.path.exists(args.out) and os.path.samefile(args.out,
+                                                     args.witness_out):
+        raise ValueError(f"--out {args.out} is the witness file")
     _write(args.out, wire.encode_statement(ctx, statement))
     return 0
 
@@ -111,8 +102,7 @@ def cmd_presign(ctx, args) -> int:
     window = SignerWindow(ctx, ring, args.window,
                           [_secret(ctx, path) for path in args.key or []])
     statement = _statement(ctx, args.statement)
-    psig = presign(ctx, ring, window, _read(args.message), statement,
-                   _rng(args))
+    psig = presign(ctx, ring, window, _read(args.message), statement)
     _write(args.out, wire.encode_presignature(ctx, psig))
     return 0
 
@@ -168,7 +158,7 @@ def cmd_swap_demo(ctx, args) -> int:
         raise ValueError(f"unknown fault {args.fault!r}")
     fault = plans.get(args.fault)
     result = swap_demo(ctx, ring_size=args.ring_size,
-                       threshold=args.threshold, seed=args.seed or 0,
+                       threshold=args.threshold, seed=args.seed,
                        fault=fault)
     summary = json.dumps({
         "event": "outcome",
@@ -185,7 +175,7 @@ def cmd_swap_demo(ctx, args) -> int:
 def cmd_bench(ctx, args) -> int:
     from . import bench
     sizes = range(args.min_n, args.max_n + 1, args.step)
-    bench.write_csv(bench.run_bench(args.group, sizes), sys.stdout)
+    bench.write_csv(bench.run_bench(sizes), sys.stdout)
     return 0
 
 
@@ -198,20 +188,14 @@ STATEMENT = ("--statement", REQUIRED)
 PRESIG = ("--presig", REQUIRED)
 SIG = ("--sig", REQUIRED)
 OUT = ("--out", REQUIRED)
-SEED = ("--seed", {"type": int, "help": "deterministic randomness for tests"})
-COMMON = (
-    ("--group", {"choices": tuple(_BACKENDS), "default": "prod",
-                 "help": "group backend (default prod)"}),
-)
 
-# name -> (handler, help, options after --group); SEED goes to the commands
-# that draw randomness, but bench always draws from seed 0.
+# name -> (handler, help, options)
 COMMANDS = {
     "keygen": (cmd_keygen, "generate a key pair", [
-        SEED, ("--out", {"required": True, "help": "secret key file; the "
-                         "public key's hex is printed"})]),
+        ("--out", {"required": True, "help": "secret key file; the "
+                   "public key's hex is printed"})]),
     "genr": (cmd_genr, "sample a hard-relation statement/witness", [
-        SEED, ("--out", {"required": True, "help": "statement output file"}),
+        ("--out", {"required": True, "help": "statement output file"}),
         ("--witness-out", {"required": True, "help": "witness output file"})]),
     "ring-build": (cmd_ring_build, "assemble a ring from keys", [
         ("--key", {"action": "append", "help": "key file (repeatable)"}),
@@ -219,7 +203,7 @@ COMMANDS = {
                       "help": "hex wire public key (repeatable)"}),
         OUT]),
     "presign": (cmd_presign, "produce a ring pre-signature", [
-        SEED, RING,
+        RING,
         ("--window", {"type": int, "required": True, "metavar": "j",
                       "help": "window start; one ring key per --key, and "
                               "the window may wrap around the ring"}),
@@ -238,7 +222,8 @@ COMMANDS = {
         RING, ("--sig-a", REQUIRED), ("--sig-b", REQUIRED),
         ("--ring-b", {"help": "ring of the second signature, if different"})]),
     "swap-demo": (cmd_swap_demo, "run the two-ledger atomic swap", [
-        SEED, ("--ring-size", {"type": int, "default": 4}),
+        ("--seed", {"type": int, "default": 0, "help": "picks the scenario"}),
+        ("--ring-size", {"type": int, "default": 4}),
         ("--threshold", {"type": int, "default": 2}),
         ("--fault", {"default": "none",
                      "help": "none, abort1..abort5 or a corruption name"})]),
@@ -261,7 +246,7 @@ def build_parser(command) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
         p.set_defaults(fn=fn)
         if name == command:
-            for flag, keywords in (*COMMON, *options):
+            for flag, keywords in options:
                 p.add_argument(flag, **keywords)
     return parser
 
@@ -276,7 +261,7 @@ def main(argv=None) -> int:
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         # A module global looked up per call, so a tracer can replace it.
-        return args.fn(setup_group(args.group), args)
+        return args.fn(setup_group("prod"), args)
     except (ValueError, OSError) as exc:
         return _error(exc)
 

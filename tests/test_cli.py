@@ -24,7 +24,7 @@ def run(capsys, *argv):
 
 @pytest.fixture
 def workspace(tmp_path, capsys):
-    """Keys, ring, statement and message files for a 4-ring on the toy group."""
+    """Keys, ring, statement and message files for a 4-ring."""
     paths = {
         "ring": tmp_path / "ring.bin",
         "statement": tmp_path / "statement.bin",
@@ -34,19 +34,15 @@ def workspace(tmp_path, capsys):
         "sig": tmp_path / "sig.bin",
     }
     keys = []
-    # Seeds picked to give four distinct toy-group keys.
-    for i, seed in enumerate((100, 101, 103, 104)):
+    for i in range(4):
         key_path = tmp_path / f"key{i}.key"
-        code = main(["keygen", "--group", "toy", "--seed", str(seed),
-                     "--out", str(key_path)])
-        assert code == 0
+        assert main(["keygen", "--out", str(key_path)]) == 0
         keys.append(key_path)
-    args = ["ring-build", "--group", "toy", "--out", str(paths["ring"])]
+    args = ["ring-build", "--out", str(paths["ring"])]
     for key in keys:
         args += ["--key", str(key)]
     assert main(args) == 0
-    assert main(["genr", "--group", "toy", "--seed", "55",
-                 "--out", str(paths["statement"]),
+    assert main(["genr", "--out", str(paths["statement"]),
                  "--witness-out", str(paths["witness"])]) == 0
     paths["message"].write_bytes(b"pay bob 5 units")
     capsys.readouterr()
@@ -57,8 +53,8 @@ def workspace(tmp_path, capsys):
 def _presign(workspace, capsys, out=None, window="1", slots=(1, 2)):
     keys = [arg for slot in slots
             for arg in ("--key", str(workspace["keys"][slot]))]
-    return run(capsys, "presign", "--group", "toy", "--seed", "9",
-               "--ring", str(workspace["ring"]), "--window", window, *keys,
+    return run(capsys, "presign", "--ring", str(workspace["ring"]),
+               "--window", window, *keys,
                "--message", str(workspace["message"]),
                "--statement", str(workspace["statement"]),
                "--out", str(out or workspace["presig"]))
@@ -68,28 +64,26 @@ def test_presign_preverify_adapt_verify_ext(workspace, capsys):
     code, _ = _presign(workspace, capsys)
     assert code == 0
 
-    code, out = run(capsys, "preverify", "--group", "toy",
+    code, out = run(capsys, "preverify",
                     "--ring", str(workspace["ring"]), "--threshold", "2",
                     "--message", str(workspace["message"]),
                     "--statement", str(workspace["statement"]),
                     "--presig", str(workspace["presig"]))
     assert (code, out.strip()) == (0, "1")
 
-    code, _ = run(capsys, "adapt", "--group", "toy",
-                  "--ring", str(workspace["ring"]),
+    code, _ = run(capsys, "adapt", "--ring", str(workspace["ring"]),
                   "--presig", str(workspace["presig"]),
                   "--witness", str(workspace["witness"]),
                   "--out", str(workspace["sig"]))
     assert code == 0
 
-    code, out = run(capsys, "verify", "--group", "toy",
+    code, out = run(capsys, "verify",
                     "--ring", str(workspace["ring"]), "--threshold", "2",
                     "--message", str(workspace["message"]),
                     "--sig", str(workspace["sig"]))
     assert (code, out.strip()) == (0, "1")
 
-    code, out = run(capsys, "ext", "--group", "toy",
-                    "--ring", str(workspace["ring"]),
+    code, out = run(capsys, "ext", "--ring", str(workspace["ring"]),
                     "--statement", str(workspace["statement"]),
                     "--presig", str(workspace["presig"]),
                     "--sig", str(workspace["sig"]))
@@ -103,13 +97,12 @@ def test_wrapping_window_round_trip(workspace, capsys):
     # window verification aggregates may.
     code, _ = _presign(workspace, capsys, window="3", slots=(3, 0))
     assert code == 0
-    code, _ = run(capsys, "adapt", "--group", "toy",
-                  "--ring", str(workspace["ring"]),
+    code, _ = run(capsys, "adapt", "--ring", str(workspace["ring"]),
                   "--presig", str(workspace["presig"]),
                   "--witness", str(workspace["witness"]),
                   "--out", str(workspace["sig"]))
     assert code == 0
-    code, out = run(capsys, "verify", "--group", "toy",
+    code, out = run(capsys, "verify",
                     "--ring", str(workspace["ring"]), "--threshold", "2",
                     "--message", str(workspace["message"]),
                     "--sig", str(workspace["sig"]))
@@ -118,12 +111,12 @@ def test_wrapping_window_round_trip(workspace, capsys):
 
 def test_verify_rejects_wrong_message(workspace, capsys, tmp_path):
     _presign(workspace, capsys)
-    run(capsys, "adapt", "--group", "toy", "--ring", str(workspace["ring"]),
+    run(capsys, "adapt", "--ring", str(workspace["ring"]),
         "--presig", str(workspace["presig"]),
         "--witness", str(workspace["witness"]), "--out", str(workspace["sig"]))
     other = tmp_path / "other.bin"
     other.write_bytes(b"pay mallory everything")
-    code, out = run(capsys, "verify", "--group", "toy",
+    code, out = run(capsys, "verify",
                     "--ring", str(workspace["ring"]), "--threshold", "2",
                     "--message", str(other), "--sig", str(workspace["sig"]))
     assert (code, out.strip()) == (1, "0")
@@ -132,7 +125,7 @@ def test_verify_rejects_wrong_message(workspace, capsys, tmp_path):
 def test_ext_mismatch_prints_failure_mark(workspace, capsys, tmp_path):
     _presign(workspace, capsys)
     other_presig = tmp_path / "presig2.bin"
-    code, _ = run(capsys, "presign", "--group", "toy", "--seed", "10",
+    code, _ = run(capsys, "presign",
                   "--ring", str(workspace["ring"]), "--window", "1",
                   "--key", str(workspace["keys"][1]),
                   "--key", str(workspace["keys"][2]),
@@ -140,11 +133,10 @@ def test_ext_mismatch_prints_failure_mark(workspace, capsys, tmp_path):
                   "--statement", str(workspace["statement"]),
                   "--out", str(other_presig))
     assert code == 0
-    run(capsys, "adapt", "--group", "toy", "--ring", str(workspace["ring"]),
+    run(capsys, "adapt", "--ring", str(workspace["ring"]),
         "--presig", str(workspace["presig"]),
         "--witness", str(workspace["witness"]), "--out", str(workspace["sig"]))
-    code, out = run(capsys, "ext", "--group", "toy",
-                    "--ring", str(workspace["ring"]),
+    code, out = run(capsys, "ext", "--ring", str(workspace["ring"]),
                     "--statement", str(workspace["statement"]),
                     "--presig", str(other_presig),
                     "--sig", str(workspace["sig"]))
@@ -154,13 +146,13 @@ def test_ext_mismatch_prints_failure_mark(workspace, capsys, tmp_path):
 
 def test_link_subcommand(workspace, capsys, tmp_path):
     _presign(workspace, capsys)
-    run(capsys, "adapt", "--group", "toy", "--ring", str(workspace["ring"]),
+    run(capsys, "adapt", "--ring", str(workspace["ring"]),
         "--presig", str(workspace["presig"]),
         "--witness", str(workspace["witness"]), "--out", str(workspace["sig"]))
     # overlapping window (1,2) vs (2,2): share key 2
     presig_b = tmp_path / "presig_b.bin"
     sig_b = tmp_path / "sig_b.bin"
-    code, _ = run(capsys, "presign", "--group", "toy", "--seed", "11",
+    code, _ = run(capsys, "presign",
                   "--ring", str(workspace["ring"]), "--window", "2",
                   "--key", str(workspace["keys"][2]),
                   "--key", str(workspace["keys"][3]),
@@ -168,53 +160,47 @@ def test_link_subcommand(workspace, capsys, tmp_path):
                   "--statement", str(workspace["statement"]),
                   "--out", str(presig_b))
     assert code == 0
-    run(capsys, "adapt", "--group", "toy", "--ring", str(workspace["ring"]),
+    run(capsys, "adapt", "--ring", str(workspace["ring"]),
         "--presig", str(presig_b),
         "--witness", str(workspace["witness"]), "--out", str(sig_b))
-    code, out = run(capsys, "link", "--group", "toy",
-                    "--ring", str(workspace["ring"]),
+    code, out = run(capsys, "link", "--ring", str(workspace["ring"]),
                     "--sig-a", str(workspace["sig"]), "--sig-b", str(sig_b))
     assert (code, out.strip()) == (0, "1")
     # disjoint window (0,1) vs window (2,2)
     presig_c = tmp_path / "presig_c.bin"
     sig_c = tmp_path / "sig_c.bin"
-    run(capsys, "presign", "--group", "toy", "--seed", "12",
-        "--ring", str(workspace["ring"]), "--window", "0",
+    run(capsys, "presign", "--ring", str(workspace["ring"]), "--window", "0",
         "--key", str(workspace["keys"][0]),
         "--message", str(workspace["message"]),
         "--statement", str(workspace["statement"]),
         "--out", str(presig_c))
-    run(capsys, "adapt", "--group", "toy", "--ring", str(workspace["ring"]),
+    run(capsys, "adapt", "--ring", str(workspace["ring"]),
         "--presig", str(presig_c),
         "--witness", str(workspace["witness"]), "--out", str(sig_c))
-    code, out = run(capsys, "link", "--group", "toy",
-                    "--ring", str(workspace["ring"]),
+    code, out = run(capsys, "link", "--ring", str(workspace["ring"]),
                     "--sig-a", str(sig_b), "--sig-b", str(sig_c))
     assert (code, out.strip()) == (1, "0")
     # a second ring (new, key 2, new) whose window covers the shared key 2
     ring_d = tmp_path / "ring_d.bin"
-    args = ["ring-build", "--group", "toy", "--out", str(ring_d)]
-    for i, seed in enumerate((105, None, 106)):
+    args = ["ring-build", "--out", str(ring_d)]
+    for i in range(3):
         key_path = workspace["keys"][2]
-        if seed is not None:
+        if i != 1:
             key_path = tmp_path / f"ring_d_key{i}.key"
-            assert main(["keygen", "--group", "toy", "--seed", str(seed),
-                         "--out", str(key_path)]) == 0
+            assert main(["keygen", "--out", str(key_path)]) == 0
         args += ["--key", str(key_path)]
     assert main(args) == 0
     presig_d = tmp_path / "presig_d.bin"
     sig_d = tmp_path / "sig_d.bin"
-    run(capsys, "presign", "--group", "toy", "--seed", "13",
-        "--ring", str(ring_d), "--window", "1",
+    run(capsys, "presign", "--ring", str(ring_d), "--window", "1",
         "--key", str(workspace["keys"][2]),
         "--message", str(workspace["message"]),
         "--statement", str(workspace["statement"]),
         "--out", str(presig_d))
-    run(capsys, "adapt", "--group", "toy", "--ring", str(ring_d),
+    run(capsys, "adapt", "--ring", str(ring_d),
         "--presig", str(presig_d),
         "--witness", str(workspace["witness"]), "--out", str(sig_d))
-    code, out = run(capsys, "link", "--group", "toy",
-                    "--ring", str(workspace["ring"]),
+    code, out = run(capsys, "link", "--ring", str(workspace["ring"]),
                     "--sig-a", str(workspace["sig"]), "--sig-b", str(sig_d),
                     "--ring-b", str(ring_d))
     assert (code, out.strip()) == (0, "1")
@@ -223,8 +209,7 @@ def test_link_subcommand(workspace, capsys, tmp_path):
 def test_decode_failure_exits_2(workspace, capsys, tmp_path):
     garbage = tmp_path / "garbage.bin"
     garbage.write_bytes(b"\xff\xff\xff")
-    code = main(["preverify", "--group", "toy",
-                 "--ring", str(garbage), "--threshold", "2",
+    code = main(["preverify", "--ring", str(garbage), "--threshold", "2",
                  "--message", str(workspace["message"]),
                  "--statement", str(workspace["statement"]),
                  "--presig", str(workspace["presig"])])
@@ -234,14 +219,14 @@ def test_decode_failure_exits_2(workspace, capsys, tmp_path):
 
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["presign", "--group", "toy"])  # missing required flags
+        main(["presign"])  # missing required flags
     assert exc.value.code == 2
     capsys.readouterr()
 
 
 def test_presign_usage_errors_exit_2(workspace, capsys):
     # No --key file: the window's width is the number of them, 0.
-    code = main(["presign", "--group", "toy", "--ring", str(workspace["ring"]),
+    code = main(["presign", "--ring", str(workspace["ring"]),
                  "--window", "1", "--message", str(workspace["message"]),
                  "--statement", str(workspace["statement"]),
                  "--out", str(workspace["presig"])])
@@ -259,8 +244,7 @@ def test_presign_usage_errors_exit_2(workspace, capsys):
 def _sign(workspace, capsys, window, slots):
     """Presign and adapt with the workspace's files; both exit 0."""
     assert _presign(workspace, capsys, window=window, slots=slots)[0] == 0
-    assert run(capsys, "adapt", "--group", "toy",
-               "--ring", str(workspace["ring"]),
+    assert run(capsys, "adapt", "--ring", str(workspace["ring"]),
                "--presig", str(workspace["presig"]),
                "--witness", str(workspace["witness"]),
                "--out", str(workspace["sig"])) == (0, "")
@@ -271,7 +255,7 @@ def _sign(workspace, capsys, window, slots):
 def test_files_give_their_threshold(workspace, capsys, window, slots):
     # adapt, ext and link read t from each file's length.
     _sign(workspace, capsys, window, slots)
-    ring = ("--group", "toy", "--ring", str(workspace["ring"]))
+    ring = ("--ring", str(workspace["ring"]))
     files = {name: str(workspace[name])
              for name in ("message", "statement", "presig", "sig")}
     t = str(len(slots))
@@ -293,7 +277,7 @@ def test_verdicts_take_the_threshold_as_policy(workspace, capsys):
     # A well-formed t = 2 file under another --threshold, in range or
     # not, is a false verdict, as the library's verify and preverify say.
     _sign(workspace, capsys, "1", (1, 2))
-    ring = ("--group", "toy", "--ring", str(workspace["ring"]))
+    ring = ("--ring", str(workspace["ring"]))
     for t in ("1", "3", "0", "5"):
         assert run(capsys, "verify", *ring, "--threshold", t,
                    "--message", str(workspace["message"]),
@@ -308,7 +292,7 @@ def test_adapt_takes_no_threshold(workspace, capsys, tmp_path):
     assert _presign(workspace, capsys)[0] == 0
     sig = tmp_path / "sig.bin"
     with pytest.raises(SystemExit) as exc:
-        main(["adapt", "--group", "toy", "--ring", str(workspace["ring"]),
+        main(["adapt", "--ring", str(workspace["ring"]),
               "--threshold", "2", "--presig", str(workspace["presig"]),
               "--witness", str(workspace["witness"]), "--out", str(sig)])
     assert exc.value.code == 2
@@ -335,41 +319,67 @@ def test_bad_signature_files_name_the_fault(workspace, capsys, tmp_path):
                       "--sig", str(bad)),
                      ("link", "--sig-a", str(workspace["sig"]),
                       "--sig-b", str(bad))):
-            code = main([argv[0], "--group", "toy",
-                         "--ring", str(workspace["ring"]), *argv[1:]])
+            code = main([argv[0], "--ring", str(workspace["ring"]), *argv[1:]])
             assert code == 2
             assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
-def test_seed_is_refused_where_no_randomness_is_drawn(workspace, capsys):
-    _presign(workspace, capsys)
-    run(capsys, "adapt", "--group", "toy", "--ring", str(workspace["ring"]),
-        "--presig", str(workspace["presig"]),
-        "--witness", str(workspace["witness"]), "--out", str(workspace["sig"]))
-    argv = ["verify", "--group", "toy", "--ring", str(workspace["ring"]),
-            "--threshold", "2", "--message", str(workspace["message"]),
-            "--sig", str(workspace["sig"])]
-    assert run(capsys, *argv) == (0, "1\n")
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, "--seed", "1"])
-    assert exc.value.code == 2
-    assert "--seed" in capsys.readouterr().err
+def test_seed_is_refused_where_no_randomness_is_drawn(workspace, capsys,
+                                                      tmp_path):
+    # Only swap-demo takes --seed, which picks its scenario: the other
+    # commands draw from the OS or draw nothing.  Each argv is refused
+    # with --seed and runs without it.
+    _sign(workspace, capsys, "1", (1, 2))
+    ring = ("--ring", str(workspace["ring"]))
+    files = {name: str(workspace[name])
+             for name in ("message", "statement", "witness", "presig", "sig")}
+    keys = [arg for slot in (1, 2)
+            for arg in ("--key", str(workspace["keys"][slot]))]
+    argvs = {
+        "keygen": ("--out", str(tmp_path / "k.key")),
+        "genr": ("--out", str(tmp_path / "s.bin"),
+                 "--witness-out", str(tmp_path / "w.bin")),
+        "ring-build": (*keys, "--out", str(tmp_path / "r.bin")),
+        "presign": (*ring, "--window", "1", *keys,
+                    "--message", files["message"],
+                    "--statement", files["statement"],
+                    "--out", str(tmp_path / "p.bin")),
+        "preverify": (*ring, "--threshold", "2", "--message", files["message"],
+                      "--statement", files["statement"],
+                      "--presig", files["presig"]),
+        "adapt": (*ring, "--presig", files["presig"],
+                  "--witness", files["witness"],
+                  "--out", str(tmp_path / "sig.bin")),
+        "verify": (*ring, "--threshold", "2", "--message", files["message"],
+                   "--sig", files["sig"]),
+        "ext": (*ring, "--statement", files["statement"],
+                "--presig", files["presig"], "--sig", files["sig"]),
+        "link": (*ring, "--sig-a", files["sig"], "--sig-b", files["sig"]),
+        "bench": ("--min-n", "2", "--max-n", "2"),
+    }
+    assert set(argvs) == set(CLI_SURFACE) - {"swap-demo"}
+    for command, args in argvs.items():
+        with pytest.raises(SystemExit) as exc:
+            main([command, *args, "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert run(capsys, command, *args)[0] == 0, command
 
 
-def test_wrong_group_key_file_exits_2(workspace, capsys, tmp_path):
-    # The error names the file's length and each group's key file width.
-    for made, used, size in (("prod", "toy", 34), ("toy", "prod", 4)):
-        key = tmp_path / f"{made}.key"
-        assert main(["keygen", "--group", made, "--seed", "1",
-                     "--out", str(key)]) == 0
-        capsys.readouterr()
-        code = main(["ring-build", "--group", used, "--key", str(key),
+def test_wrong_group_key_file_exits_2(capsys, tmp_path):
+    # A toy-group key, or any secret file of another width, is refused
+    # with the decoder's error.
+    toy = setup_group("toy")
+    prod_key = wire.encode_scalar(setup_group("prod"), 5)
+    for data, error in ((wire.encode_scalar(toy, 5), "truncated scalar"),
+                        (prod_key[:-1], "truncated scalar"),
+                        (prod_key + b"\0", "trailing bytes after payload")):
+        key = tmp_path / "other.key"
+        key.write_bytes(data)
+        code = main(["ring-build", "--key", str(key),
                      "--out", str(tmp_path / "r.bin")])
-        err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("error: ")
-        assert f"is {size} bytes" in err
-        assert "34 bytes for --group prod, 4 bytes for --group toy" in err
+        assert capsys.readouterr().err == f"error: {error}\n"
         assert not (tmp_path / "r.bin").exists()
 
 
@@ -382,11 +392,11 @@ def test_secret_files_are_private_and_never_replaced(capsys, tmp_path,
                      "--witness-out", str(secret)]}[command]
     old_umask = os.umask(0o022)
     try:
-        assert main([*argv, "--group", "toy", "--seed", "1"]) == 0
+        assert main(argv) == 0
         assert secret.stat().st_mode & 0o777 == 0o600
         first = {path: path.read_bytes() for path in tmp_path.iterdir()}
         capsys.readouterr()
-        assert main([*argv, "--group", "toy", "--seed", "2"]) == 2
+        assert main(argv) == 2
     finally:
         os.umask(old_umask)
     assert capsys.readouterr().err.startswith("error: ")
@@ -394,42 +404,63 @@ def test_secret_files_are_private_and_never_replaced(capsys, tmp_path,
     assert {path: path.read_bytes() for path in tmp_path.iterdir()} == first
 
 
+@pytest.mark.parametrize("symlink", [False, True],
+                         ids=["same-path", "symlink"])
+def test_genr_out_naming_the_witness_file_exits_2(capsys, tmp_path, symlink):
+    # The statement would overwrite the witness just written.
+    witness = tmp_path / "witness.bin"
+    out = tmp_path / "statement.bin" if symlink else witness
+    if symlink:
+        out.symlink_to(witness)   # dangling until genr writes the witness
+    code = main(["genr", "--out", str(out), "--witness-out", str(witness)])
+    assert code == 2
+    assert capsys.readouterr() == (
+        "", f"error: --out {out} is the witness file\n")
+    ctx = setup_group("prod")
+    assert 0 < wire.decode_scalar(ctx, witness.read_bytes()) < ctx.order
+    assert witness.stat().st_mode & 0o777 == 0o600
+
+
 def test_keygen_stdout_and_pubkey_ring(capsys, tmp_path):
     # The key file is the secret's wire scalar; stdout is the public key.
-    for group in ("toy", "prod"):
-        ctx = setup_group(group)
-        pair = keygen(ctx, SeededRandomness(42))
-        key = tmp_path / f"{group}.key"
-        code, out = run(capsys, "keygen", "--group", group, "--seed", "42",
-                        "--out", str(key))
+    ctx = setup_group("prod")
+    printed = []
+    for name in ("a", "b"):
+        key = tmp_path / f"{name}.key"
+        code, out = run(capsys, "keygen", "--out", str(key))
         assert code == 0
-        assert key.read_bytes() == wire.encode_scalar(ctx, pair.sk)
-        assert out == wire.encode_element(ctx, pair.pk).hex() + "\n"
-        assert wire.encode_scalar(ctx, pair.sk).hex() not in out
-        rings = [tmp_path / f"{group}-{i}.bin" for i in range(2)]
-        assert main(["ring-build", "--group", group, "--key", str(key),
+        sk = wire.decode_scalar(ctx, key.read_bytes())
+        assert key.read_bytes() == wire.encode_scalar(ctx, sk)
+        pk = ctx.exp(ctx.generator_g, sk)
+        assert out == wire.encode_element(ctx, pk).hex() + "\n"
+        assert wire.encode_scalar(ctx, sk).hex() not in out
+        rings = [tmp_path / f"{name}-{i}.bin" for i in range(2)]
+        assert main(["ring-build", "--key", str(key),
                      "--out", str(rings[0])]) == 0
-        assert main(["ring-build", "--group", group, "--pubkey", out.strip(),
+        assert main(["ring-build", "--pubkey", out.strip(),
                      "--out", str(rings[1])]) == 0
         capsys.readouterr()
         assert rings[0].read_bytes() == rings[1].read_bytes()
+        printed.append(out)
+    # Each run draws a fresh key from the OS.
+    assert printed[0] != printed[1]
 
 
 def test_keygen_requires_out(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["keygen", "--group", "toy", "--seed", "42"])
+        main(["keygen"])
     assert exc.value.code == 2
     assert "--out" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("group", ["toy", "prod"])
+@pytest.mark.parametrize("group", ["prod"])
 def test_zero_key_file_exits_2(capsys, tmp_path, group):
     ctx = setup_group(group)
     zero = tmp_path / "zero.key"
     zero.write_bytes(wire.encode_scalar(ctx, 0))
     ring = tmp_path / "ring.bin"
     # g^0 is the identity, which no ring may hold.
-    code = main(["ring-build", "--group", group, "--key", str(zero),
+    code = main(["ring-build", "--key", str(zero),
                  "--out", str(ring)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
@@ -440,7 +471,7 @@ def test_zero_key_file_exits_2(capsys, tmp_path, group):
     statement.write_bytes(wire.encode_statement(
         ctx, gen_r(ctx, SeededRandomness(2))[0]))
     message.write_bytes(b"m")
-    code = main(["presign", "--group", group, "--ring", str(ring),
+    code = main(["presign", "--ring", str(ring),
                  "--window", "0", "--key", str(zero),
                  "--message", str(message), "--statement", str(statement),
                  "--out", str(tmp_path / "presig.bin")])
@@ -451,21 +482,21 @@ def test_zero_key_file_exits_2(capsys, tmp_path, group):
 def test_json_key_file_is_refused(capsys, tmp_path):
     key = tmp_path / "old.json"
     key.write_text('{"group": "toy-607", "sk": "0002002a", "pk": "00010031"}')
-    code = main(["ring-build", "--group", "toy", "--key", str(key),
+    code = main(["ring-build", "--key", str(key),
                  "--out", str(tmp_path / "r.bin")])
     assert code == 2
     assert "unsupported version" in capsys.readouterr().err
 
 
 def test_swap_demo_happy_and_faulty(capsys):
-    code, out = run(capsys, "swap-demo", "--group", "toy", "--seed", "5",
+    code, out = run(capsys, "swap-demo", "--seed", "5",
                     "--ring-size", "4", "--threshold", "2")
     assert code == 0
     lines = [json.loads(line) for line in out.strip().splitlines()]
     assert lines[-1]["event"] == "outcome"
     assert lines[-1]["outcome"] == "both-confirmed"
 
-    code, out = run(capsys, "swap-demo", "--group", "toy", "--seed", "5",
+    code, out = run(capsys, "swap-demo", "--seed", "5",
                     "--fault", "abort3")
     assert code == 0
     records = [json.loads(line) for line in out.strip().splitlines()]
@@ -476,7 +507,7 @@ def test_swap_demo_happy_and_faulty(capsys):
 @pytest.mark.parametrize("fault", ["bogus", "abortx", "abort", "abort0",
                                    "abort6"])
 def test_swap_demo_unknown_fault_exits_2(capsys, fault):
-    code = main(["swap-demo", "--group", "toy", "--fault", fault])
+    code = main(["swap-demo", "--fault", fault])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -485,7 +516,7 @@ def test_swap_demo_unknown_fault_exits_2(capsys, fault):
 
 
 def test_bench_csv_schema(capsys):
-    code, out = run(capsys, "bench", "--group", "toy", "--min-n", "10",
+    code, out = run(capsys, "bench", "--min-n", "10",
                     "--max-n", "20", "--step", "10")
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
@@ -494,15 +525,15 @@ def test_bench_csv_schema(capsys):
     body = rows[1:]
     assert len(body) == 18  # 9 algorithms x 2 ring sizes
     presign_rows = [r for r in body if r[0] == "presign"]
-    # toy sizes: S_z = S_g = 2, so n=10,t=5 gives 11*2 + 5*2 = 32
+    # prod sizes: S_z = S_g = 32, so n=10,t=5 gives 11*32 + 5*32 = 512
     assert presign_rows[0][1:3] == ["10", "5"]
-    assert presign_rows[0][5] == "32"
+    assert presign_rows[0][5] == "512"
     assert all(int(r[4]) >= 10 for r in body)
 
 
 def test_bench_default_reps(capsys):
     from ringadapt.bench import REPS
-    code, out = run(capsys, "bench", "--group", "toy", "--min-n", "2",
+    code, out = run(capsys, "bench", "--min-n", "2",
                     "--max-n", "2")
     assert code == 0
     body = list(csv.reader(io.StringIO(out)))[1:]
@@ -514,7 +545,7 @@ def test_bench_default_reps(capsys):
 def test_malformed_key_file_exits_2(capsys, tmp_path, doc):
     key = tmp_path / "key.json"
     key.write_text(doc)
-    code = main(["ring-build", "--group", "toy", "--key", str(key),
+    code = main(["ring-build", "--key", str(key),
                  "--out", str(tmp_path / "r.bin")])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
@@ -527,7 +558,7 @@ def test_programming_errors_propagate(monkeypatch, tmp_path):
 
     monkeypatch.setattr("ringadapt.cli.keygen", lookup_bug)
     with pytest.raises(KeyError):
-        main(["keygen", "--group", "toy", "--out", str(tmp_path / "k.key")])
+        main(["keygen", "--out", str(tmp_path / "k.key")])
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -596,7 +627,7 @@ BUFFERING = pytest.mark.parametrize("unbuffered", [False, True],
 @BUFFERING
 def test_child_swap_demo_stdout_matches_out_file(capsys, unbuffered):
     # The child's stdout against main's output in this process.
-    argv = ("swap-demo", "--group", "toy", "--seed", "5")
+    argv = ("swap-demo", "--seed", "5")
     printed = _cli(*argv, unbuffered=unbuffered)
     code, out = run(capsys, *argv)
     # Buffered, the whole transcript is still in the buffer when main
@@ -605,18 +636,6 @@ def test_child_swap_demo_stdout_matches_out_file(capsys, unbuffered):
     assert printed.stdout == out.encode()
     assert printed.stdout.endswith(b'"outcome": "both-confirmed", '
                                    b'"phase": "alice-claimed"}\n')
-
-
-@pytest.mark.parametrize("argv", [("swap-demo", "--ring-size", "101"),
-                                  ("bench", "--min-n", "101", "--max-n",
-                                   "101")], ids=["swap-demo", "bench"])
-def test_child_ring_larger_than_the_toy_group_exits_2(argv):
-    # The toy group has 100 keys other than the identity: a 101-key ring
-    # is refused before any key is drawn, well within the timeout.
-    result = _cli(argv[0], "--group", "toy", *argv[1:], unbuffered=False,
-                  timeout=5)
-    assert (result.returncode, result.stdout, result.stderr) == (
-        2, b"", b"error: 101 keys asked; the group has 100\n")
 
 
 @BUFFERING
@@ -634,12 +653,12 @@ def test_child_entry_delivers_more_than_a_pipe_holds(unbuffered):
 def test_child_verify_exit_codes_and_lines(workspace, capsys, tmp_path,
                                            unbuffered):
     _presign(workspace, capsys)
-    run(capsys, "adapt", "--group", "toy", "--ring", str(workspace["ring"]),
+    run(capsys, "adapt", "--ring", str(workspace["ring"]),
         "--presig", str(workspace["presig"]),
         "--witness", str(workspace["witness"]), "--out", str(workspace["sig"]))
     garbage = tmp_path / "garbage.bin"
     garbage.write_bytes(b"\xff\xff\xff")
-    base = ("verify", "--group", "toy", "--ring", str(workspace["ring"]),
+    base = ("verify", "--ring", str(workspace["ring"]),
             "--threshold", "2")
     cases = [
         (("--message", workspace["message"], "--sig", workspace["sig"]),
@@ -656,7 +675,7 @@ def test_child_verify_exit_codes_and_lines(workspace, capsys, tmp_path,
 
 def test_child_usage_error_and_help(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")     # the width help is wrapped to
-    usage = _cli("verify", "--group", "toy", unbuffered=False)
+    usage = _cli("verify", unbuffered=False)
     assert (usage.returncode, usage.stdout) == (2, b"")
     assert usage.stderr.decode().splitlines()[-1] == (
         "ringadapt verify: error: the following arguments are required: "
@@ -682,8 +701,7 @@ def _cli_into_closed_pipe(*argv, unbuffered):
 def test_child_reader_gone_exits_2(unbuffered):
     # The write fails with EPIPE at the print (unbuffered) or at entry's
     # flush (buffered), and both exit 2.
-    result = _cli_into_closed_pipe("swap-demo", "--group", "toy",
-                                   unbuffered=unbuffered)
+    result = _cli_into_closed_pipe("swap-demo", unbuffered=unbuffered)
     assert (result.returncode, result.stderr) == (
         2, b"error: [Errno 32] Broken pipe\n")
 
@@ -696,7 +714,7 @@ def test_child_help_into_a_closed_pipe(unbuffered):
     # closed pipe and the child exits 2, as with a subcommand's output.
     # Unbuffered, argparse's own write meets the pipe, and argparse's
     # _print_message discards that error, so the child exits 0.
-    result = _cli_into_closed_pipe("link", "--group", "toy", "--help",
+    result = _cli_into_closed_pipe("link", "--help",
                                    unbuffered=unbuffered)
     assert (result.returncode, result.stderr) == (
         (0, b"") if unbuffered else (2, b"error: [Errno 32] Broken pipe\n"))
@@ -704,12 +722,6 @@ def test_child_help_into_a_closed_pipe(unbuffered):
 
 # The option surface of every subcommand, in order: flags, action, required,
 # type, default, choices, metavar and help, as the parser reports them.
-_GROUP = (("--group",), "store", False, None, "prod", ("prod", "toy"), None,
-          "group backend (default prod)")
-_SEED = (("--seed",), "store", False, "int", None, None, None,
-         "deterministic randomness for tests")
-
-
 def _req(flag, type_=None):
     return ((flag,), "store", True, type_, None, None, None, None)
 
@@ -720,11 +732,9 @@ def _opt(flag, type_=None, default=None, help_=None, action="store"):
 
 CLI_SURFACE = {
     "keygen": ("generate a key pair", [
-        _SEED,
         (("--out",), "store", True, None, None, None, None,
          "secret key file; the public key's hex is printed")]),
     "genr": ("sample a hard-relation statement/witness", [
-        _SEED,
         (("--out",), "store", True, None, None, None, None,
          "statement output file"),
         (("--witness-out",), "store", True, None, None, None, None,
@@ -735,7 +745,6 @@ CLI_SURFACE = {
              action="append"),
         _req("--out")]),
     "presign": ("produce a ring pre-signature", [
-        _SEED,
         _req("--ring"),
         (("--window",), "store", True, "int", None, None, "j",
          "window start; one ring key per --key, and the window may wrap "
@@ -757,7 +766,7 @@ CLI_SURFACE = {
         _req("--ring"), _req("--sig-a"), _req("--sig-b"),
         _opt("--ring-b", help_="ring of the second signature, if different")]),
     "swap-demo": ("run the two-ledger atomic swap", [
-        _SEED,
+        _opt("--seed", "int", 0, "picks the scenario"),
         _opt("--ring-size", "int", 4), _opt("--threshold", "int", 2),
         _opt("--fault", default="none",
              help_="none, abort1..abort5 or a corruption name")]),
@@ -788,12 +797,12 @@ def test_cli_option_surface_is_pinned():
     surface = {name: _surface(name)[name] for name in _surface(None)}
     assert list(surface) == list(CLI_SURFACE)
     for name, (help_, expected) in CLI_SURFACE.items():
-        assert surface[name] == (help_, [_GROUP, *expected]), name
+        assert surface[name] == (help_, expected), name
 
 
 @pytest.mark.parametrize("command", list(CLI_SURFACE))
 def test_parser_for_one_command_adds_only_its_options(command):
     # Every command is still listed; only the invoked one has options.
     assert _surface(command) == {
-        name: (help_, [_GROUP, *options] if name == command else [])
+        name: (help_, options if name == command else [])
         for name, (help_, options) in CLI_SURFACE.items()}

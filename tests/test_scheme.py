@@ -14,7 +14,9 @@ from ringadapt import (KeyMismatchError, PreSignature, Ring, SeededRandomness,
                        Signature, SignerWindow, StatementPair, adapt, ext,
                        gen_r, keygen, link, presign, preverify, setup_group,
                        verify, verify_relation)
+from ringadapt.bench import bench_cell
 from ringadapt.scheme import _presign_body, distinct_keypairs
+from ringadapt.swap import swap_demo
 
 # Ring used by the frozen vectors: secrets (2, 3, 7) under g = 7 mod 607.
 VEC_SKS = (2, 3, 7)
@@ -51,7 +53,8 @@ class TestKeygenAndRelation:
 
     def test_distinct_keypairs_stops_at_the_group_size(self, toy):
         # The toy group has 100 keys g^sk, sk != 0: all of them can be
-        # drawn, and a 101st is refused before any draw.
+        # drawn, and a 101st is refused before any draw, also when the
+        # swap demo or a bench cell asks for a 101-key ring.
         members = distinct_keypairs(toy, toy.order - 1, SeededRandomness(3))
         assert sorted(kp.sk for kp in members) == list(range(1, toy.order))
 
@@ -59,9 +62,12 @@ class TestKeygenAndRelation:
             def randbelow(self, n):
                 raise AssertionError("a key was drawn")
 
-        with pytest.raises(ValueError, match="101 keys asked; the group "
-                                             "has 100"):
-            distinct_keypairs(toy, toy.order, NoDraws())
+        for refused in (lambda: distinct_keypairs(toy, toy.order, NoDraws()),
+                        lambda: swap_demo(toy, ring_size=101),
+                        lambda: bench_cell(toy, 101, 50)):
+            with pytest.raises(ValueError, match="101 keys asked; the group "
+                                                 "has 100"):
+                refused()
 
     def test_gen_r_frozen(self, toy):
         class Fixed:
@@ -532,7 +538,7 @@ class TestConstruction:
 
     @pytest.mark.parametrize("backend", ["toy", "prod"])
     def test_presign_without_rng(self, backend):
-        # rng=None, as the CLI passes without --seed, draws from the OS.
+        # rng=None, as the CLI passes, draws from the OS.
         ctx = setup_group(backend)
         ring, members = build_ring(ctx, 4, SeededRandomness(3))
         window = build_window(ctx, ring, members, 1, 2)
