@@ -16,8 +16,8 @@ Public surface:
 import importlib
 
 from . import groups, schnorr, wire
-from .groups import (GroupContext, SeededRandomness, SystemRandomness,
-                     UnknownBackendError, setup_group)
+from .groups import (GroupContext, SeededRandomness, UnknownBackendError,
+                     setup_group)
 from .scheme import (KeyMismatchError, KeyPair, PreSignature, Ring, Signature,
                      SignerWindow, StatementPair, adapt, ext, gen_r, keygen,
                      link, presign, preverify, verify, verify_relation)
@@ -25,9 +25,9 @@ from .scheme import (KeyMismatchError, KeyPair, PreSignature, Ring, Signature,
 __all__ = [
     "GroupContext", "KeyMismatchError", "KeyPair", "PreSignature", "Ring",
     "SeededRandomness", "Signature", "SignerWindow", "StatementPair",
-    "SystemRandomness", "UnknownBackendError", "adapt", "bench", "ext",
-    "gen_r", "groups", "keygen", "link", "presign", "preverify", "schnorr",
-    "setup_group", "swap", "verify", "verify_relation", "wire",
+    "UnknownBackendError", "adapt", "bench", "ext", "gen_r", "groups",
+    "keygen", "link", "presign", "preverify", "schnorr", "setup_group",
+    "swap", "verify", "verify_relation", "wire",
 ]
 
 __version__ = "0.1.0"

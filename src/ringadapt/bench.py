@@ -16,11 +16,12 @@ reads side by side without reimplementing the baseline.
 from __future__ import annotations
 
 import csv
+import random
 import statistics
 import time
 from typing import IO, Iterable
 
-from .groups import GroupContext, Record, SeededRandomness, setup_group
+from .groups import GroupContext, Record, setup_group
 from .scheme import (Ring, SignerWindow, adapt, distinct_keypairs, ext,
                      gen_r, keygen, link, presign, preverify, verify)
 from .wire import (HEADER_SIZE, encode_presignature, encode_signature,
@@ -75,7 +76,7 @@ def _mean_ns(fn) -> int:
 
 def bench_cell(ctx: GroupContext, n: int, t: int) -> list[BenchRecord]:
     """Measure all nine algorithms at one (n, t) point."""
-    rng = SeededRandomness(0)
+    rng = random.Random(0)
     members = distinct_keypairs(ctx, n, rng)
     ring = Ring(ctx, [kp.pk for kp in members])
     window = SignerWindow(ctx, ring, 0, [kp.sk for kp in members[:t]])

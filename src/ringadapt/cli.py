@@ -41,23 +41,29 @@ def _write(path: str, data: bytes, secret: bool = False):
         fh.write(data)
 
 
+def _decoded(ctx, decode, path: str, ring=None):
+    """``decode`` of the file's bytes, a (pre-)signature's on ``ring`` at
+    its length's t; a ValueError names the file."""
+    data = _read(path)
+    try:
+        if ring is None:
+            return decode(ctx, data)
+        t = wire.signature_threshold(ctx, data, len(ring))
+        return decode(ctx, data, len(ring), t)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _secret(ctx, path: str) -> int:
-    return wire.decode_scalar(ctx, _read(path))
+    return _decoded(ctx, wire.decode_scalar, path)
 
 
 def _ring(ctx, path: str) -> Ring:
-    return wire.decode_ring(ctx, _read(path))
-
-
-def _signed(ctx, decode, path: str, ring: Ring):
-    """A (pre-)signature file, decoded by ``decode`` at its length's t."""
-    data = _read(path)
-    return decode(ctx, data, len(ring),
-                  wire.signature_threshold(ctx, data, len(ring)))
+    return _decoded(ctx, wire.decode_ring, path)
 
 
 def _statement(ctx, path: str):
-    return wire.decode_statement(ctx, _read(path))
+    return _decoded(ctx, wire.decode_statement, path)
 
 
 def _verdict(ok: bool) -> int:
@@ -109,7 +115,7 @@ def cmd_presign(ctx, args) -> int:
 
 def cmd_preverify(ctx, args) -> int:
     ring = _ring(ctx, args.ring)
-    psig = _signed(ctx, wire.decode_presignature, args.presig, ring)
+    psig = _decoded(ctx, wire.decode_presignature, args.presig, ring)
     statement = _statement(ctx, args.statement)
     return _verdict(preverify(ctx, ring, psig, args.threshold,
                               _read(args.message), statement))
@@ -117,7 +123,7 @@ def cmd_preverify(ctx, args) -> int:
 
 def cmd_adapt(ctx, args) -> int:
     ring = _ring(ctx, args.ring)
-    psig = _signed(ctx, wire.decode_presignature, args.presig, ring)
+    psig = _decoded(ctx, wire.decode_presignature, args.presig, ring)
     _write(args.out, wire.encode_signature(
         ctx, adapt(ctx, psig, _secret(ctx, args.witness))))
     return 0
@@ -125,15 +131,15 @@ def cmd_adapt(ctx, args) -> int:
 
 def cmd_verify(ctx, args) -> int:
     ring = _ring(ctx, args.ring)
-    sig = _signed(ctx, wire.decode_signature, args.sig, ring)
+    sig = _decoded(ctx, wire.decode_signature, args.sig, ring)
     return _verdict(verify(ctx, ring, sig, args.threshold,
                            _read(args.message)))
 
 
 def cmd_ext(ctx, args) -> int:
     ring = _ring(ctx, args.ring)
-    psig = _signed(ctx, wire.decode_presignature, args.presig, ring)
-    sig = _signed(ctx, wire.decode_signature, args.sig, ring)
+    psig = _decoded(ctx, wire.decode_presignature, args.presig, ring)
+    sig = _decoded(ctx, wire.decode_signature, args.sig, ring)
     witness = ext(ctx, _statement(ctx, args.statement), psig, sig)
     if witness is None:
         print(FAILURE_MARK)
@@ -145,8 +151,8 @@ def cmd_ext(ctx, args) -> int:
 def cmd_link(ctx, args) -> int:
     ring_a = _ring(ctx, args.ring)
     ring_b = _ring(ctx, args.ring_b) if args.ring_b else ring_a
-    sig_a = _signed(ctx, wire.decode_signature, args.sig_a, ring_a)
-    sig_b = _signed(ctx, wire.decode_signature, args.sig_b, ring_b)
+    sig_a = _decoded(ctx, wire.decode_signature, args.sig_a, ring_a)
+    sig_b = _decoded(ctx, wire.decode_signature, args.sig_b, ring_b)
     return _verdict(link(sig_a, sig_b))
 
 

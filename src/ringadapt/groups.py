@@ -25,6 +25,11 @@ Both backends decode by one rule, ``GroupContext.decode_element``.  In
 these operations ``verify`` costs n+3 scalar multiplications and n+t
 point adds (``exp``, ``mul``), and ``presign``/``preverify`` n+3 and
 n+t+2.
+
+Every function that draws randomness takes ``rng``, any ``random.Random``,
+and draws through ``rng.randrange``: ``random.Random(seed)`` replays a run,
+and the default ``random.SystemRandom()`` reads ``os.urandom``, as
+``secrets`` does, without loading OpenSSL.
 """
 
 from __future__ import annotations
@@ -114,27 +119,8 @@ class UnknownBackendError(ValueError):
     """Raised when setup_group() is asked for an unregistered backend."""
 
 
-class SystemRandomness:
-    """Randomness from the OS CSPRNG: ``random.SystemRandom`` draws from
-    ``os.urandom``, as ``secrets`` does, without loading OpenSSL."""
-
-    _rng = random.SystemRandom()
-
-    def randbelow(self, bound: int) -> int:
-        return self._rng.randrange(bound)
-
-
-class SeededRandomness:
-    """Deterministic randomness for tests and replayable runs."""
-
-    def __init__(self, seed: int):
-        self._rng = random.Random(seed)
-
-    def randbelow(self, bound: int) -> int:
-        return self._rng.randrange(bound)
-
-
-_SYSTEM = SystemRandomness()
+_SYSTEM = random.SystemRandom()
+SeededRandomness = random.Random   # the name callers seed a run by
 
 
 def frame_parts(domain_tag: bytes, parts: Iterable[bytes]) -> bytes:
@@ -208,11 +194,10 @@ class GroupContext:
         digest = _sha512(frame_parts(domain_tag, parts))
         return int.from_bytes(digest, "big") % self.order
 
-    def random_scalar_nonzero(self, rng=None) -> int:
+    def random_scalar_nonzero(self, rng=_SYSTEM) -> int:
         # Uniform over Z_p^*: resample on 0.
-        rng = rng if rng is not None else _SYSTEM
         while True:
-            k = rng.randbelow(self.order)
+            k = rng.randrange(self.order)
             if k != 0:
                 return k
 

@@ -33,8 +33,7 @@ from __future__ import annotations
 from functools import cached_property, reduce
 from typing import Optional
 
-from .groups import (Element, GroupContext, Record, SystemRandomness,
-                     require_exact)
+from .groups import _SYSTEM, Element, GroupContext, Record, require_exact
 
 DOMAIN_RING_DIGEST = b"LTRAS/d"
 DOMAIN_CHALLENGE = b"LTRAS/c"
@@ -152,13 +151,13 @@ class Signature(_Signed, Record):
         require_exact("link tag", self.tags)
 
 
-def keygen(ctx: GroupContext, rng=None) -> KeyPair:
+def keygen(ctx: GroupContext, rng=_SYSTEM) -> KeyPair:
     """Sample sk uniform in Z_p^* and set pk = g^sk."""
     sk = ctx.random_scalar_nonzero(rng)
     return KeyPair(sk, ctx.exp(ctx.generator_g, sk))
 
 
-def distinct_keypairs(ctx: GroupContext, count: int, rng=None
+def distinct_keypairs(ctx: GroupContext, count: int, rng=_SYSTEM
                       ) -> list[KeyPair]:
     """``count`` key pairs with distinct public keys, in draw order.
 
@@ -176,7 +175,7 @@ def distinct_keypairs(ctx: GroupContext, count: int, rng=None
     return members
 
 
-def gen_r(ctx: GroupContext, rng=None) -> tuple[StatementPair, int]:
+def gen_r(ctx: GroupContext, rng=_SYSTEM) -> tuple[StatementPair, int]:
     """Sample a statement/witness pair ((g^w, h^w), w) of the hard relation."""
     w = ctx.random_scalar_nonzero(rng)
     return StatementPair(ctx.exp(ctx.generator_g, w),
@@ -233,25 +232,19 @@ def _presign_body(ctx: GroupContext, ring: Ring, window: SignerWindow,
     return PreSignature(z_tilde, tuple(challenges), window.tags)
 
 
-def _draw(ctx: GroupContext, ring: Ring, window: SignerWindow, rng
-          ) -> tuple[int, dict[int, int]]:
-    """Draw presign's randomness: the nonce, then decoys in ring order."""
+def presign(ctx: GroupContext, ring: Ring, window: SignerWindow,
+            message: bytes, statement: StatementPair, rng=_SYSTEM
+            ) -> PreSignature:
+    """Produce a pre-signature on ``message`` bound to ``statement``."""
     if window.ring is not ring and window.ring != ring:
         raise ValueError("window was built for a different ring")
-    rng = rng if rng is not None else SystemRandomness()
     nonce = ctx.random_scalar_nonzero(rng)
-    # Decoys are uniform over Z_p, as the window's own challenge (a
-    # difference) is, so a zero challenge does not mark the signer.
-    decoys = {i: rng.randbelow(ctx.order)
+    # The nonce is drawn first, then the decoys in ring order.  Decoys are
+    # uniform over Z_p, as the window's own challenge (a difference) is,
+    # so a zero challenge does not mark the signer.
+    decoys = {i: rng.randrange(ctx.order)
               for i in range(len(ring)) if i != window.start}
-    return nonce, decoys
-
-
-def presign(ctx: GroupContext, ring: Ring, window: SignerWindow,
-            message: bytes, statement: StatementPair, rng=None) -> PreSignature:
-    """Produce a pre-signature on ``message`` bound to ``statement``."""
-    return _presign_body(ctx, ring, window, message, statement,
-                         *_draw(ctx, ring, window, rng))
+    return _presign_body(ctx, ring, window, message, statement, nonce, decoys)
 
 
 def _verifies(ctx: GroupContext, ring: Ring, z: int, challenges, tags,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .groups import Element, GroupContext, Record, require_exact
+from .groups import _SYSTEM, Element, GroupContext, Record, require_exact
 from .scheme import KeyPair
 
 DOMAIN_CHALLENGE = b"schnorr-adaptor/c"
@@ -39,7 +39,7 @@ def _challenge(ctx: GroupContext, pk: Element, commit: Element,
 
 
 def presign(ctx: GroupContext, keypair: KeyPair, message: bytes,
-            statement_g: Element, rng=None) -> PlainPreSignature:
+            statement_g: Element, rng=_SYSTEM) -> PlainPreSignature:
     """Pre-sign ``message`` bound to the statement W1 = ``statement_g``."""
     r = ctx.random_scalar_nonzero(rng)
     commit = ctx.mul(ctx.exp(ctx.generator_g, r), statement_g)

@@ -36,13 +36,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 from contextlib import suppress
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
 from . import schnorr, wire
-from .groups import Element, GroupContext, Record, SeededRandomness
+from .groups import Element, GroupContext, Record
 from .scheme import (KeyPair, PreSignature, Ring, Signature, SignerWindow,
                      adapt, distinct_keypairs, ext, gen_r, keygen, presign,
                      preverify, verify)
@@ -232,7 +233,7 @@ class SwapRun:
     window: SignerWindow
     bob_keypair: KeyPair
     fault: FaultPlan
-    rng: SeededRandomness
+    rng: random.Random
     ledger_plain: MockLedger
     ledger_ring: MockLedger
     state: SwapState = field(default_factory=SwapState)
@@ -284,7 +285,7 @@ class SwapRun:
 
 def _presign_ring_tx(run: SwapRun, payee: bytes, statement):
     """Alice's chain-B tx to ``payee``, its encoding and pre-signature."""
-    tx = SwapTransaction(CHAIN_RING, payee, 1, run.rng.randbelow(2**64),
+    tx = SwapTransaction(CHAIN_RING, payee, 1, run.rng.randrange(2**64),
                          ring_keys=run.ring.keys, threshold=run.window.width)
     message = wire.encode_transaction(run.ctx, tx)
     return tx, message, presign(run.ctx, run.ring, run.window, message,
@@ -299,7 +300,7 @@ def _protocol(run: SwapRun):
     # 1. Bob samples (W, w), builds the chain-A tx and pre-signs it.
     statement, run.bob_witness = gen_r(ctx, run.rng)
     state.tx_plain = SwapTransaction(
-        CHAIN_PLAIN, b"alice", 1, run.rng.randbelow(2**64),
+        CHAIN_PLAIN, b"alice", 1, run.rng.randrange(2**64),
         payer_key=run.bob_keypair.pk)
     msg_plain = wire.encode_transaction(ctx, state.tx_plain)
     presig_plain = run.deliver(1, "presig-plain", schnorr.presign(
@@ -401,7 +402,7 @@ def run_swap(ctx: GroupContext, *, ring: Ring, window: SignerWindow,
         raise ValueError(f"unknown fault plan {fault!r}")
     run = SwapRun(
         ctx=ctx, ring=ring, window=window, bob_keypair=bob_keypair,
-        fault=fault, rng=SeededRandomness(seed),
+        fault=fault, rng=random.Random(seed),
         ledger_plain=MockLedger(ctx, CHAIN_PLAIN),
         ledger_ring=MockLedger(ctx, CHAIN_RING),
     )
@@ -428,10 +429,10 @@ def _prepublish_window(run: SwapRun):
 def make_demo_parties(ctx: GroupContext, ring_size: int, threshold: int,
                       seed: int = 0) -> tuple[Ring, SignerWindow, KeyPair]:
     """Deterministically build Alice's ring and window plus Bob's keypair."""
-    rng = SeededRandomness(2 * seed)
+    rng = random.Random(2 * seed)
     members = distinct_keypairs(ctx, ring_size, rng)
     ring = Ring(ctx, [kp.pk for kp in members])
-    start = rng.randbelow(ring_size)
+    start = rng.randrange(ring_size)
     secrets = [members[(start + i) % ring_size].sk for i in range(threshold)]
     window = SignerWindow(ctx, ring, start, secrets)
     bob = keygen(ctx, rng)

@@ -80,9 +80,9 @@ def test_criterion_3_adaptability(toy):
         rng = SeededRandomness(777)
         checked = 0
         for trial in range(600):  # honest
-            n = 1 + rng.randbelow(8)
-            t = 1 + rng.randbelow(n)
-            j = rng.randbelow(n)
+            n = 1 + rng.randrange(8)
+            t = 1 + rng.randrange(n)
+            j = rng.randrange(n)
             ring, members = build_ring(toy, n, rng)
             window = build_window(toy, ring, members, j, t)
             statement, w = gen_r(toy, rng)
@@ -92,9 +92,9 @@ def test_criterion_3_adaptability(toy):
             assert verify(toy, ring, adapt(toy, psig, w), t, message)
             checked += 1
         for trial in range(450):  # re-randomized / out of distribution
-            n = 2 + rng.randbelow(7)
-            t = 1 + rng.randbelow(n)
-            j = rng.randbelow(n)
+            n = 2 + rng.randrange(7)
+            t = 1 + rng.randrange(n)
+            j = rng.randrange(n)
             ring, members = build_ring(toy, n, rng)
             window = build_window(toy, ring, members, j, t)
             statement, w = gen_r(toy, rng)
@@ -103,12 +103,12 @@ def test_criterion_3_adaptability(toy):
             if style == 0:       # zero decoy challenges (never honest)
                 decoys = {i: 0 for i in range(n) if i != j}
             elif style == 1:     # identical decoy challenges
-                value = rng.randbelow(toy.order)
+                value = rng.randrange(toy.order)
                 decoys = {i: value for i in range(n) if i != j}
             else:                # arbitrary, zero included
-                decoys = {i: rng.randbelow(toy.order)
+                decoys = {i: rng.randrange(toy.order)
                           for i in range(n) if i != j}
-            nonce = 1 + rng.randbelow(toy.order - 1)
+            nonce = 1 + rng.randrange(toy.order - 1)
             psig = _presign_body(toy, ring, window, message, statement,
                                  nonce, decoys)
             assert preverify(toy, ring, psig, t, message, statement)
@@ -126,8 +126,8 @@ def test_criterion_4_tamper_suite(prod):
         perturbed = 0
         for trial in range(1000):
             n = 1 + trial % 4
-            t = 1 + rng.randbelow(n)
-            j = rng.randbelow(n)
+            t = 1 + rng.randrange(n)
+            j = rng.randrange(n)
             ring, members = build_ring(prod, n, rng)
             window = build_window(prod, ring, members, j, t)
             statement, w = gen_r(prod, rng)

@@ -321,7 +321,7 @@ def test_bad_signature_files_name_the_fault(workspace, capsys, tmp_path):
                       "--sig-b", str(bad))):
             code = main([argv[0], "--ring", str(workspace["ring"]), *argv[1:]])
             assert code == 2
-            assert capsys.readouterr() == ("", f"error: {error}\n")
+            assert capsys.readouterr() == ("", f"error: {bad}: {error}\n")
 
 
 def test_seed_is_refused_where_no_randomness_is_drawn(workspace, capsys,
@@ -366,9 +366,9 @@ def test_seed_is_refused_where_no_randomness_is_drawn(workspace, capsys,
         assert run(capsys, command, *args)[0] == 0, command
 
 
-def test_wrong_group_key_file_exits_2(capsys, tmp_path):
+def test_wrong_group_key_file_exits_2(workspace, capsys, tmp_path):
     # A toy-group key, or any secret file of another width, is refused
-    # with the decoder's error.
+    # with the decoder's error, after the file's name.
     toy = setup_group("toy")
     prod_key = wire.encode_scalar(setup_group("prod"), 5)
     for data, error in ((wire.encode_scalar(toy, 5), "truncated scalar"),
@@ -379,8 +379,19 @@ def test_wrong_group_key_file_exits_2(capsys, tmp_path):
         code = main(["ring-build", "--key", str(key),
                      "--out", str(tmp_path / "r.bin")])
         assert code == 2
-        assert capsys.readouterr().err == f"error: {error}\n"
+        assert capsys.readouterr().err == f"error: {key}: {error}\n"
         assert not (tmp_path / "r.bin").exists()
+    # Of several --key files, the message names the one cut short.
+    cut = tmp_path / "cut.key"
+    cut.write_bytes(workspace["keys"][2].read_bytes()[:-1])
+    code = main(["presign", "--ring", str(workspace["ring"]),
+                 "--window", "1", "--key", str(workspace["keys"][1]),
+                 "--key", str(cut), "--message", str(workspace["message"]),
+                 "--statement", str(workspace["statement"]),
+                 "--out", str(workspace["presig"])])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {cut}: truncated scalar\n"
+    assert not workspace["presig"].exists()
 
 
 @pytest.mark.parametrize("command", ["keygen", "genr"])
@@ -666,7 +677,8 @@ def test_child_verify_exit_codes_and_lines(workspace, capsys, tmp_path,
         (("--message", workspace["statement"], "--sig", workspace["sig"]),
          (1, b"0\n", b"")),
         (("--message", workspace["message"], "--sig", garbage),
-         (2, b"", b"error: unsupported version 255\n")),
+         (2, b"", b"error: %s: unsupported version 255\n"
+          % bytes(garbage))),
     ]
     for args, expected in cases:
         result = _cli(*base, *map(str, args), unbuffered=unbuffered)

@@ -45,7 +45,7 @@ def test_identity_ring_key_spend_is_malformed(backend):
     message = wire.encode_transaction(ctx, tx)
     d = ctx.hash_to_scalar(DOMAIN_RING_DIGEST, keys)
     r = ctx.random_scalar_nonzero(rng)
-    challenges = [rng.randbelow(ctx.order), 0, rng.randbelow(ctx.order)]
+    challenges = [rng.randrange(ctx.order), 0, rng.randrange(ctx.order)]
     commit_g = ctx.exp(ctx.generator_g, r)
     for pk, c in zip(keys, challenges):    # window i's key is pk_i^d
         commit_g = ctx.mul(commit_g, ctx.exp(pk, d * c))

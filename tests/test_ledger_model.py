@@ -48,7 +48,7 @@ def _spend(start, t, seed, payee=b"payee"):
     rng = SeededRandomness(seed)
     window = SignerWindow(CTX, RING, start,
                           [MEMBERS[(start + i) % N].sk for i in range(t)])
-    tx = SwapTransaction(CHAIN_RING, payee, 1, rng.randbelow(2**64),
+    tx = SwapTransaction(CHAIN_RING, payee, 1, rng.randrange(2**64),
                          ring_keys=RING.keys, threshold=t)
     statement, witness = gen_r(CTX, rng)
     psig = presign(CTX, RING, window, encode_transaction(CTX, tx), statement,
@@ -61,7 +61,7 @@ def _plain_spend(key, seed, payee=b"payee"):
     transaction and its adapted Schnorr signature."""
     rng = SeededRandomness(seed)
     payer = MEMBERS[key]
-    tx = SwapTransaction(CHAIN_PLAIN, payee, 1, rng.randbelow(2**64),
+    tx = SwapTransaction(CHAIN_PLAIN, payee, 1, rng.randrange(2**64),
                          payer_key=payer.pk)
     statement, witness = gen_r(CTX, rng)
     psig = schnorr.presign(CTX, payer, encode_transaction(CTX, tx),

@@ -13,16 +13,16 @@ from ringadapt.scheme import _presign_body
 
 
 def random_case(toy, rng):
-    n = 1 + rng.randbelow(8)
-    t = 1 + rng.randbelow(n)
-    start = rng.randbelow(n)
+    n = 1 + rng.randrange(8)
+    t = 1 + rng.randrange(n)
+    start = rng.randrange(n)
     ring, members = build_ring(toy, n, rng)
     window = build_window(toy, ring, members, start, t)
     statement, w = gen_r(toy, rng)
-    message = bytes(rng.randbelow(256) for _ in range(8))
+    message = bytes(rng.randrange(256) for _ in range(8))
     nonce = toy.random_scalar_nonzero(rng)
     # Decoys come from all of Z_p, as presign draws them.
-    decoys = {i: rng.randbelow(toy.order) for i in range(n) if i != start}
+    decoys = {i: rng.randrange(toy.order) for i in range(n) if i != start}
     return ring, window, statement, w, message, nonce, decoys
 
 
@@ -98,7 +98,7 @@ REJECTIONS = {
 def test_oracle_agrees_on_rejections(toy, name):
     rng = SeededRandomness(55)
     ring, members = build_ring(toy, 3, rng)
-    window = build_window(toy, ring, members, rng.randbelow(3), 2)
+    window = build_window(toy, ring, members, rng.randrange(3), 2)
     statement, w = gen_r(toy, rng)
     psig = presign(toy, ring, window, b"reject", statement, rng)
     z_tilde, challenges, tags = REJECTIONS[name](

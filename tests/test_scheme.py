@@ -4,6 +4,8 @@ Expected numbers were computed with the straight-line oracle in
 straightline.py (raw modular arithmetic, no shared code).
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,7 +40,7 @@ class TestKeygenAndRelation:
             def __init__(self, v):
                 self.v = v
 
-            def randbelow(self, n):
+            def randrange(self, n):
                 return self.v
 
         assert keygen(toy, Fixed(5)).pk == toy_element(418)  # 7^5 mod 607
@@ -59,7 +61,7 @@ class TestKeygenAndRelation:
         assert sorted(kp.sk for kp in members) == list(range(1, toy.order))
 
         class NoDraws:
-            def randbelow(self, n):
+            def randrange(self, n):
                 raise AssertionError("a key was drawn")
 
         for refused in (lambda: distinct_keypairs(toy, toy.order, NoDraws()),
@@ -71,7 +73,7 @@ class TestKeygenAndRelation:
 
     def test_gen_r_frozen(self, toy):
         class Fixed:
-            def randbelow(self, n):
+            def randrange(self, n):
                 return 42
 
         statement, w = gen_r(toy, Fixed())
@@ -81,7 +83,7 @@ class TestKeygenAndRelation:
 
     def test_gen_r_unit_witness(self, toy):
         class One:
-            def randbelow(self, n):
+            def randrange(self, n):
                 return 1
 
         statement, w = gen_r(toy, One())
@@ -196,9 +198,9 @@ class TestRoundTrip:
     def test_prod_randomized_cells(self, prod):
         rng = SeededRandomness(6)
         for _ in range(6):
-            n = 1 + rng.randbelow(8)
-            t = 1 + rng.randbelow(n)
-            start = rng.randbelow(n)
+            n = 1 + rng.randrange(8)
+            t = 1 + rng.randrange(n)
+            start = rng.randrange(n)
             ring, members = build_ring(prod, n, rng)
             window = build_window(prod, ring, members, start, t)
             statement, w = gen_r(prod, rng)
@@ -531,21 +533,23 @@ class TestConstruction:
                        SeededRandomness(123))
         replay = SeededRandomness(123)
         nonce = toy.random_scalar_nonzero(replay)
-        decoys = {i: replay.randbelow(toy.order) for i in range(4) if i != 1}
+        decoys = {i: replay.randrange(toy.order) for i in range(4) if i != 1}
         expected = _presign_body(toy, ring, window, b"m", statement, nonce,
                                  decoys)
         assert psig == expected
 
     @pytest.mark.parametrize("backend", ["toy", "prod"])
     def test_presign_without_rng(self, backend):
-        # rng=None, as the CLI passes, draws from the OS.
+        # No rng, as the CLI passes, draws from the OS; so does an
+        # explicit random.SystemRandom().
         ctx = setup_group(backend)
         ring, members = build_ring(ctx, 4, SeededRandomness(3))
         window = build_window(ctx, ring, members, 1, 2)
-        statement, w = gen_r(ctx)
-        psig = presign(ctx, ring, window, b"m", statement)
-        assert preverify(ctx, ring, psig, 2, b"m", statement)
-        assert verify(ctx, ring, adapt(ctx, psig, w), 2, b"m")
+        for rng in ((), (random.SystemRandom(),)):
+            statement, w = gen_r(ctx, *rng)
+            psig = presign(ctx, ring, window, b"m", statement, *rng)
+            assert preverify(ctx, ring, psig, 2, b"m", statement)
+            assert verify(ctx, ring, adapt(ctx, psig, w), 2, b"m")
 
 
 class TestSignerAmbiguity:

@@ -16,7 +16,7 @@ class Fixed:
     def __init__(self, *values):
         self.values = list(values)
 
-    def randbelow(self, bound):
+    def randrange(self, bound):
         return self.values.pop(0)
 
 

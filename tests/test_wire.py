@@ -14,7 +14,7 @@ from ringadapt import (PreSignature, SeededRandomness, Signature, gen_r,
 def _random_sig_objects(ctx, rng, n, t):
     """Shape-valid (pre)signature with random fields; no need to verify."""
     z = ctx.random_scalar_nonzero(rng)
-    challenges = tuple(rng.randbelow(ctx.order) for _ in range(n))
+    challenges = tuple(rng.randrange(ctx.order) for _ in range(n))
     tags = tuple(ctx.exp(ctx.generator_h, ctx.random_scalar_nonzero(rng))
                  for _ in range(t))
     return PreSignature(z, challenges, tags), Signature(z, challenges, tags)
@@ -49,8 +49,8 @@ class TestRoundTrips:
     def test_many_random_presignatures(self, toy):
         rng = SeededRandomness(17)
         for trial in range(1000):
-            n = 1 + rng.randbelow(10)
-            t = 1 + rng.randbelow(n)
+            n = 1 + rng.randrange(10)
+            t = 1 + rng.randrange(n)
             psig, _ = _random_sig_objects(toy, rng, n, t)
             data = wire.encode_presignature(toy, psig)
             assert wire.decode_presignature(toy, data, n, t) == psig
