@@ -1,7 +1,8 @@
 """Runtime and size measurements across ring sizes.
 
 Measures the nine scheme algorithms for each ring size n with threshold
-t = n/2 and reports the mean wall time of ``REPS`` samples plus the
+t = n/2 and reports the per-call time of the fastest of ``REPS``
+``timeit`` samples, taken with the garbage collector off, plus the
 serialized size of each algorithm's output; every cell draws from seed 0.
 Absolute times are hardware-bound; the point of the sweep is the scaling
 shape (signing and verification grow linearly in n, adapt/ext/link do
@@ -17,8 +18,7 @@ from __future__ import annotations
 
 import csv
 import random
-import statistics
-import time
+import timeit
 from typing import IO, Iterable
 
 from .groups import GroupContext, Record, setup_group
@@ -57,21 +57,12 @@ def _comm_formulas(ctx: GroupContext, n: int, t: int) -> dict[str, tuple[str, st
 
 
 def _mean_ns(fn) -> int:
-    fn()
-    fn()
-    start = time.perf_counter_ns()
-    fn()
-    once = max(time.perf_counter_ns() - start, 1)
+    """Per-call time of the fastest of ``REPS`` samples, in ns."""
+    timer = timeit.Timer(fn)
     # Loop fast operations enough times per sample that the timer
     # resolution stops mattering.
-    inner = max(1, min(2000, 200_000 // once))
-    samples = []
-    for _ in range(REPS):
-        start = time.perf_counter_ns()
-        for _ in range(inner):
-            fn()
-        samples.append((time.perf_counter_ns() - start) / inner)
-    return int(statistics.fmean(samples))
+    number = max(1, min(2000, int(2e-4 / max(timer.timeit(1), 1e-9))))
+    return int(min(timer.repeat(REPS, number)) / number * 1e9)
 
 
 def bench_cell(ctx: GroupContext, n: int, t: int) -> list[BenchRecord]:

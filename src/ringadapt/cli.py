@@ -55,7 +55,11 @@ def _decoded(ctx, decode, path: str, ring=None):
 
 
 def _secret(ctx, path: str) -> int:
-    return _decoded(ctx, wire.decode_scalar, path)
+    # A zero key or witness opens only the identity, which checks refuse.
+    k = _decoded(ctx, wire.decode_scalar, path)
+    if k == 0:
+        raise ValueError(f"{path}: secret scalar is 0")
+    return k
 
 
 def _ring(ctx, path: str) -> Ring:

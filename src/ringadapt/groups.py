@@ -5,8 +5,9 @@ two independent generators g and h and a hash function into Z_p (libsodium's
 SHA-512 on both backends).  Two interchangeable backends provide that group:
 
 * ``prod`` -- ristretto255 through one ctypes wrapper of the system
-  libsodium: prime order ~2^252, 32-byte canonical element encodings,
-  32-byte scalars.
+  libsodium: prime order ~2^252, 32-byte canonical element encodings
+  (checked here too, whatever the libsodium version: an encoding with
+  bit 255 set is refused), 32-byte scalars.
 * ``toy``  -- the order-101 subgroup of Z_607^*: small enough that tests
   can check every identity by exhaustive exponent-table lookup.
 
@@ -345,7 +346,9 @@ class RistrettoGroup(GroupContext):
         return _point("crypto_scalarmult_ristretto255", kb, a)
 
     def is_element(self, a: Element) -> bool:
-        return (isinstance(a, bytes) and len(a) == 32
+        # RFC 9496 4.3.1 requires s < p, so bit 255 clear; libsodium 1.0.18
+        # ignores that bit, and every element would have two encodings.
+        return (isinstance(a, bytes) and len(a) == 32 and a[31] < 0x80
                 and _sodium().crypto_core_ristretto255_is_valid_point(a) == 1)
 
 

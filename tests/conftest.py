@@ -24,6 +24,12 @@ def toy_element(residue):
     return residue.to_bytes(2, "big")
 
 
+def ristretto_alias(a):
+    """The ristretto255 encoding a with bit 255 set: libsodium 1.0.18 reads
+    it as a, and RFC 9496 refuses it."""
+    return a[:31] + bytes([a[31] | 0x80])
+
+
 def build_ring(ctx, n, rng):
     """Ring of n distinct members; returns (ring, list of keypairs)."""
     members = distinct_keypairs(ctx, n, rng)

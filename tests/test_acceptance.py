@@ -276,6 +276,11 @@ def test_criterion_8_scaling_shape():
             print(f"  {algorithm}: n=10 {times[10].mean_ns/1e6:.2f} ms, "
                   f"n=100 {times[100].mean_ns/1e6:.2f} ms, ratio {ratio:.1f}")
             assert ratio <= 14.0, f"{algorithm} grew {ratio:.1f}x"
+            # Growth with n, allowing a small dip for timer noise.
+            means = [times[n].mean_ns for n in (10, 40, 70, 100)]
+            assert means[-1] > means[0]
+            for earlier, later in zip(means, means[1:]):
+                assert later >= 0.75 * earlier, f"{algorithm} dipped"
         for algorithm in ("adapt", "ext", "link"):
             times = by_algorithm(records, algorithm)
             means = [rec.mean_ns for rec in times.values()]

@@ -11,8 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from ringadapt import (Ring, SeededRandomness, gen_r, keygen, setup_group,
-                       wire)
+from ringadapt import setup_group, wire
 from ringadapt.cli import build_parser, main
 
 
@@ -465,29 +464,24 @@ def test_keygen_requires_out(capsys):
 
 
 @pytest.mark.parametrize("group", ["prod"])
-def test_zero_key_file_exits_2(capsys, tmp_path, group):
-    ctx = setup_group(group)
-    zero = tmp_path / "zero.key"
-    zero.write_bytes(wire.encode_scalar(ctx, 0))
-    ring = tmp_path / "ring.bin"
-    # g^0 is the identity, which no ring may hold.
-    code = main(["ring-build", "--key", str(zero),
-                 "--out", str(ring)])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error: ")
-    assert not ring.exists()
-    pk = keygen(ctx, SeededRandomness(1)).pk
-    ring.write_bytes(wire.encode_ring(ctx, Ring(ctx, [pk])))
-    statement, message = tmp_path / "statement.bin", tmp_path / "m.bin"
-    statement.write_bytes(wire.encode_statement(
-        ctx, gen_r(ctx, SeededRandomness(2))[0]))
-    message.write_bytes(b"m")
-    code = main(["presign", "--ring", str(ring),
-                 "--window", "0", "--key", str(zero),
-                 "--message", str(message), "--statement", str(statement),
-                 "--out", str(tmp_path / "presig.bin")])
-    assert code == 2
-    assert capsys.readouterr().err.startswith("error: ")
+def test_zero_key_file_exits_2(capsys, workspace, group):
+    # A key or witness file holding 0 opens only the identity (g^0, h^0):
+    # the error names the file, and nothing is written.
+    zero = workspace["ring"].parent / "zero.key"
+    zero.write_bytes(wire.encode_scalar(setup_group(group), 0))
+    out = workspace["ring"].parent / "out.bin"
+    assert _presign(workspace, capsys)[0] == 0
+    ring = str(workspace["ring"])
+    for argv in (["ring-build", "--key", str(workspace["keys"][0]),
+                  "--key", str(zero)],
+                 ["presign", "--ring", ring, "--window", "0",
+                  "--key", str(zero), "--message", str(workspace["message"]),
+                  "--statement", str(workspace["statement"])],
+                 ["adapt", "--ring", ring, "--presig", str(workspace["presig"]),
+                  "--witness", str(zero)]):
+        assert main([*argv, "--out", str(out)]) == 2, argv[0]
+        assert capsys.readouterr().err == f"error: {zero}: secret scalar is 0\n"
+        assert not out.exists()
 
 
 def test_json_key_file_is_refused(capsys, tmp_path):

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import toy_element
-from ringadapt import SeededRandomness, groups, setup_group
+from conftest import ristretto_alias, toy_element
+from ringadapt import SeededRandomness, groups, setup_group, wire
 from ringadapt.groups import (H_DERIVATION_STRING, TOY_MODULUS, TOY_ORDER,
                               UnknownBackendError, frame_parts)
 
@@ -130,6 +130,18 @@ def test_decode_rejects_non_canonical(toy, prod):
         prod.decode_scalar(b"\xff" * 32)  # >= group order
     with pytest.raises(ValueError):
         prod.decode_element(b"\xff" * 32)
+    # Bit 255 set: a second spelling of a valid element that libsodium
+    # 1.0.18 accepts, and RFC 9496 4.3.1 refuses (s < p).
+    rng = SeededRandomness(14)
+    keys = [prod.exp(prod.generator_g, prod.random_scalar_nonzero(rng))
+            for _ in range(8)]
+    for a in (prod.generator_g, prod.generator_h, prod.identity, *keys):
+        alias = ristretto_alias(a)
+        assert prod.is_element(a) and not prod.is_element(alias)
+        with pytest.raises(ValueError, match="not a group element"):
+            prod.decode_element(alias)
+        with pytest.raises(ValueError, match="not a group element"):
+            wire.decode_element(prod, wire.encode_element(prod, alias))
     for ctx in (toy, prod):
         # Not read as bytes(n), n zero bytes: on prod, the identity.
         with pytest.raises(TypeError):

@@ -8,10 +8,10 @@ import json
 
 import pytest
 
-from conftest import build_ring, build_window, toy_element
-from ringadapt import (PreSignature, Ring, SeededRandomness, Signature,
-                       SignerWindow, adapt, gen_r, keygen, presign, schnorr,
-                       setup_group, swap, wire)
+from conftest import build_ring, build_window, ristretto_alias, toy_element
+from ringadapt import (KeyPair, PreSignature, Ring, SeededRandomness,
+                       Signature, SignerWindow, adapt, gen_r, keygen, presign,
+                       schnorr, setup_group, swap, verify, wire)
 from ringadapt.swap import (FAULT_PLANS, FaultPlan, MockLedger, Phase,
                             SwapTransaction, ledger_submit, make_demo_parties,
                             run_swap, swap_demo)
@@ -203,6 +203,49 @@ class TestLedger:
         assert run.ledger_plain.published_tags == {bob.pk}
         assert tx not in run.ledger_plain.confirmed
 
+    def test_prod_refuses_bit_255_aliases(self, prod):
+        # libsodium 1.0.18 reads an encoding with bit 255 set as the
+        # element with it clear, so an alias would spend a key twice.
+        rng = SeededRandomness(14)
+        ring, members = build_ring(prod, 4, rng)
+        for t in (1, 2):
+            ledger = MockLedger(prod, "B")
+            window = build_window(prod, ring, members, 0, t)
+            tx1, sig1 = _signed_ring_tx(prod, ring, window, b"x", 1, rng)
+            assert ledger_submit(ledger, tx1, sig1).accepted
+            tx2, sig2 = _signed_ring_tx(prod, ring, window, b"y", 2, rng)
+            aliased = Signature(sig2.z, sig2.challenges,
+                                tuple(map(ristretto_alias, sig2.tags)))
+            result = ledger_submit(ledger, tx2, aliased)
+            assert (result.accepted, result.reason) == (False, "bad-signature")
+            assert ledger.confirmed == {tx1: sig1}
+        # A chain-A payer key pays once, whatever its spelling.
+        ledger = MockLedger(prod, "A")
+        bob = keygen(prod, rng)
+        verdicts = []
+        for nonce, payer in enumerate(
+                (bob, KeyPair(bob.sk, ristretto_alias(bob.pk)))):
+            tx = SwapTransaction("A", b"alice", 1, nonce, payer_key=payer.pk)
+            statement, w = gen_r(prod, rng)
+            sig = schnorr.adapt(prod, schnorr.presign(
+                prod, payer, wire.encode_transaction(prod, tx), statement.w1,
+                rng), w)
+            result = ledger_submit(ledger, tx, sig)
+            verdicts.append((result.accepted, result.reason))
+        assert verdicts == [(True, None), (False, "malformed")]
+        # The identity's alias, a known secret, gets a verdict, not an
+        # exception from libsodium, as a tag or as a ring key.
+        identity_alias = ristretto_alias(prod.identity)
+        tx, sig = _signed_ring_tx(prod, ring, build_window(
+            prod, ring, members, 2, 1), b"z", 3, rng)
+        forged = Signature(sig.z, sig.challenges, (identity_alias,))
+        assert not verify(prod, ring, forged, 1, wire.encode_transaction(
+            prod, tx))
+        bad_ring = SwapTransaction("B", b"z", 1, 3, threshold=1, ring_keys=(
+            identity_alias, *ring.keys[1:]))
+        result = ledger_submit(MockLedger(prod, "B"), bad_ring, sig)
+        assert (result.accepted, result.reason) == (False, "malformed")
+
     def test_tampered_ring_signature_rejected(self, toy, rng):
         ledger = MockLedger(toy, "B")
         ring, members = build_ring(toy, 4, rng)
@@ -346,6 +389,19 @@ class TestSwapRuns:
         assert not result.ledger_ring.confirmed
         assert swap.CORRUPTIONS == ("tamper-presig-a", "tamper-presig-b",
                                     "replay-window")
+
+    def test_aliased_broadcast_tag_confirms_nothing(self, prod, monkeypatch):
+        # Bob flips bit 255 of his broadcast's first tag: libsodium 1.0.18
+        # reads the same signature, but Alice could not extract from it.
+        plan = FaultPlan(corruption="alias-broadcast-tag")
+        monkeypatch.setitem(swap._FAULTS, plan, (
+            5, "broadcast", "broadcast tag 0 aliased",
+            lambda run, sig: Signature(sig.z, sig.challenges, (
+                ristretto_alias(sig.tags[0]), *sig.tags[1:]))))
+        for t, seed in itertools.product((1, 2), range(5)):
+            result = swap_demo(prod, ring_size=4, threshold=t, seed=seed,
+                               fault=plan)
+            assert result.outcome() == "neither-confirmed", (t, seed)
 
     def test_toy_chance_events_are_counted(self, toy, prod):
         # On toy (order 101) a tampered pre-signature passes its
