@@ -1,6 +1,7 @@
 import pytest
 
 from ringadapt import Ring, SeededRandomness, SignerWindow, setup_group
+from ringadapt.bench import run_bench
 from ringadapt.scheme import _commit, distinct_keypairs
 
 
@@ -12,6 +13,13 @@ def toy():
 @pytest.fixture(scope="session")
 def prod():
     return setup_group("prod")
+
+
+@pytest.fixture(scope="session")
+def prod_sweep():
+    """One prod bench sweep over n = 10, 20, ..., 100, shared by the tests
+    that read the scaling shape."""
+    return run_bench(sizes=range(10, 101, 10))
 
 
 @pytest.fixture

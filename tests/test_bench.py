@@ -1,9 +1,10 @@
-"""Bench harness: record shapes and the size column; the scaling shape is
-acceptance criterion 8."""
+"""Bench harness: record shapes, size column, scaling sanity over the one
+prod sweep that acceptance criterion 8 also reads."""
 
 import io
 
-from ringadapt.bench import CSV_COLUMNS, REPS, bench_cell, write_csv
+from ringadapt.bench import (CSV_COLUMNS, REPS, bench_cell, by_algorithm,
+                             write_csv)
 
 ALGORITHMS = {"setup", "keygen", "genr", "presign", "preverify", "adapt",
               "verify", "ext", "link"}
@@ -43,3 +44,14 @@ def test_csv_schema(toy):
     assert lines[0].split(",") == list(CSV_COLUMNS)
     assert len(lines) == 1 + len(ALGORITHMS)
 
+
+
+def test_prod_scaling_sanity(prod_sweep):
+    # Means must grow with n for the ring-dependent algorithms; allow a
+    # small dip for timer noise.
+    for algorithm in ("presign", "preverify", "verify"):
+        times = by_algorithm(prod_sweep, algorithm)
+        means = [times[n].mean_ns for n in (10, 40, 70, 100)]
+        assert means[-1] > means[0]
+        for earlier, later in zip(means, means[1:]):
+            assert later >= 0.75 * earlier, f"{algorithm} dipped"
