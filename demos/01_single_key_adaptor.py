@@ -8,10 +8,12 @@ the pre-signature.  That pair of properties is what later makes the
 cross-chain swap atomic.
 """
 
-from ringadapt import SeededRandomness, gen_r, keygen, schnorr, setup_group, wire
+import random
+
+from ringadapt import gen_r, keygen, schnorr, setup_group, wire
 
 ctx = setup_group("prod")
-rng = SeededRandomness(2)
+rng = random.Random(2)
 
 print("== keys and statement ==")
 signer = keygen(ctx, rng)

@@ -8,11 +8,13 @@ y_i = prod_{k=i..i+t-1} pk_k^d (with wraparound), each weighted by its
 own challenge c_i, so each of the n windows is equally plausible.
 """
 
-from ringadapt import (Ring, SeededRandomness, SignerWindow, adapt, gen_r,
-                       keygen, presign, preverify, setup_group, verify, wire)
+import random
+
+from ringadapt import (Ring, SignerWindow, adapt, gen_r, keygen, presign,
+                       preverify, setup_group, verify, wire)
 
 ctx = setup_group("prod")
-rng = SeededRandomness(7)
+rng = random.Random(7)
 
 n, t = 8, 3
 members = [keygen(ctx, rng) for _ in range(n)]

@@ -10,11 +10,13 @@ Two independent mechanisms, both byte-level comparisons:
   ring, message or randomness they used.
 """
 
-from ringadapt import (Ring, SeededRandomness, SignerWindow, adapt, ext,
-                       gen_r, keygen, link, presign, setup_group)
+import random
+
+from ringadapt import (Ring, SignerWindow, adapt, ext, gen_r, keygen, link,
+                       presign, setup_group)
 
 ctx = setup_group("prod")
-rng = SeededRandomness(12)
+rng = random.Random(12)
 
 members = [keygen(ctx, rng) for _ in range(6)]
 ring = Ring(ctx, [kp.pk for kp in members])

@@ -25,11 +25,9 @@ print("extracted witness equals Bob's:",
       result.state.extracted_witness == result.bob_witness)
 
 print("\n== every fault still ends atomically ==")
-for plan in FAULT_PLANS:
+for name, plan in FAULT_PLANS.items():
     result = swap_demo(ctx, ring_size=5, threshold=2, seed=42, fault=plan)
-    label = (f"abort after step {plan.abort_after}" if plan.abort_after
-             else plan.corruption)
-    print(f"  {label:24} -> {result.state.phase.value:8} "
+    print(f"  {name:16} -> {result.state.phase.value:8} "
           f"({result.state.abort_reason}): {result.outcome()}")
 
 print("\n== transcripts are deterministic and machine-readable ==")

@@ -16,18 +16,17 @@ Public surface:
 import importlib
 
 from . import groups, schnorr, wire
-from .groups import (GroupContext, SeededRandomness, UnknownBackendError,
-                     setup_group)
+from .groups import GroupContext, UnknownBackendError, setup_group
 from .scheme import (KeyMismatchError, KeyPair, PreSignature, Ring, Signature,
                      SignerWindow, StatementPair, adapt, ext, gen_r, keygen,
                      link, presign, preverify, verify, verify_relation)
 
 __all__ = [
     "GroupContext", "KeyMismatchError", "KeyPair", "PreSignature", "Ring",
-    "SeededRandomness", "Signature", "SignerWindow", "StatementPair",
-    "UnknownBackendError", "adapt", "bench", "ext", "gen_r", "groups",
-    "keygen", "link", "presign", "preverify", "schnorr", "setup_group",
-    "swap", "verify", "verify_relation", "wire",
+    "Signature", "SignerWindow", "StatementPair", "UnknownBackendError",
+    "adapt", "bench", "ext", "gen_r", "groups", "keygen", "link", "presign",
+    "preverify", "schnorr", "setup_group", "swap", "verify",
+    "verify_relation", "wire",
 ]
 
 __version__ = "0.1.0"

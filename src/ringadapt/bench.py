@@ -1,8 +1,8 @@
 """Runtime and size measurements across ring sizes.
 
 Measures the nine scheme algorithms for each ring size n with threshold
-t = n/2 and reports the per-call time of the fastest of ``REPS``
-``timeit`` samples, taken with the garbage collector off, plus the
+t = n/2: the per-call time of the fastest of ``REPS`` ``timeit`` samples,
+taken round-robin over the sweep with the garbage collector off, and the
 serialized size of each algorithm's output; every cell draws from seed 0.
 Absolute times are hardware-bound; the point of the sweep is the scaling
 shape (signing and verification grow linearly in n, adapt/ext/link do
@@ -56,17 +56,9 @@ def _comm_formulas(ctx: GroupContext, n: int, t: int) -> dict[str, tuple[str, st
     }
 
 
-def _mean_ns(fn) -> int:
-    """Per-call time of the fastest of ``REPS`` samples, in ns."""
-    timer = timeit.Timer(fn)
-    # Loop fast operations enough times per sample that the timer
-    # resolution stops mattering.
-    number = max(1, min(2000, int(2e-4 / max(timer.timeit(1), 1e-9))))
-    return int(min(timer.repeat(REPS, number)) / number * 1e9)
-
-
-def bench_cell(ctx: GroupContext, n: int, t: int) -> list[BenchRecord]:
-    """Measure all nine algorithms at one (n, t) point."""
+def _cases(ctx: GroupContext, n: int, t: int) -> list[tuple]:
+    """(algorithm, call, output bytes) of each of the nine algorithms at
+    one (n, t) point."""
     rng = random.Random(0)
     members = distinct_keypairs(ctx, n, rng)
     ring = Ring(ctx, [kp.pk for kp in members])
@@ -77,12 +69,10 @@ def bench_cell(ctx: GroupContext, n: int, t: int) -> list[BenchRecord]:
     sig = adapt(ctx, psig, witness)
     sig_linked = adapt(ctx, presign(ctx, ring, window, b"other message",
                                     statement, rng), witness)
-    formulas = _comm_formulas(ctx, n, t)
     sz, sg = ctx.scalar_size, ctx.element_size
     sig_bytes = len(encode_signature(ctx, sig)) - HEADER_SIZE
     psig_bytes = len(encode_presignature(ctx, psig)) - HEADER_SIZE
-
-    cases = [
+    return [
         ("setup", lambda: type(ctx)(), 2 * sg),
         ("keygen", lambda: keygen(ctx, rng), sg),
         ("genr", lambda: gen_r(ctx, rng), 2 * sg),
@@ -96,21 +86,37 @@ def bench_cell(ctx: GroupContext, n: int, t: int) -> list[BenchRecord]:
         ("ext", lambda: ext(ctx, statement, psig, sig), sz),
         ("link", lambda: link(sig, sig_linked), 0),
     ]
-    records = []
-    for name, fn, size in cases:
-        ours, baseline = formulas.get(name, ("", ""))
-        records.append(BenchRecord(name, n, t, _mean_ns(fn), REPS, size,
-                                   ours, baseline))
-    return records
+
+
+def _timed(ctx: GroupContext, points) -> list[BenchRecord]:
+    """Every case at each (n, t) of ``points``, with the ``REPS`` samples
+    taken round-robin over all cases, so a change of host speed during the
+    sweep reaches every n alike."""
+    cases = [(n, t, *case) for n, t in points for case in _cases(ctx, n, t)]
+    timers = [timeit.Timer(fn) for _, _, _, fn, _ in cases]
+    # Calls per sample, doubled until one lasts 0.2 ms: then neither the
+    # timer's resolution nor a cold first call moves a fast cell.
+    numbers = []
+    for timer in timers:
+        number = 1
+        while number < 2000 and timer.timeit(number) < 2e-4:
+            number = min(2 * number, 2000)
+        numbers.append(number)
+    rounds = [[timer.timeit(number) / number
+               for timer, number in zip(timers, numbers)] for _ in range(REPS)]
+    return [BenchRecord(name, n, t, int(min(per_call) * 1e9), REPS, size,
+                        *_comm_formulas(ctx, n, t).get(name, ("", "")))
+            for (n, t, name, _, size), per_call in zip(cases, zip(*rounds))]
+
+
+def bench_cell(ctx: GroupContext, n: int, t: int) -> list[BenchRecord]:
+    """Measure all nine algorithms at one (n, t) point."""
+    return _timed(ctx, [(n, t)])
 
 
 def run_bench(sizes: Iterable[int] = range(10, 101, 10)) -> list[BenchRecord]:
     """Sweep ring sizes with t = n/2 on prod and collect all records."""
-    ctx = setup_group("prod")
-    records = []
-    for n in sizes:
-        records.extend(bench_cell(ctx, n, max(1, n // 2)))
-    return records
+    return _timed(setup_group("prod"), [(n, max(1, n // 2)) for n in sizes])
 
 
 def write_csv(records: Iterable[BenchRecord], out: IO[str]):

@@ -75,12 +75,6 @@ def _verdict(ok: bool) -> int:
     return 0 if ok else 1
 
 
-def _fault_plans() -> dict:
-    """Each plan of ``swap.FAULT_PLANS`` by name: abortK or its corruption."""
-    from .swap import FAULT_PLANS
-    return {p.corruption or f"abort{p.abort_after}": p for p in FAULT_PLANS}
-
-
 def cmd_keygen(ctx, args) -> int:
     pair = keygen(ctx)
     _write(args.out, wire.encode_scalar(ctx, pair.sk), secret=True)
@@ -162,11 +156,10 @@ def cmd_link(ctx, args) -> int:
 
 def cmd_swap_demo(ctx, args) -> int:
     import json
-    from .swap import Phase, swap_demo
-    plans = _fault_plans()
-    if args.fault != "none" and args.fault not in plans:
+    from .swap import FAULT_PLANS, Phase, swap_demo
+    if args.fault != "none" and args.fault not in FAULT_PLANS:
         raise ValueError(f"unknown fault {args.fault!r}")
-    fault = plans.get(args.fault)
+    fault = FAULT_PLANS.get(args.fault)
     result = swap_demo(ctx, ring_size=args.ring_size,
                        threshold=args.threshold, seed=args.seed,
                        fault=fault)

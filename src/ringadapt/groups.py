@@ -121,7 +121,7 @@ class UnknownBackendError(ValueError):
 
 
 _SYSTEM = random.SystemRandom()
-SeededRandomness = random.Random   # the name callers seed a run by
+SeededRandomness = random.Random   # imported by perfbench/workloads.py
 
 
 def frame_parts(domain_tag: bytes, parts: Iterable[bytes]) -> bytes:

@@ -57,7 +57,7 @@ class StatementPair(Record):
 
 class Ring:
     """Ordered list of distinct public keys plus its cached digest d.
-    ``encodings`` is ``keys``: an element is its encoding."""
+    ``encodings`` is ``keys``, kept because perfbench/tracing.py reads it."""
 
     __slots__ = ("keys", "encodings", "d")
 

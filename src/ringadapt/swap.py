@@ -52,8 +52,8 @@ from .wire import CHAIN_PLAIN, CHAIN_RING, SwapTransaction
 TAMPER_PRESIG_A = "tamper-presig-a"
 TAMPER_PRESIG_B = "tamper-presig-b"
 REPLAY_WINDOW = "replay-window"
-# Kept as the list perfbench's swap-e2e builds its mix from, as
-# ``Ring.encodings`` is kept for the tracer; a later fault is in _FAULTS only.
+# Kept with its three names for perfbench/workloads.py, which builds
+# swap-e2e's mix from it; a later fault is in _FAULTS and FAULT_PLANS only.
 CORRUPTIONS = (TAMPER_PRESIG_A, TAMPER_PRESIG_B, REPLAY_WINDOW)
 
 REJECT_BAD_SIGNATURE = "bad-signature"
@@ -61,7 +61,7 @@ REJECT_DOUBLE_SPEND = "double-spend-link"
 REJECT_MALFORMED = "malformed"
 
 # The most ring keys a ledger's ring cache holds, summed over its rings;
-# one ring of the largest encodable size (0xFFFF keys) fits.
+# 64 rings of the largest admitted size (wire.MAX_RING_SIZE keys) fit.
 RING_CACHE_KEYS = 1 << 16
 
 
@@ -74,6 +74,7 @@ class Phase(str, Enum):
     ABORTED = "aborted"
 
 
+# perfbench/workloads.py builds its plans with this constructor.
 class FaultPlan(Record):
     """No fault, ``FaultPlan()``, or a key of ``_FAULTS``."""
 
@@ -221,7 +222,8 @@ _FAULTS = {
     FaultPlan(corruption=REPLAY_WINDOW): (
         0, "start", None, lambda run, _: _prepublish_window(run)),
 }
-FAULT_PLANS = tuple(_FAULTS)
+# name -> plan, in _FAULTS order: abortK, or the corruption's name.
+FAULT_PLANS = {p.corruption or f"abort{p.abort_after}": p for p in _FAULTS}
 
 
 @dataclass

@@ -49,6 +49,7 @@ HEADER_SIZE = 2
 
 CHAIN_PLAIN = "A"   # single-key adaptor chain
 CHAIN_RING = "B"    # threshold-ring chain
+MAX_RING_SIZE = 1024   # the most keys a chain-B transaction's ring holds
 
 
 class WireError(ValueError):
@@ -260,8 +261,8 @@ class SwapTransaction(Record):
         elif self.chain_id == CHAIN_RING:
             if self.payer_key is not None or not self.ring_keys:
                 raise ValueError("chain-B transaction needs a payer ring")
-            if len(self.ring_keys) > 0xFFFF:
-                raise ValueError("payer ring too large")
+            if len(self.ring_keys) > MAX_RING_SIZE:
+                raise ValueError(f"payer ring above {MAX_RING_SIZE} keys")
             require_exact("ring key", self.ring_keys)
             if not (type(self.threshold) is int
                     and 1 <= self.threshold <= len(self.ring_keys)):
@@ -291,8 +292,8 @@ def encode_transaction(ctx: GroupContext, tx: SwapTransaction) -> bytes:
 
 
 def decode_transaction(ctx: GroupContext, data: bytes) -> SwapTransaction:
-    # Every field is sliced and the length checked before any key is named
-    # and decoded; SwapTransaction rejects an empty ring and bad threshold.
+    # Every field is sliced, the length and then the ring size checked,
+    # before any key is named and decoded; SwapTransaction rejects the rest.
     reader = _Reader(_payload(data, TAG_TRANSACTION))
     chain = reader.take(1, "chain id").decode("ascii", errors="replace")
     sg = ctx.element_size
@@ -308,6 +309,8 @@ def decode_transaction(ctx: GroupContext, data: bytes) -> SwapTransaction:
     amount = reader.u64("amount")
     nonce = reader.u64("nonce")
     reader.done()
+    if len(raw) > MAX_RING_SIZE * sg:
+        raise WireError(f"payer ring above {MAX_RING_SIZE} keys")
     keys = tuple(_field(ctx.decode_element, raw[i:i + sg], "payer key"
                         if chain == CHAIN_PLAIN else f"ring key {i // sg}")
                  for i in range(0, len(raw), sg))

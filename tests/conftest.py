@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from ringadapt import Ring, SeededRandomness, SignerWindow, setup_group
+from ringadapt import Ring, SignerWindow, setup_group
 from ringadapt.bench import run_bench
 from ringadapt.scheme import _commit, distinct_keypairs
 
@@ -24,7 +26,7 @@ def prod_sweep():
 
 @pytest.fixture
 def rng():
-    return SeededRandomness(12345)
+    return random.Random(12345)
 
 
 def toy_element(residue):

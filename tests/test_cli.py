@@ -517,7 +517,15 @@ def test_swap_demo_unknown_fault_exits_2(capsys, fault):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ")
-    assert fault in captured.err or "abort point" in captured.err
+    assert f"unknown fault {fault!r}" in captured.err
+
+
+def test_swap_demo_oversized_ring_exits_2(capsys):
+    code = main(["swap-demo", "--ring-size", "1025", "--threshold", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: payer ring above 1024 keys\n"
 
 
 def test_bench_csv_schema(capsys):

@@ -5,6 +5,7 @@ import ctypes.util
 import hashlib
 import itertools
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ristretto_alias, toy_element
-from ringadapt import SeededRandomness, groups, setup_group, wire
+from ringadapt import groups, setup_group, wire
 from ringadapt.groups import (H_DERIVATION_STRING, TOY_MODULUS, TOY_ORDER,
                               UnknownBackendError, frame_parts)
 
@@ -132,7 +133,7 @@ def test_decode_rejects_non_canonical(toy, prod):
         prod.decode_element(b"\xff" * 32)
     # Bit 255 set: a second spelling of a valid element that libsodium
     # 1.0.18 accepts, and RFC 9496 4.3.1 refuses (s < p).
-    rng = SeededRandomness(14)
+    rng = random.Random(14)
     keys = [prod.exp(prod.generator_g, prod.random_scalar_nonzero(rng))
             for _ in range(8)]
     for a in (prod.generator_g, prod.generator_h, prod.identity, *keys):
@@ -216,7 +217,7 @@ def test_framing_is_injective(parts_a, parts_b):
 
 
 def test_random_scalar_nonzero(toy):
-    rng = SeededRandomness(0)
+    rng = random.Random(0)
     seen = {toy.random_scalar_nonzero(rng) for _ in range(500)}
     assert 0 not in seen
     assert all(1 <= k < toy.order for k in seen)

@@ -12,13 +12,15 @@ that fix.  The machine runs on prod: on toy a tampered z verifies by
 chance about 1 time in 101.
 """
 
+import random
+
 import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, invariant,
                                  precondition, rule)
 
-from ringadapt import (Ring, SeededRandomness, Signature, SignerWindow,
-                       adapt, gen_r, presign, schnorr, setup_group)
+from ringadapt import (Ring, Signature, SignerWindow, adapt, gen_r, presign,
+                       schnorr, setup_group)
 from ringadapt.scheme import distinct_keypairs
 from ringadapt.swap import (REJECT_BAD_SIGNATURE, REJECT_DOUBLE_SPEND,
                             REJECT_MALFORMED, MockLedger, ledger_submit)
@@ -27,14 +29,14 @@ from ringadapt.wire import (CHAIN_PLAIN, CHAIN_RING, SwapTransaction,
 
 CTX = setup_group("prod")
 N = 6
-MEMBERS = distinct_keypairs(CTX, N, SeededRandomness(61))
+MEMBERS = distinct_keypairs(CTX, N, random.Random(61))
 RING = Ring(CTX, [kp.pk for kp in MEMBERS])
 # A key's link tag h^sk is the same in every window that holds it.
 TAGS = [SignerWindow(CTX, RING, k, [kp.sk]).tags[0]
         for k, kp in enumerate(MEMBERS)]
 
 # Each step draws its own seed, so Hypothesis replays a step exactly; one
-# SeededRandomness shared across steps would make a shrunk run draw other
+# random.Random shared across steps would make a shrunk run draw other
 # values than the run it came from.
 SEEDS = st.integers(0, 2**32 - 1)
 STARTS = st.integers(0, N - 1)
@@ -45,7 +47,7 @@ def _spend(start, t, seed, payee=b"payee"):
     """An honest chain-B spend by window (start, t), wrapping: the
     transaction to ``payee``, its pre-signature and the adapted
     signature."""
-    rng = SeededRandomness(seed)
+    rng = random.Random(seed)
     window = SignerWindow(CTX, RING, start,
                           [MEMBERS[(start + i) % N].sk for i in range(t)])
     tx = SwapTransaction(CHAIN_RING, payee, 1, rng.randrange(2**64),
@@ -59,7 +61,7 @@ def _spend(start, t, seed, payee=b"payee"):
 def _plain_spend(key, seed, payee=b"payee"):
     """An honest chain-A spend by payer ``MEMBERS[key]`` to ``payee``: the
     transaction and its adapted Schnorr signature."""
-    rng = SeededRandomness(seed)
+    rng = random.Random(seed)
     payer = MEMBERS[key]
     tx = SwapTransaction(CHAIN_PLAIN, payee, 1, rng.randrange(2**64),
                          payer_key=payer.pk)

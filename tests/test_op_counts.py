@@ -11,14 +11,16 @@ payer key), never when the program writes a value it computed.
 """
 
 import copy
+import itertools
+import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import build_ring, build_window
-from ringadapt import (PreSignature, Ring, SeededRandomness, Signature, adapt,
-                       ext, gen_r, keygen, link, presign, preverify, schnorr,
-                       verify, wire)
+from ringadapt import (PreSignature, Ring, Signature, adapt, ext, gen_r,
+                       keygen, link, presign, preverify, schnorr, verify, wire)
 from ringadapt.groups import RistrettoGroup, ToyGroup
 from ringadapt.swap import MockLedger, ledger_submit
 
@@ -70,7 +72,7 @@ def test_exact_counts_for_every_cell():
     ctx = CountingToy()
     flat = {"adapt": set(), "ext": set(), "link": set()}
     for n, t, j in _cells():
-        rng = SeededRandomness(100 * n + 10 * t + j)
+        rng = random.Random(100 * n + 10 * t + j)
         ring, members = build_ring(ctx, n, rng)
         window = build_window(ctx, ring, members, j, t)
         statement, w = gen_r(ctx, rng)
@@ -104,7 +106,7 @@ LEDGER_CELLS = [(1, 1), (3, 2), (5, 1), (6, 3), (8, 8)]
 
 def _ring_spend(ctx, n, t):
     """A chain-B transaction signed by the first t of n ring keys."""
-    rng = SeededRandomness(10 * n + t)
+    rng = random.Random(10 * n + t)
     ring, members = build_ring(ctx, n, rng)
     window = build_window(ctx, ring, members, 0, t)
     statement, w = gen_r(ctx, rng)
@@ -118,7 +120,7 @@ def _ring_spend(ctx, n, t):
 
 def _plain_spend(ctx):
     """A chain-A transaction and its signature."""
-    rng = SeededRandomness(5)
+    rng = random.Random(5)
     bob = keygen(ctx, rng)
     statement, w = gen_r(ctx, rng)
     tx = wire.SwapTransaction("A", b"alice", 1, 2, payer_key=bob.pk)
@@ -177,7 +179,7 @@ def test_exact_warm_ring_ledger_submit_counts(n, t):
 @pytest.mark.parametrize("backend", [CountingToy, CountingRistretto])
 def test_exact_duplicate_key_ring_counts_nothing(backend):
     ctx = backend()
-    ring, _ = build_ring(ctx, 4, SeededRandomness(4))
+    ring, _ = build_ring(ctx, 4, random.Random(4))
     keys = (*ring.keys, ring.keys[1])
     tx = wire.SwapTransaction("B", b"bob", 1, 2, ring_keys=keys, threshold=2)
     sig = Signature(1, (0,) * len(keys), ring.keys[:2])   # of the right shape
@@ -249,7 +251,7 @@ def test_exact_truncated_field_counts_nothing():
     ctx = CountingToy()
     _, sig = _ring_spend(ctx, 4, 2)
     psig = PreSignature(sig.z, sig.challenges, sig.tags)
-    statement, _ = gen_r(ctx, SeededRandomness(3))
+    statement, _ = gen_r(ctx, random.Random(3))
     signed = ["leading scalar", *(f"challenge {i}" for i in range(4)),
               "link tag 0", "link tag 1"]
     cases = [
@@ -277,10 +279,31 @@ def test_exact_truncated_field_counts_nothing():
     assert ctx.take() == {}
 
 
+def test_exact_oversized_ring_counts_nothing():
+    # g, g^2, ...: distinct valid keys, one more than a chain-B ring holds.
+    ctx = CountingRistretto()
+    keys = tuple(itertools.accumulate(
+        [ctx.generator_g] * (wire.MAX_RING_SIZE + 1), ctx.mul))
+    tx = wire.SwapTransaction("B", b"bob", 1, 2, ring_keys=keys[:-1],
+                              threshold=1)
+    oversized = SimpleNamespace(**vars(tx) | {"ring_keys": keys})
+    data = wire.encode_transaction(ctx, oversized)
+    sig = Signature(1, (0,) * len(keys), keys[:1])   # of the right shape
+    ctx.take()
+    assert wire.decode_transaction(ctx, wire.encode_transaction(ctx, tx)) == tx
+    assert ctx.take() == {"is_element": wire.MAX_RING_SIZE}
+    with pytest.raises(wire.WireError, match="^payer ring above 1024 keys$"):
+        wire.decode_transaction(ctx, data)
+    assert ledger_submit(MockLedger(ctx, "B"), oversized,
+                         sig).reason == "malformed"
+    # The ring size is compared before any key is checked.
+    assert ctx.take() == {}
+
+
 @pytest.mark.parametrize("n", [1, 4, 8])
 def test_exact_decode_ring_counts(n):
     ctx = CountingToy()
-    ring, _ = build_ring(ctx, n, SeededRandomness(n))
+    ring, _ = build_ring(ctx, n, random.Random(n))
     data = wire.encode_ring(ctx, ring)
     ctx.take()
     assert wire.decode_ring(ctx, data) == ring

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from conftest import (build_ring, build_window, presign_intermediates,
                       toy_element)
-from ringadapt import (KeyMismatchError, PreSignature, Ring, SeededRandomness,
-                       Signature, SignerWindow, StatementPair, adapt, ext,
-                       gen_r, keygen, link, presign, preverify, setup_group,
-                       verify, verify_relation)
+from ringadapt import (KeyMismatchError, PreSignature, Ring, Signature,
+                       SignerWindow, StatementPair, adapt, ext, gen_r, keygen,
+                       link, presign, preverify, setup_group, verify,
+                       verify_relation)
 from ringadapt.bench import bench_cell
 from ringadapt.scheme import _presign_body, distinct_keypairs
 from ringadapt.swap import swap_demo
@@ -47,7 +47,7 @@ class TestKeygenAndRelation:
         assert keygen(toy, Fixed(1)).pk == toy.generator_g
 
     def test_keygen_samples_nonzero(self, toy):
-        rng = SeededRandomness(4)
+        rng = random.Random(4)
         for _ in range(50):
             kp = keygen(toy, rng)
             assert 1 <= kp.sk < toy.order
@@ -57,7 +57,7 @@ class TestKeygenAndRelation:
         # The toy group has 100 keys g^sk, sk != 0: all of them can be
         # drawn, and a 101st is refused before any draw, also when the
         # swap demo or a bench cell asks for a 101-key ring.
-        members = distinct_keypairs(toy, toy.order - 1, SeededRandomness(3))
+        members = distinct_keypairs(toy, toy.order - 1, random.Random(3))
         assert sorted(kp.sk for kp in members) == list(range(1, toy.order))
 
         class NoDraws:
@@ -161,7 +161,7 @@ class TestPresignFrozen:
 
 class TestRoundTrip:
     def test_small_grid(self, toy):
-        rng = SeededRandomness(99)
+        rng = random.Random(99)
         for n in range(1, 7):
             ring, members = build_ring(toy, n, rng)
             for t in range(1, n + 1):
@@ -185,7 +185,7 @@ class TestRoundTrip:
         assert verify(toy, ring, adapt(toy, psig, w), 1, b"solo")
 
     def test_prod_round_trip(self, prod):
-        rng = SeededRandomness(5)
+        rng = random.Random(5)
         ring, members = build_ring(prod, 6, rng)
         window = build_window(prod, ring, members, 1, 3)
         statement, w = gen_r(prod, rng)
@@ -196,7 +196,7 @@ class TestRoundTrip:
         assert ext(prod, statement, psig, sig) == w
 
     def test_prod_randomized_cells(self, prod):
-        rng = SeededRandomness(6)
+        rng = random.Random(6)
         for _ in range(6):
             n = 1 + rng.randrange(8)
             t = 1 + rng.randrange(n)
@@ -218,7 +218,7 @@ class TestRoundTrip:
         start = data.draw(st.integers(0, n - 1))
         seed = data.draw(st.integers(0, 2**32))
         message = data.draw(st.binary(max_size=32))
-        rng = SeededRandomness(seed)
+        rng = random.Random(seed)
         ring, members = build_ring(toy, n, rng)
         window = build_window(toy, ring, members, start, t)
         statement, w = gen_r(toy, rng)
@@ -234,7 +234,7 @@ class TestAdaptability:
         # Valid pre-signatures that honest signing would never emit (zero
         # or repeated decoy challenges, forced nonces) must still adapt
         # into verifying signatures.
-        rng = SeededRandomness(31)
+        rng = random.Random(31)
         ring, members = build_ring(toy, 5, rng)
         window = build_window(toy, ring, members, 1, 2)
         statement, w = gen_r(toy, rng)
@@ -263,7 +263,7 @@ class TestTamper:
     def test_full_sweep_fixed_seed(self, toy):
         # Seed chosen so that no perturbation accidentally re-satisfies the
         # challenge equation (a 1/101 event per trial in the toy field).
-        rng = SeededRandomness(0)
+        rng = random.Random(0)
         members = [keygen(toy, rng) for _ in range(5)]
         ring = Ring(toy, [kp.pk for kp in members])
         window = SignerWindow(toy, ring, 1,
@@ -348,7 +348,7 @@ class TestTamper:
         # alike; the verifiers take exact ints, as the constructors do.
         ring = _vector_ring(toy)
         window = _vector_window(toy, ring, 0, 2)
-        statement, _ = gen_r(toy, SeededRandomness(6))
+        statement, _ = gen_r(toy, random.Random(6))
         psig = next(psig for psig in (
             _presign_body(toy, ring, window, b"m", statement, nonce,
                           {1: 4, 2: 9}) for nonce in range(1, toy.order))
@@ -361,7 +361,7 @@ class TestTamper:
     def test_garbage_statement_returns_false(self, toy, prod):
         # A statement that is not even a group element must not raise.
         for ctx in (toy, prod):
-            rng = SeededRandomness(13)
+            rng = random.Random(13)
             ring, members = build_ring(ctx, 3, rng)
             window = build_window(ctx, ring, members, 0, 2)
             statement, _ = gen_r(ctx, rng)
@@ -396,7 +396,7 @@ class TestExtraction:
 
     def test_list_built_presignature_adapts_to_a_signature(self, toy, prod):
         for ctx in (toy, prod):
-            rng = SeededRandomness(8)
+            rng = random.Random(8)
             ring, members = build_ring(ctx, 4, rng)
             window = build_window(ctx, ring, members, 3, 2)
             statement, w = gen_r(ctx, rng)
@@ -525,13 +525,13 @@ class TestConstruction:
     def test_trace_matches_seeded_presign(self, toy):
         # presign draws the nonce from Z_p^* first, then decoy challenges
         # from Z_p in ring order; replaying the seed must reproduce it.
-        rng_a = SeededRandomness(77)
+        rng_a = random.Random(77)
         ring, members = build_ring(toy, 4, rng_a)
         window = build_window(toy, ring, members, 1, 2)
         statement, _ = gen_r(toy, rng_a)
         psig = presign(toy, ring, window, b"m", statement,
-                       SeededRandomness(123))
-        replay = SeededRandomness(123)
+                       random.Random(123))
+        replay = random.Random(123)
         nonce = toy.random_scalar_nonzero(replay)
         decoys = {i: replay.randrange(toy.order) for i in range(4) if i != 1}
         expected = _presign_body(toy, ring, window, b"m", statement, nonce,
@@ -543,7 +543,7 @@ class TestConstruction:
         # No rng, as the CLI passes, draws from the OS; so does an
         # explicit random.SystemRandom().
         ctx = setup_group(backend)
-        ring, members = build_ring(ctx, 4, SeededRandomness(3))
+        ring, members = build_ring(ctx, 4, random.Random(3))
         window = build_window(ctx, ring, members, 1, 2)
         for rng in ((), (random.SystemRandom(),)):
             statement, w = gen_r(ctx, *rng)
@@ -557,7 +557,7 @@ class TestSignerAmbiguity:
         # Anonymity (Bender, Katz and Morselli, TCC 2006): no challenge
         # may depend on the signer's index.  c_j is a difference, so it is
         # 0 about once in 101 signings, and so must each decoy be.
-        rng = SeededRandomness(2001)
+        rng = random.Random(2001)
         ring, members = build_ring(toy, 3, rng)
         window = build_window(toy, ring, members, 1, 1)
         statement, _ = gen_r(toy, rng)

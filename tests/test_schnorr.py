@@ -1,11 +1,13 @@
 """Single-key adaptor scheme, including its coupling with the ring scheme."""
 
+import random
+
 import pytest
 
 import straightline as oracle
 from conftest import build_ring, build_window, toy_element
-from ringadapt import (KeyPair, SeededRandomness, StatementPair, gen_r,
-                       keygen, schnorr, setup_group)
+from ringadapt import (KeyPair, StatementPair, gen_r, keygen, schnorr,
+                       setup_group)
 from ringadapt import adapt as ring_adapt
 from ringadapt import ext as ring_ext
 from ringadapt import presign as ring_presign
@@ -43,7 +45,7 @@ def test_round_trip(toy, rng):
 
 
 def test_prod_round_trip(prod):
-    rng = SeededRandomness(8)
+    rng = random.Random(8)
     keypair = keygen(prod, rng)
     statement, w = gen_r(prod, rng)
     psig = schnorr.presign(prod, keypair, b"m", statement.w1, rng)
@@ -82,7 +84,7 @@ def test_non_element_key_is_rejected(backend):
     # return False for a key is_element rejects, even with an honest
     # signature.
     ctx = setup_group(backend)
-    rng = SeededRandomness(3)
+    rng = random.Random(3)
     keypair = keygen(ctx, rng)
     statement, w = gen_r(ctx, rng)
     psig = schnorr.presign(ctx, keypair, b"m", statement.w1, rng)

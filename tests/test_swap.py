@@ -5,13 +5,14 @@ import copy
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
 
 from conftest import build_ring, build_window, ristretto_alias, toy_element
-from ringadapt import (KeyPair, PreSignature, Ring, SeededRandomness,
-                       Signature, SignerWindow, adapt, gen_r, keygen, presign,
-                       schnorr, setup_group, swap, verify, wire)
+from ringadapt import (KeyPair, PreSignature, Ring, Signature, SignerWindow,
+                       adapt, gen_r, keygen, presign, schnorr, setup_group,
+                       swap, verify, wire)
 from ringadapt.swap import (FAULT_PLANS, FaultPlan, MockLedger, Phase,
                             SwapTransaction, ledger_submit, make_demo_parties,
                             run_swap, swap_demo)
@@ -139,7 +140,7 @@ class TestLedger:
                              ids=["toy", "prod"])
     def test_non_element_keys_are_malformed(self, backend, junk):
         ctx = setup_group(backend)
-        rng = SeededRandomness(21)
+        rng = random.Random(21)
         ledger_a = MockLedger(ctx, "A")
         ledger_b = MockLedger(ctx, "B")
         ring, members = build_ring(ctx, 3, rng)
@@ -165,7 +166,7 @@ class TestLedger:
         # A second, differently signed copy of a confirmed transaction is
         # a double spend.
         ctx = setup_group(backend)
-        rng = SeededRandomness(23)   # toy's two nonces r + w differ
+        rng = random.Random(23)   # toy's two nonces r + w differ
         ledger = MockLedger(ctx, "A")
         bob = keygen(ctx, rng)
         tx = SwapTransaction("A", b"alice", 1, 2, payer_key=bob.pk)
@@ -193,7 +194,7 @@ class TestLedger:
         bob = make_demo_parties(ctx, 6, 2, seed=3)[2]
         tx = SwapTransaction("A", b"bob-self", 1, 9, payer_key=bob.pk)
         message = wire.encode_transaction(ctx, tx)
-        rng = SeededRandomness(4)
+        rng = random.Random(4)
         statement, w = gen_r(ctx, rng)
         sig = schnorr.adapt(ctx, schnorr.presign(ctx, bob, message,
                                                  statement.w1, rng), w)
@@ -206,7 +207,7 @@ class TestLedger:
     def test_prod_refuses_bit_255_aliases(self, prod):
         # libsodium 1.0.18 reads an encoding with bit 255 set as the
         # element with it clear, so an alias would spend a key twice.
-        rng = SeededRandomness(14)
+        rng = random.Random(14)
         ring, members = build_ring(prod, 4, rng)
         for t in (1, 2):
             ledger = MockLedger(prod, "B")
@@ -317,7 +318,8 @@ class TestSwapRuns:
         assert len(result.ledger_ring.confirmed) == prior_spends
 
     def test_full_fault_matrix_atomicity(self, toy):
-        for plan, seed in itertools.product([None, *FAULT_PLANS], range(6)):
+        for plan, seed in itertools.product([None, *FAULT_PLANS.values()],
+                                            range(6)):
             result = swap_demo(toy, ring_size=4, threshold=2, seed=seed,
                                fault=plan)
             assert result.outcome() in ("both-confirmed",
@@ -334,7 +336,7 @@ class TestSwapRuns:
         # and abort reason, on both backends; a refactor of the swap
         # steps or their fault hooks must leave it unchanged.
         digest = hashlib.sha256()
-        plans = [None, *FAULT_PLANS]
+        plans = [None, *FAULT_PLANS.values()]
         for backend, n, t in (("toy", 6, 2), ("prod", 16, 4)):
             ctx = setup_group(backend)
             for seed, plan in itertools.product(range(5), plans):
@@ -482,7 +484,7 @@ class TestRingCache:
     @pytest.mark.parametrize("backend", ["toy", "prod"])
     def test_warm_and_cold_ledgers_agree(self, backend, monkeypatch):
         ctx = setup_group(backend)
-        rng = SeededRandomness(31)
+        rng = random.Random(31)
         ring, members = build_ring(ctx, 6, rng)
         other, other_members = build_ring(ctx, 4, rng)
         tx1, sig1 = _signed_ring_tx(
@@ -504,6 +506,7 @@ class TestRingCache:
         lookalike = memoryview
         lookalike_keys = tuple(map(lookalike, ring.keys))
         unhashable_keys = tuple(map(bytearray, ring.keys))
+        oversized_keys = (ring.keys * 171)[:wire.MAX_RING_SIZE + 1]
         submissions = [
             (tx1, sig1),                                      # accepted
             (tx1, sig1),                                      # exact replay
@@ -524,6 +527,8 @@ class TestRingCache:
                     ring_keys=lookalike_keys), sig1),         # malformed
             (_force(tx1, payee=b"g", nonce=7,
                     ring_keys=unhashable_keys), sig1),        # malformed
+            (_force(tx1, payee=b"h", nonce=8,
+                    ring_keys=oversized_keys), sig1),         # malformed
             elsewhere,                                        # accepted
             last,                                             # accepted
             (tx1, sig1),                                      # exact replay
@@ -532,7 +537,7 @@ class TestRingCache:
                     "double-spend-link", "double-spend-link",
                     "bad-signature", "double-spend-link", "accepted",
                     "malformed", "malformed", "malformed", "malformed",
-                    "malformed", "malformed", "malformed",
+                    "malformed", "malformed", "malformed", "malformed",
                     "accepted", "accepted", "double-spend-link"]
         builds = []
         build = swap.Ring
@@ -542,7 +547,7 @@ class TestRingCache:
         warm_builds = len(builds)
         cold = _admit_all(MockLedger(ctx, "B"), submissions, cold=True)
         assert warm == cold == expected
-        # Cold, every submission but the five exact replays and the six
+        # Cold, every submission but the five exact replays and the seven
         # the constructors refuse builds a ring; warm, only the first use
         # of each key list does.
         assert (warm_builds, len(builds) - warm_builds) == (3, 7)
@@ -553,7 +558,7 @@ class TestRingCache:
         # tenth submission i takes ring i // 10, mostly one seen long
         # before and perhaps evicted.
         elements = toy.elements()   # elements[k] = g^k
-        rng = SeededRandomness(41)
+        rng = random.Random(41)
         submissions = []
         for i in range(1, 1000):
             r = i // 10 if i % 10 == 0 else i

@@ -1,5 +1,6 @@
 """Wire codec: round trips, exact size laws, decode as the validity gate."""
 
+import random
 import tracemalloc
 
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_ring, build_window
-from ringadapt import (PreSignature, SeededRandomness, Signature, gen_r,
-                       keygen, presign, schnorr, setup_group, wire)
+from ringadapt import (PreSignature, Signature, gen_r, keygen, presign,
+                       schnorr, setup_group, wire)
 
 
 def _random_sig_objects(ctx, rng, n, t):
@@ -47,7 +48,7 @@ class TestRoundTrips:
             assert wire.decode_signature(ctx, data, 7, 3) == sig
 
     def test_many_random_presignatures(self, toy):
-        rng = SeededRandomness(17)
+        rng = random.Random(17)
         for trial in range(1000):
             n = 1 + rng.randrange(10)
             t = 1 + rng.randrange(n)
@@ -106,7 +107,7 @@ def test_every_decoder_takes_any_bytes_like(backend, kind):
     # Both backends decode a bytearray or memoryview to what the same
     # bytes decode to, and raise nothing but WireError on one.
     ctx = setup_group(backend)
-    cases = _every_decoding(ctx, SeededRandomness(4))
+    cases = _every_decoding(ctx, random.Random(4))
     assert {case[0] for case in cases} == \
         {name for name in dir(wire) if name.startswith("decode_")}
     for name, data, *args in cases:
@@ -120,7 +121,7 @@ class TestSizeLaw:
     @pytest.mark.parametrize("backend", ["toy", "prod"])
     def test_signature_payload_formula(self, backend):
         ctx = setup_group(backend)
-        rng = SeededRandomness(3)
+        rng = random.Random(3)
         for n in range(10, 101, 10):
             t = n // 2
             psig, sig = _random_sig_objects(ctx, rng, n, t)
@@ -134,7 +135,7 @@ class TestSizeLaw:
     @pytest.mark.parametrize("backend", ["toy", "prod"])
     def test_signature_threshold_inverts_the_size_law(self, backend):
         ctx = setup_group(backend)
-        rng = SeededRandomness(4)
+        rng = random.Random(4)
         n = 6
         for t in range(1, n + 1):
             psig, sig = _random_sig_objects(ctx, rng, n, t)
@@ -165,7 +166,7 @@ class TestSizeLaw:
             assert len(data) - wire.HEADER_SIZE == 2 * ctx.element_size
 
     def test_honest_presignature_size(self, toy):
-        rng = SeededRandomness(9)
+        rng = random.Random(9)
         ring, members = build_ring(toy, 6, rng)
         window = build_window(toy, ring, members, 1, 3)
         statement, _ = gen_r(toy, rng)
