@@ -95,8 +95,11 @@ def cmd_genr(ctx, args) -> int:
 def cmd_ring_build(ctx, args) -> int:
     keys = [ctx.exp(ctx.generator_g, _secret(ctx, path))
             for path in args.key or []]
-    keys += [wire.decode_element(ctx, bytes.fromhex(hexval))
-             for hexval in args.pubkey or []]
+    for hexval in args.pubkey or []:
+        try:
+            keys.append(wire.decode_element(ctx, bytes.fromhex(hexval)))
+        except ValueError as exc:
+            raise ValueError(f"--pubkey {hexval}: {exc}") from None
     _write(args.out, wire.encode_ring(ctx, Ring(ctx, keys)))
     return 0
 

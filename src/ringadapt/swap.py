@@ -60,9 +60,9 @@ REJECT_BAD_SIGNATURE = "bad-signature"
 REJECT_DOUBLE_SPEND = "double-spend-link"
 REJECT_MALFORMED = "malformed"
 
-# The most ring keys a ledger's ring cache holds, summed over its rings;
-# 64 rings of the largest admitted size (wire.MAX_RING_SIZE keys) fit.
-RING_CACHE_KEYS = 1 << 16
+# The most rings a ledger's ring cache holds; each has at most
+# wire.MAX_RING_SIZE keys, so it holds at most 65,536 keys.
+RING_CACHE_RINGS = 64
 
 
 class Phase(str, Enum):
@@ -83,8 +83,8 @@ class FaultPlan(Record):
 
 
 class SubmitResult(Record):
-    accepted: bool
-    reason: Optional[str] = None
+    reason: Optional[str] = None    # why the ledger refused; None: accepted
+    accepted = property(lambda self: self.reason is None)
 
 
 class MockLedger:
@@ -95,9 +95,9 @@ class MockLedger:
     bytes, strings and tuples alone.
 
     The ledger keeps every ``Ring`` it builds, keyed by the ring's keys,
-    so a ring it has seen costs no point check or digest hash again.  The
-    cache holds at most ``RING_CACHE_KEYS`` keys in total and evicts its
-    oldest rings first, so a flood of distinct rings cannot grow memory.
+    so a ring it has seen costs no point check or digest hash again.  It
+    holds at most 64 rings of at most 1,024 keys each and evicts the oldest
+    first, so a flood of distinct rings cannot grow memory.
     """
 
     def __init__(self, ctx: GroupContext, chain_id: str):
@@ -108,19 +108,14 @@ class MockLedger:
         self.confirmed: dict[SwapTransaction, object] = {}
         self.published_tags: set[Element] = set()
         self._rings: dict[tuple, Ring] = {}
-        self._ring_key_count = 0    # keys held by _rings
 
     def _cached_ring(self, keys: tuple) -> Ring:
         """``Ring(ctx, keys)``, built once while it stays in the cache."""
-        cached = self._rings.get(keys)
-        if cached is not None:
-            return cached
-        ring = Ring(self.ctx, keys)
-        while self._ring_key_count + len(ring) > RING_CACHE_KEYS:
-            oldest = self._rings.pop(next(iter(self._rings)))
-            self._ring_key_count -= len(oldest)
-        self._rings[keys] = ring
-        self._ring_key_count += len(ring)
+        ring = self._rings.get(keys)
+        if ring is None:
+            ring = self._rings[keys] = Ring(self.ctx, keys)
+            if len(self._rings) > RING_CACHE_RINGS:
+                del self._rings[next(iter(self._rings))]
         return ring
 
 
@@ -144,45 +139,46 @@ def ledger_submit(ledger: MockLedger, tx: SwapTransaction, sig) -> SubmitResult:
     right after the chain id: every other check would pass again.
     """
     ctx = ledger.ctx
-    kind = (schnorr.PlainSignature if ledger.chain_id == CHAIN_PLAIN
-            else Signature)
+    plain = ledger.chain_id == CHAIN_PLAIN
+    kind = schnorr.PlainSignature if plain else Signature
     try:
         tx = SwapTransaction(*SwapTransaction._values(tx))
         sig = kind(*kind._values(sig))
     except (AttributeError, TypeError, ValueError):   # not the chain's types
-        return SubmitResult(False, REJECT_MALFORMED)
+        return SubmitResult(REJECT_MALFORMED)
     if tx.chain_id != ledger.chain_id:
-        return SubmitResult(False, REJECT_MALFORMED)
+        return SubmitResult(REJECT_MALFORMED)
     seen = ledger.confirmed.get(tx)
     if seen is not None and seen == sig:
-        return SubmitResult(False, REJECT_DOUBLE_SPEND)
-    if ledger.chain_id == CHAIN_PLAIN:
+        return SubmitResult(REJECT_DOUBLE_SPEND)
+    # On chain B the rule link() applies; a chain-A key pays once.  Both
+    # kinds of tag are checked elements, which compare by canonical value.
+    if plain:
         if not ctx.is_nonidentity(tx.payer_key):
-            return SubmitResult(False, REJECT_MALFORMED)
-    elif (len(sig.tags) != tx.threshold
-          or len(sig.challenges) != len(tx.ring_keys)):
-        return SubmitResult(False, REJECT_BAD_SIGNATURE)
+            return SubmitResult(REJECT_MALFORMED)
+        valid = schnorr.verify(ctx, tx.payer_key, sig,
+                               wire.encode_transaction(ctx, tx))
+        tags = {tx.payer_key}
     else:
+        if (len(sig.tags) != tx.threshold
+                or len(sig.challenges) != len(tx.ring_keys)):
+            return SubmitResult(REJECT_BAD_SIGNATURE)
         try:
             ring = ledger._cached_ring(tx.ring_keys)
         except ValueError:
-            return SubmitResult(False, REJECT_MALFORMED)
-    message = wire.encode_transaction(ctx, tx)
-    valid = (schnorr.verify(ctx, tx.payer_key, sig, message)
-             if ledger.chain_id == CHAIN_PLAIN
-             else verify(ctx, ring, sig, tx.threshold, message))
+            return SubmitResult(REJECT_MALFORMED)
+        valid = verify(ctx, ring, sig, tx.threshold,
+                       wire.encode_transaction(ctx, tx))
+        tags = sig.tag_set
     # The signature is checked first, so a forged copy of a confirmed
     # transaction is reported as bad-signature, not as a double spend.
     if not valid:
-        return SubmitResult(False, REJECT_BAD_SIGNATURE)
-    # On chain B the rule link() applies; a chain-A key pays once.  Both
-    # kinds of tag are checked elements, which compare by canonical value.
-    tags = sig.tag_set if ledger.chain_id == CHAIN_RING else {tx.payer_key}
-    if tx in ledger.confirmed or not tags.isdisjoint(ledger.published_tags):
-        return SubmitResult(False, REJECT_DOUBLE_SPEND)
+        return SubmitResult(REJECT_BAD_SIGNATURE)
+    if seen is not None or not tags.isdisjoint(ledger.published_tags):
+        return SubmitResult(REJECT_DOUBLE_SPEND)
     ledger.published_tags |= tags
     ledger.confirmed[tx] = sig
-    return SubmitResult(True)
+    return SubmitResult()
 
 
 @dataclass

@@ -110,19 +110,17 @@ def _encode(ctx: GroupContext, tag: int, scalars=(), elements=()) -> bytes:
 
 
 def _decode(ctx: GroupContext, data: bytes, tag: int, scalars=(),
-            elements=(), decode_element=None) -> tuple[list, list]:
+            elements=()) -> tuple[list, list]:
     """Decode a run of scalars, then a run of elements, each field named
     as the reader reaches it.  Every field is sliced, and the length
-    checked, before any is decoded.  Elements go through
-    ``decode_element`` if given, else ``ctx.decode_element``."""
+    checked, before any is decoded."""
     reader = _Reader(_payload(data, tag))
     sz, sg = ctx.scalar_size, ctx.element_size
     raw_scalars = [(reader.take(sz, what), what) for what in scalars]
     raw_elements = [(reader.take(sg, what), what) for what in elements]
     reader.done()
     return ([_field(ctx.decode_scalar, *raw) for raw in raw_scalars],
-            [_field(decode_element or ctx.decode_element, *raw)
-             for raw in raw_elements])
+            [_field(ctx.decode_element, *raw) for raw in raw_elements])
 
 
 # --- element / scalar -------------------------------------------------------
@@ -148,11 +146,12 @@ def encode_ring(ctx: GroupContext, ring: Ring) -> bytes:
 def decode_ring(ctx: GroupContext, data: bytes) -> Ring:
     # n comes from the length.  Each key is kept as the bytes read, and
     # Ring checks it, once, and rejects an empty ring and duplicates.
-    n = (len(data) - HEADER_SIZE) // ctx.element_size
-    keys = _decode(ctx, data, TAG_RING, decode_element=bytes,
-                   elements=("ring key" for _ in range(n)))[1]
+    payload, sg = _payload(data, TAG_RING), ctx.element_size
+    if len(payload) % sg:
+        raise WireError("trailing bytes after payload")
     try:
-        return Ring(ctx, keys)
+        return Ring(ctx, [payload[i:i + sg]
+                          for i in range(0, len(payload), sg)])
     except ValueError as exc:
         raise WireError(str(exc)) from None
 

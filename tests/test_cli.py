@@ -456,6 +456,27 @@ def test_keygen_stdout_and_pubkey_ring(capsys, tmp_path):
     assert printed[0] != printed[1]
 
 
+PROD = setup_group("prod")
+G_HEX = wire.encode_element(PROD, PROD.generator_g).hex()
+
+
+@pytest.mark.parametrize("hexval, error", [
+    ("zz", "non-hexadecimal number found in fromhex() arg at position 0"),
+    ("ff" + G_HEX[2:], "unsupported version 255"),
+    (G_HEX[:2] + "02" + G_HEX[4:],
+     "object tag 0x02 does not match expected 0x01"),
+    (G_HEX[:-2], "truncated element"),
+], ids=["bad-hex", "version", "tag", "truncated"])
+def test_bad_pubkey_exits_2_naming_it(capsys, tmp_path, hexval, error):
+    # Of several --pubkey values, the message names the one at fault.
+    out = tmp_path / "r.bin"
+    code = main(["ring-build", "--pubkey", G_HEX, "--pubkey", hexval,
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: --pubkey {hexval}: {error}\n"
+    assert not out.exists()
+
+
 def test_keygen_requires_out(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["keygen"])

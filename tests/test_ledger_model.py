@@ -3,7 +3,10 @@ a model of their state: the ring positions whose tags are published on
 chain B, the payer keys spent on chain A and the pairs confirmed on each.
 Each rule submits one spend and checks the ledger's verdict against the
 one the model predicts, or checks that bytes no transaction encodes to
-are refused by the decoder.
+are refused by the decoder.  Among them: an element spelled with bit 255
+set is no spelling of it (a tag so spelled is ``bad-signature``, a payer
+key ``malformed``), and a ring above ``wire.MAX_RING_SIZE`` keys is
+``malformed``, and its bytes do not decode.
 
 Only rules that hold on every input today are here; a signature with
 split or mauled tags, or a ring holding a rogue key, is admitted by the
@@ -13,19 +16,22 @@ chance about 1 time in 101.
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, invariant,
                                  precondition, rule)
 
+from conftest import ristretto_alias
 from ringadapt import (Ring, Signature, SignerWindow, adapt, gen_r, presign,
                        schnorr, setup_group)
 from ringadapt.scheme import distinct_keypairs
 from ringadapt.swap import (REJECT_BAD_SIGNATURE, REJECT_DOUBLE_SPEND,
                             REJECT_MALFORMED, MockLedger, ledger_submit)
-from ringadapt.wire import (CHAIN_PLAIN, CHAIN_RING, SwapTransaction,
-                            WireError, decode_transaction, encode_transaction)
+from ringadapt.wire import (CHAIN_PLAIN, CHAIN_RING, MAX_RING_SIZE,
+                            SwapTransaction, WireError, decode_transaction,
+                            encode_transaction)
 
 CTX = setup_group("prod")
 N = 6
@@ -142,6 +148,25 @@ class LedgerModel(RuleBasedStateMachine):
                                    ring_keys=keys, threshold=t)
         self._submit(self.ledger, repeated, sig, REJECT_MALFORMED)
 
+    @rule(start=STARTS, t=WIDTHS, seed=SEEDS, which=WIDTHS)
+    def aliased_tag(self, start, t, seed, which):
+        tx, _, sig = _spend(start, t, seed)
+        tags = list(sig.tags)
+        tags[which % t] = ristretto_alias(tags[which % t])
+        self._submit(self.ledger, tx,
+                     Signature(sig.z, sig.challenges, tuple(tags)),
+                     REJECT_BAD_SIGNATURE)
+
+    @rule(start=STARTS, t=WIDTHS, seed=SEEDS)
+    def oversized_ring(self, start, t, seed):
+        # Forced past the constructor, which refuses the ring's size.
+        tx, _, sig = _spend(start, t, seed)
+        oversized = SimpleNamespace(**vars(tx) | {
+            "ring_keys": (RING.keys * 171)[:MAX_RING_SIZE + 1]})
+        self._submit(self.ledger, oversized, sig, REJECT_MALFORMED)
+        with pytest.raises(WireError):
+            decode_transaction(CTX, encode_transaction(CTX, oversized))
+
     @rule(key=STARTS, seed=SEEDS)
     def plain_spend(self, key, seed):
         tx, sig = _plain_spend(key, seed)
@@ -166,6 +191,13 @@ class LedgerModel(RuleBasedStateMachine):
             index % len(self.confirmed_plain)]
         tx, sig = _plain_spend(key, seed, payee=b"someone-else")
         self._submit(self.plain_ledger, tx, sig, REJECT_DOUBLE_SPEND)
+
+    @rule(key=STARTS, seed=SEEDS)
+    def aliased_payer_key(self, key, seed):
+        tx, sig = _plain_spend(key, seed)
+        aliased = SwapTransaction(CHAIN_PLAIN, tx.payee, tx.amount, tx.nonce,
+                                  payer_key=ristretto_alias(tx.payer_key))
+        self._submit(self.plain_ledger, aliased, sig, REJECT_MALFORMED)
 
     @rule(t=WIDTHS, nonce=st.integers(0, 2**64 - 1), cut=st.integers(0, 2**16),
           extra=st.binary(min_size=1, max_size=8))

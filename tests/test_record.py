@@ -23,7 +23,7 @@ SAMPLES = {
     schnorr.PlainSignature: (1, 2),
     wire.SwapTransaction: ("A", b"x", 1, 2, P, None, None),
     swap.FaultPlan: (2, None),
-    swap.SubmitResult: (False, "malformed"),
+    swap.SubmitResult: ("malformed",),
     bench.BenchRecord: ("verify", 4, 2, 10, 10, 20, "20", "30"),
 }
 RECORDS = sorted(SAMPLES, key=lambda cls: cls.__qualname__)
@@ -86,7 +86,7 @@ def test_same_fields_different_type_are_unequal():
 def test_defaults_and_post_init(toy):
     assert swap.FaultPlan() == swap.FaultPlan(None, None)
     assert swap.FaultPlan().abort_after is None
-    assert swap.SubmitResult(True).reason is None
+    assert swap.SubmitResult().reason is None
     tx = wire.SwapTransaction("A", b"x", 1, 2, payer_key=P)
     assert (tx.ring_keys, tx.threshold) == (None, None)
     # A fault plan is checked where it is run, not where it is built.

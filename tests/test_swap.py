@@ -405,6 +405,45 @@ class TestSwapRuns:
                                fault=plan)
             assert result.outcome() == "neither-confirmed", (t, seed)
 
+    @pytest.mark.parametrize("backend", ["toy", "prod"])
+    def test_bob_racing_alice_to_chain_a_leaves_the_run_mixed(
+            self, backend, monkeypatch):
+        # ROADMAP item 9's race, not in _FAULTS (FAULT_PLANS and the
+        # transcript pin read it): as he broadcasts, Bob spends his
+        # chain-A key to himself, so Alice's claim at step 6 links
+        # against his spend.  This is the only path to step 6's abort.
+        ctx = setup_group(backend)
+        plan = FaultPlan(corruption="bob-race")
+
+        def race(run, sig):
+            rng = random.Random(9)
+            tx = SwapTransaction("A", b"bob", 1, rng.randrange(2**64),
+                                 payer_key=run.bob_keypair.pk)
+            statement, w = gen_r(ctx, rng)
+            psig = schnorr.presign(ctx, run.bob_keypair,
+                                   wire.encode_transaction(ctx, tx),
+                                   statement.w1, rng)
+            assert ledger_submit(run.ledger_plain, tx,
+                                 schnorr.adapt(ctx, psig, w)).accepted
+            return sig
+
+        monkeypatch.setitem(swap._FAULTS, plan, (
+            5, "broadcast", "Bob spent his chain-A key to himself", race))
+        for t, seed in itertools.product((1, 2), range(2)):
+            result = swap_demo(ctx, ring_size=4, threshold=t, seed=seed,
+                               fault=plan)
+            assert result.state.tx_ring in result.ledger_ring.confirmed
+            claim, = [r for r in result.transcript
+                      if r["event"] == "chain-A admission"]
+            assert (claim["step"], claim["verdict"], claim["artifacts"]) == (
+                6, False, {"reject_reason": "double-spend-link"})
+            assert result.state.phase is Phase.ABORTED
+            assert result.state.abort_reason == \
+                "ledger-plain-double-spend-link"
+            # Item 9(c)'s lock must flip this: Bob's coin then waits for
+            # Alice's claim, and the race is refused.
+            assert result.outcome() == "mixed"
+
     def test_toy_chance_events_are_counted(self, toy, prod):
         # On toy (order 101) a tampered pre-signature passes its
         # receiver's check by chance about 1 time in 101.  These are the
@@ -474,7 +513,6 @@ def _admit_all(ledger, submissions, cold=False):
     for tx, sig in submissions:
         if cold:
             ledger._rings.clear()
-            ledger._ring_key_count = 0
         result = ledger_submit(ledger, tx, sig)
         verdicts.append("accepted" if result.accepted else result.reason)
     return verdicts
@@ -554,7 +592,7 @@ class TestRingCache:
 
     def test_cache_stays_within_its_bound(self, toy):
         # Rotations of the 100 non-identity toy elements, 60 to 100 keys
-        # each, with more keys in distinct rings than the bound.  Every
+        # each, with more distinct rings than the bound.  Every
         # tenth submission i takes ring i // 10, mostly one seen long
         # before and perhaps evicted.
         elements = toy.elements()   # elements[k] = g^k
@@ -572,14 +610,13 @@ class TestRingCache:
                                 sig.tags)
             submissions.append((tx, sig))
         distinct = {tx.ring_keys for tx, _ in submissions}
-        assert sum(map(len, distinct)) > swap.RING_CACHE_KEYS
+        assert len(distinct) > swap.RING_CACHE_RINGS
 
         ledger = MockLedger(toy, "B")
         verdicts = []
         for submission in submissions:
             verdicts += _admit_all(ledger, [submission])
-            held = sum(map(len, ledger._rings.values()))
-            assert ledger._ring_key_count == held <= swap.RING_CACHE_KEYS
+            assert len(ledger._rings) <= swap.RING_CACHE_RINGS
         assert len(ledger._rings) < len(distinct)
         assert verdicts == _admit_all(MockLedger(toy, "B"), submissions,
                                       cold=True)
