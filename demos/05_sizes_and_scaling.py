@@ -9,16 +9,14 @@ Runtimes below are from this machine; their *shape* is the point
 (signing and verification linear in n, adapt/ext/link flat).
 """
 
-from ringadapt.bench import bench_cell, by_algorithm
+from ringadapt.bench import by_algorithm, run_bench
 from ringadapt import setup_group
 
 ctx = setup_group("prod")
 SIZES = (10, 40, 100)
 
 print("measuring runtimes (a few seconds)...")
-records = []
-for n in SIZES:
-    records.extend(bench_cell(ctx, n, n // 2))
+records = run_bench(ctx, SIZES)
 
 print("\npayload bytes (ours vs baseline), t = n/2:")
 print(f"{'n':>4} {'presign ours':>14} {'presign baseline':>18}")

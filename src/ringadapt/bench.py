@@ -21,7 +21,7 @@ import random
 import timeit
 from typing import IO, Iterable
 
-from .groups import GroupContext, Record, setup_group
+from .groups import GroupContext, Record
 from .scheme import (Ring, SignerWindow, adapt, distinct_keypairs, ext,
                      gen_r, keygen, link, presign, preverify, verify)
 from .wire import (HEADER_SIZE, encode_presignature, encode_signature,
@@ -88,10 +88,14 @@ def _cases(ctx: GroupContext, n: int, t: int) -> list[tuple]:
     ]
 
 
-def _timed(ctx: GroupContext, points) -> list[BenchRecord]:
-    """Every case at each (n, t) of ``points``, with the ``REPS`` samples
-    taken round-robin over all cases, so a change of host speed during the
-    sweep reaches every n alike."""
+def run_bench(ctx: GroupContext, sizes: Iterable[int]) -> list[BenchRecord]:
+    """All nine algorithms at each ring size n of ``sizes``, t = n/2, with
+    the ``REPS`` samples taken round-robin over every cell, so a change of
+    host speed during the sweep reaches every n alike.  An empty ``sizes``
+    raises ValueError."""
+    points = [(n, max(1, n // 2)) for n in sizes]
+    if not points:
+        raise ValueError("no ring size to sweep")
     cases = [(n, t, *case) for n, t in points for case in _cases(ctx, n, t)]
     timers = [timeit.Timer(fn) for _, _, _, fn, _ in cases]
     # Calls per sample, doubled until one lasts 0.2 ms: then neither the
@@ -107,16 +111,6 @@ def _timed(ctx: GroupContext, points) -> list[BenchRecord]:
     return [BenchRecord(name, n, t, int(min(per_call) * 1e9), REPS, size,
                         *_comm_formulas(ctx, n, t).get(name, ("", "")))
             for (n, t, name, _, size), per_call in zip(cases, zip(*rounds))]
-
-
-def bench_cell(ctx: GroupContext, n: int, t: int) -> list[BenchRecord]:
-    """Measure all nine algorithms at one (n, t) point."""
-    return _timed(ctx, [(n, t)])
-
-
-def run_bench(sizes: Iterable[int] = range(10, 101, 10)) -> list[BenchRecord]:
-    """Sweep ring sizes with t = n/2 on prod and collect all records."""
-    return _timed(setup_group("prod"), [(n, max(1, n // 2)) for n in sizes])
 
 
 def write_csv(records: Iterable[BenchRecord], out: IO[str]):

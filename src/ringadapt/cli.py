@@ -106,8 +106,12 @@ def cmd_ring_build(ctx, args) -> int:
 
 def cmd_presign(ctx, args) -> int:
     ring = _ring(ctx, args.ring)
-    window = SignerWindow(ctx, ring, args.window,
-                          [_secret(ctx, path) for path in args.key or []])
+    secrets = [_secret(ctx, path) for path in args.key]
+    first = ctx.exp(ctx.generator_g, secrets[0])
+    if first not in ring.keys:
+        raise ValueError(f"{args.key[0]}: public key is not in the ring")
+    # SignerWindow checks that each later key opens the next ring key.
+    window = SignerWindow(ctx, ring, ring.keys.index(first), secrets)
     statement = _statement(ctx, args.statement)
     psig = presign(ctx, ring, window, _read(args.message), statement)
     _write(args.out, wire.encode_presignature(ctx, psig))
@@ -181,7 +185,7 @@ def cmd_swap_demo(ctx, args) -> int:
 def cmd_bench(ctx, args) -> int:
     from . import bench
     sizes = range(args.min_n, args.max_n + 1, args.step)
-    bench.write_csv(bench.run_bench(sizes), sys.stdout)
+    bench.write_csv(bench.run_bench(ctx, sizes), sys.stdout)
     return 0
 
 
@@ -210,11 +214,10 @@ COMMANDS = {
         OUT]),
     "presign": (cmd_presign, "produce a ring pre-signature", [
         RING,
-        ("--window", {"type": int, "required": True, "metavar": "j",
-                      "help": "window start; one ring key per --key, and "
-                              "the window may wrap around the ring"}),
-        ("--key", {"action": "append",
-                   "help": "signer key file, one per window slot, in order"}),
+        ("--key", {"action": "append", "required": True,
+                   "help": "signer key file (repeatable): keys in ring order "
+                           "from the first key's position; the window may "
+                           "wrap"}),
         MESSAGE, STATEMENT, OUT]),
     "preverify": (cmd_preverify, "check a ring pre-signature",
                   [RING, THRESHOLD, MESSAGE, STATEMENT, PRESIG]),

@@ -195,7 +195,7 @@ class GroupContext:
         digest = _sha512(frame_parts(domain_tag, parts))
         return int.from_bytes(digest, "big") % self.order
 
-    def random_scalar_nonzero(self, rng=_SYSTEM) -> int:
+    def random_scalar_nonzero(self, rng) -> int:
         # Uniform over Z_p^*: resample on 0.
         while True:
             k = rng.randrange(self.order)

@@ -18,10 +18,10 @@ def prod():
 
 
 @pytest.fixture(scope="session")
-def prod_sweep():
+def prod_sweep(prod):
     """One prod bench sweep over n = 10, 20, ..., 100, shared by the tests
     that read the scaling shape."""
-    return run_bench(sizes=range(10, 101, 10))
+    return run_bench(prod, range(10, 101, 10))
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@ prod sweep that acceptance criterion 8 also reads."""
 
 import io
 
-from ringadapt.bench import (CSV_COLUMNS, REPS, bench_cell, by_algorithm,
+from ringadapt.bench import (CSV_COLUMNS, REPS, by_algorithm, run_bench,
                              write_csv)
 
 ALGORITHMS = {"setup", "keygen", "genr", "presign", "preverify", "adapt",
@@ -11,13 +11,13 @@ ALGORITHMS = {"setup", "keygen", "genr", "presign", "preverify", "adapt",
 
 
 def test_cell_covers_all_algorithms(toy):
-    records = bench_cell(toy, 6, 3)
+    records = run_bench(toy, [6])
     assert {r.algorithm for r in records} == ALGORITHMS
     assert all(r.reps == REPS == 10 and r.mean_ns > 0 for r in records)
 
 
 def test_prod_size_column(prod):
-    records = bench_cell(prod, 10, 5)
+    records = run_bench(prod, [10])
     sizes = {r.algorithm: r.bytes for r in records}
     assert sizes["presign"] == 512  # (10+1)*32 + 5*32
     assert sizes["adapt"] == 512
@@ -28,7 +28,7 @@ def test_prod_size_column(prod):
 
 
 def test_table_annotations(toy):
-    records = bench_cell(toy, 10, 5)
+    records = run_bench(toy, [10])
     per = {r.algorithm: r for r in records}
     # toy widths: S_z = S_g = 2
     assert per["presign"].comm_ours == str(11 * 2 + 5 * 2)
@@ -39,7 +39,7 @@ def test_table_annotations(toy):
 
 def test_csv_schema(toy):
     out = io.StringIO()
-    write_csv(bench_cell(toy, 4, 2), out)
+    write_csv(run_bench(toy, [4]), out)
     lines = out.getvalue().strip().splitlines()
     assert lines[0].split(",") == list(CSV_COLUMNS)
     assert len(lines) == 1 + len(ALGORITHMS)

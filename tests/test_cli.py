@@ -49,11 +49,10 @@ def workspace(tmp_path, capsys):
     return paths
 
 
-def _presign(workspace, capsys, out=None, window="1", slots=(1, 2)):
+def _presign(workspace, capsys, out=None, slots=(1, 2)):
     keys = [arg for slot in slots
             for arg in ("--key", str(workspace["keys"][slot]))]
-    return run(capsys, "presign", "--ring", str(workspace["ring"]),
-               "--window", window, *keys,
+    return run(capsys, "presign", "--ring", str(workspace["ring"]), *keys,
                "--message", str(workspace["message"]),
                "--statement", str(workspace["statement"]),
                "--out", str(out or workspace["presig"]))
@@ -92,9 +91,9 @@ def test_presign_preverify_adapt_verify_ext(workspace, capsys):
 
 
 def test_wrapping_window_round_trip(workspace, capsys):
-    # Window 3 with two keys holds ring keys 3 and 0: it wraps, as every
-    # window verification aggregates may.
-    code, _ = _presign(workspace, capsys, window="3", slots=(3, 0))
+    # Keys 3 and 0 start the window at 3: it wraps, as every window
+    # verification aggregates may.
+    code, _ = _presign(workspace, capsys, slots=(3, 0))
     assert code == 0
     code, _ = run(capsys, "adapt", "--ring", str(workspace["ring"]),
                   "--presig", str(workspace["presig"]),
@@ -125,7 +124,7 @@ def test_ext_mismatch_prints_failure_mark(workspace, capsys, tmp_path):
     _presign(workspace, capsys)
     other_presig = tmp_path / "presig2.bin"
     code, _ = run(capsys, "presign",
-                  "--ring", str(workspace["ring"]), "--window", "1",
+                  "--ring", str(workspace["ring"]),
                   "--key", str(workspace["keys"][1]),
                   "--key", str(workspace["keys"][2]),
                   "--message", str(workspace["message"]),
@@ -152,7 +151,7 @@ def test_link_subcommand(workspace, capsys, tmp_path):
     presig_b = tmp_path / "presig_b.bin"
     sig_b = tmp_path / "sig_b.bin"
     code, _ = run(capsys, "presign",
-                  "--ring", str(workspace["ring"]), "--window", "2",
+                  "--ring", str(workspace["ring"]),
                   "--key", str(workspace["keys"][2]),
                   "--key", str(workspace["keys"][3]),
                   "--message", str(workspace["message"]),
@@ -168,7 +167,7 @@ def test_link_subcommand(workspace, capsys, tmp_path):
     # disjoint window (0,1) vs window (2,2)
     presig_c = tmp_path / "presig_c.bin"
     sig_c = tmp_path / "sig_c.bin"
-    run(capsys, "presign", "--ring", str(workspace["ring"]), "--window", "0",
+    run(capsys, "presign", "--ring", str(workspace["ring"]),
         "--key", str(workspace["keys"][0]),
         "--message", str(workspace["message"]),
         "--statement", str(workspace["statement"]),
@@ -191,7 +190,7 @@ def test_link_subcommand(workspace, capsys, tmp_path):
     assert main(args) == 0
     presig_d = tmp_path / "presig_d.bin"
     sig_d = tmp_path / "sig_d.bin"
-    run(capsys, "presign", "--ring", str(ring_d), "--window", "1",
+    run(capsys, "presign", "--ring", str(ring_d),
         "--key", str(workspace["keys"][2]),
         "--message", str(workspace["message"]),
         "--statement", str(workspace["statement"]),
@@ -223,37 +222,66 @@ def test_usage_error_exits_2(capsys):
     capsys.readouterr()
 
 
-def test_presign_usage_errors_exit_2(workspace, capsys):
-    # No --key file: the window's width is the number of them, 0.
+def test_presign_usage_errors_exit_2(workspace, capsys, tmp_path):
+    # No --key file: the window has no first key to start from.
+    with pytest.raises(SystemExit) as exc:
+        _presign(workspace, capsys, slots=())
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "ringadapt presign: error: the following arguments are required: "
+        "--key")
+    # A first key outside the ring has no position: the error names it.
+    stray = tmp_path / "stray.key"
+    assert main(["keygen", "--out", str(stray)]) == 0
+    capsys.readouterr()
     code = main(["presign", "--ring", str(workspace["ring"]),
-                 "--window", "1", "--message", str(workspace["message"]),
+                 "--key", str(stray), "--key", str(workspace["keys"][0]),
+                 "--message", str(workspace["message"]),
                  "--statement", str(workspace["statement"]),
                  "--out", str(workspace["presig"])])
     assert code == 2
-    assert "window width 0 out of range" in capsys.readouterr().err
+    assert capsys.readouterr() == (
+        "", f"error: {stray}: public key is not in the ring\n")
     assert not workspace["presig"].exists()
-    for window in ("1,2", "0,1", "a"):
-        with pytest.raises(SystemExit) as exc:
-            _presign(workspace, capsys, window=window)
-        assert exc.value.code == 2
-        assert "argument --window: invalid int value" in \
-            capsys.readouterr().err
 
 
-def _sign(workspace, capsys, window, slots):
+def test_presign_window_starts_at_the_first_key(workspace, capsys):
+    # Every start j and width t of the 4-ring, keys (j, j+1, ...) mod 4:
+    # windows that wrap, and t = 4 from every start, all verify.
+    for j in range(4):
+        for t in range(1, 5):
+            _sign(workspace, capsys, [(j + i) % 4 for i in range(t)])
+            assert run(capsys, "verify", "--ring", str(workspace["ring"]),
+                       "--threshold", str(t),
+                       "--message", str(workspace["message"]),
+                       "--sig", str(workspace["sig"])) == (0, "1\n"), (j, t)
+    # Keys out of ring order: the second key does not open ring key 2.
+    workspace["presig"].unlink()
+    code = main(["presign", "--ring", str(workspace["ring"]),
+                 "--key", str(workspace["keys"][1]),
+                 "--key", str(workspace["keys"][3]),
+                 "--message", str(workspace["message"]),
+                 "--statement", str(workspace["statement"]),
+                 "--out", str(workspace["presig"])])
+    assert code == 2
+    assert capsys.readouterr() == (
+        "", "error: secret at window offset 1 does not open ring key 2\n")
+    assert not workspace["presig"].exists()
+
+
+def _sign(workspace, capsys, slots):
     """Presign and adapt with the workspace's files; both exit 0."""
-    assert _presign(workspace, capsys, window=window, slots=slots)[0] == 0
+    assert _presign(workspace, capsys, slots=slots)[0] == 0
     assert run(capsys, "adapt", "--ring", str(workspace["ring"]),
                "--presig", str(workspace["presig"]),
                "--witness", str(workspace["witness"]),
                "--out", str(workspace["sig"])) == (0, "")
 
 
-@pytest.mark.parametrize("window, slots", [("0", (0,)), ("1", (1, 2))],
-                         ids=["t=1", "t=2"])
-def test_files_give_their_threshold(workspace, capsys, window, slots):
+@pytest.mark.parametrize("slots", [(0,), (1, 2)], ids=["t=1", "t=2"])
+def test_files_give_their_threshold(workspace, capsys, slots):
     # adapt, ext and link read t from each file's length.
-    _sign(workspace, capsys, window, slots)
+    _sign(workspace, capsys, slots)
     ring = ("--ring", str(workspace["ring"]))
     files = {name: str(workspace[name])
              for name in ("message", "statement", "presig", "sig")}
@@ -275,7 +303,7 @@ def test_files_give_their_threshold(workspace, capsys, window, slots):
 def test_verdicts_take_the_threshold_as_policy(workspace, capsys):
     # A well-formed t = 2 file under another --threshold, in range or
     # not, is a false verdict, as the library's verify and preverify say.
-    _sign(workspace, capsys, "1", (1, 2))
+    _sign(workspace, capsys, (1, 2))
     ring = ("--ring", str(workspace["ring"]))
     for t in ("1", "3", "0", "5"):
         assert run(capsys, "verify", *ring, "--threshold", t,
@@ -302,7 +330,7 @@ def test_adapt_takes_no_threshold(workspace, capsys, tmp_path):
 def test_bad_signature_files_name_the_fault(workspace, capsys, tmp_path):
     # The length fixes t before decoding; the decoder still names what
     # is wrong with a file that is not a signature of this ring.
-    _sign(workspace, capsys, "1", (1, 2))
+    _sign(workspace, capsys, (1, 2))
     sig = workspace["sig"].read_bytes()
     bad = tmp_path / "bad.bin"
     cases = [
@@ -328,7 +356,7 @@ def test_seed_is_refused_where_no_randomness_is_drawn(workspace, capsys,
     # Only swap-demo takes --seed, which picks its scenario: the other
     # commands draw from the OS or draw nothing.  Each argv is refused
     # with --seed and runs without it.
-    _sign(workspace, capsys, "1", (1, 2))
+    _sign(workspace, capsys, (1, 2))
     ring = ("--ring", str(workspace["ring"]))
     files = {name: str(workspace[name])
              for name in ("message", "statement", "witness", "presig", "sig")}
@@ -339,7 +367,7 @@ def test_seed_is_refused_where_no_randomness_is_drawn(workspace, capsys,
         "genr": ("--out", str(tmp_path / "s.bin"),
                  "--witness-out", str(tmp_path / "w.bin")),
         "ring-build": (*keys, "--out", str(tmp_path / "r.bin")),
-        "presign": (*ring, "--window", "1", *keys,
+        "presign": (*ring, *keys,
                     "--message", files["message"],
                     "--statement", files["statement"],
                     "--out", str(tmp_path / "p.bin")),
@@ -384,8 +412,7 @@ def test_wrong_group_key_file_exits_2(workspace, capsys, tmp_path):
     cut = tmp_path / "cut.key"
     cut.write_bytes(workspace["keys"][2].read_bytes()[:-1])
     code = main(["presign", "--ring", str(workspace["ring"]),
-                 "--window", "1", "--key", str(workspace["keys"][1]),
-                 "--key", str(cut), "--message", str(workspace["message"]),
+                 "--key", str(workspace["keys"][1]), "--key", str(cut), "--message", str(workspace["message"]),
                  "--statement", str(workspace["statement"]),
                  "--out", str(workspace["presig"])])
     assert code == 2
@@ -495,8 +522,7 @@ def test_zero_key_file_exits_2(capsys, workspace, group):
     ring = str(workspace["ring"])
     for argv in (["ring-build", "--key", str(workspace["keys"][0]),
                   "--key", str(zero)],
-                 ["presign", "--ring", ring, "--window", "0",
-                  "--key", str(zero), "--message", str(workspace["message"]),
+                 ["presign", "--ring", ring, "--key", str(zero), "--message", str(workspace["message"]),
                   "--statement", str(workspace["statement"])],
                  ["adapt", "--ring", ring, "--presig", str(workspace["presig"]),
                   "--witness", str(zero)]):
@@ -563,6 +589,14 @@ def test_bench_csv_schema(capsys):
     assert presign_rows[0][1:3] == ["10", "5"]
     assert presign_rows[0][5] == "512"
     assert all(int(r[4]) >= 10 for r in body)
+
+
+@pytest.mark.parametrize("argv", [("--min-n", "50", "--max-n", "30"),
+                                  ("--step", "-1")], ids=["min>max", "step<0"])
+def test_bench_empty_sweep_exits_2(capsys, argv):
+    # No ring size: an error, not a CSV header with no rows.
+    assert main(["bench", *argv]) == 2
+    assert capsys.readouterr() == ("", "error: no ring size to sweep\n")
 
 
 def test_bench_default_reps(capsys):
@@ -781,11 +815,9 @@ CLI_SURFACE = {
         _req("--out")]),
     "presign": ("produce a ring pre-signature", [
         _req("--ring"),
-        (("--window",), "store", True, "int", None, None, "j",
-         "window start; one ring key per --key, and the window may wrap "
-         "around the ring"),
-        _opt("--key", help_="signer key file, one per window slot, in order",
-             action="append"),
+        (("--key",), "append", True, None, None, None, None,
+         "signer key file (repeatable): keys in ring order from the first "
+         "key's position; the window may wrap"),
         _req("--message"), _req("--statement"), _req("--out")]),
     "preverify": ("check a ring pre-signature", [
         _req("--ring"), _req("--threshold", "int"), _req("--message"),

@@ -16,7 +16,7 @@ from ringadapt import (KeyMismatchError, PreSignature, Ring, Signature,
                        SignerWindow, StatementPair, adapt, ext, gen_r, keygen,
                        link, presign, preverify, setup_group, verify,
                        verify_relation)
-from ringadapt.bench import bench_cell
+from ringadapt.bench import run_bench
 from ringadapt.scheme import _presign_body, distinct_keypairs
 from ringadapt.swap import swap_demo
 
@@ -66,7 +66,7 @@ class TestKeygenAndRelation:
 
         for refused in (lambda: distinct_keypairs(toy, toy.order, NoDraws()),
                         lambda: swap_demo(toy, ring_size=101),
-                        lambda: bench_cell(toy, 101, 50)):
+                        lambda: run_bench(toy, [101])):
             with pytest.raises(ValueError, match="101 keys asked; the group "
                                                  "has 100"):
                 refused()
