@@ -35,7 +35,6 @@ class BenchRecord(Record):
     n: int
     t: int
     mean_ns: int
-    reps: int
     bytes: int
     comm_ours: str
     comm_baseline: str
@@ -108,7 +107,7 @@ def run_bench(ctx: GroupContext, sizes: Iterable[int]) -> list[BenchRecord]:
         numbers.append(number)
     rounds = [[timer.timeit(number) / number
                for timer, number in zip(timers, numbers)] for _ in range(REPS)]
-    return [BenchRecord(name, n, t, int(min(per_call) * 1e9), REPS, size,
+    return [BenchRecord(name, n, t, int(min(per_call) * 1e9), size,
                         *_comm_formulas(ctx, n, t).get(name, ("", "")))
             for (n, t, name, _, size), per_call in zip(cases, zip(*rounds))]
 

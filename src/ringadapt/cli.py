@@ -167,9 +167,7 @@ def cmd_swap_demo(ctx, args) -> int:
     if args.fault != "none" and args.fault not in FAULT_PLANS:
         raise ValueError(f"unknown fault {args.fault!r}")
     fault = FAULT_PLANS.get(args.fault)
-    result = swap_demo(ctx, ring_size=args.ring_size,
-                       threshold=args.threshold, seed=args.seed,
-                       fault=fault)
+    result = swap_demo(ctx, seed=args.seed, fault=fault)
     summary = json.dumps({
         "event": "outcome",
         "phase": result.state.phase.value,
@@ -184,6 +182,8 @@ def cmd_swap_demo(ctx, args) -> int:
 
 def cmd_bench(ctx, args) -> int:
     from . import bench
+    if args.step == 0:
+        raise ValueError("--step must not be 0")
     sizes = range(args.min_n, args.max_n + 1, args.step)
     bench.write_csv(bench.run_bench(ctx, sizes), sys.stdout)
     return 0
@@ -232,8 +232,6 @@ COMMANDS = {
         ("--ring-b", {"help": "ring of the second signature, if different"})]),
     "swap-demo": (cmd_swap_demo, "run the two-ledger atomic swap", [
         ("--seed", {"type": int, "default": 0, "help": "picks the scenario"}),
-        ("--ring-size", {"type": int, "default": 4}),
-        ("--threshold", {"type": int, "default": 2}),
         ("--fault", {"default": "none",
                      "help": "none, abort1..abort5 or a corruption name"})]),
     "bench": (cmd_bench, "sweep ring sizes and emit a CSV", [

@@ -24,7 +24,7 @@ SAMPLES = {
     wire.SwapTransaction: ("A", b"x", 1, 2, P, None, None),
     swap.FaultPlan: (2, None),
     swap.SubmitResult: ("malformed",),
-    bench.BenchRecord: ("verify", 4, 2, 10, 10, 20, "20", "30"),
+    bench.BenchRecord: ("verify", 4, 2, 10, 20, "20", "30"),
 }
 RECORDS = sorted(SAMPLES, key=lambda cls: cls.__qualname__)
 

@@ -293,6 +293,10 @@ class TestSwapRuns:
         assert result.outcome() == "both-confirmed"
         assert result.state.extracted_witness == result.bob_witness
 
+    def test_demo_refuses_an_oversized_ring(self, prod):
+        with pytest.raises(ValueError, match=r"^payer ring above 1024 keys$"):
+            swap_demo(prod, ring_size=wire.MAX_RING_SIZE + 1, threshold=1)
+
     @pytest.mark.parametrize("step", [1, 2, 3, 4, 5])
     def test_abort_points(self, toy, step):
         result = swap_demo(toy, seed=5, fault=FaultPlan(abort_after=step))
