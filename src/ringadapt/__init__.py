@@ -2,8 +2,8 @@
 
 Public surface:
 
-* :mod:`ringadapt.groups`  -- group backends ("prod" ristretto255, "toy"
-  order-101) behind one context interface;
+* :mod:`ringadapt.groups`  -- the group, ristretto255 ("prod"), behind the
+  context interface the tests' toy group implements too;
 * :mod:`ringadapt.scheme`  -- the nine-algorithm threshold ring adaptor
   scheme (keygen, gen_r, presign, preverify, adapt, verify, ext, link);
 * :mod:`ringadapt.schnorr` -- the single-key adaptor counterpart;
@@ -16,17 +16,16 @@ Public surface:
 import importlib
 
 from . import groups, schnorr, wire
-from .groups import GroupContext, UnknownBackendError, setup_group
+from .groups import GroupContext, setup_group
 from .scheme import (KeyMismatchError, KeyPair, PreSignature, Ring, Signature,
                      SignerWindow, StatementPair, adapt, ext, gen_r, keygen,
                      link, presign, preverify, verify, verify_relation)
 
 __all__ = [
     "GroupContext", "KeyMismatchError", "KeyPair", "PreSignature", "Ring",
-    "Signature", "SignerWindow", "StatementPair", "UnknownBackendError",
-    "adapt", "bench", "ext", "gen_r", "groups", "keygen", "link", "presign",
-    "preverify", "schnorr", "setup_group", "swap", "verify",
-    "verify_relation", "wire",
+    "Signature", "SignerWindow", "StatementPair", "adapt", "bench", "ext",
+    "gen_r", "groups", "keygen", "link", "presign", "preverify", "schnorr",
+    "setup_group", "swap", "verify", "verify_relation", "wire",
 ]
 
 __version__ = "0.1.0"

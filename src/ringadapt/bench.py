@@ -113,7 +113,7 @@ def run_bench(ctx: GroupContext, sizes: Iterable[int]) -> list[BenchRecord]:
 
 
 def write_csv(records: Iterable[BenchRecord], out: IO[str]):
-    writer = csv.writer(out)
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for record in records:
         writer.writerow([getattr(record, name) for name in CSV_COLUMNS])

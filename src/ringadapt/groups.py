@@ -1,28 +1,24 @@
-"""Prime-order group backends.
+"""The prime-order group: ristretto255 through libsodium.
 
 Every scheme in this package runs over a cyclic group of prime order p with
 two independent generators g and h and a hash function into Z_p (libsodium's
-SHA-512 on both backends).  Two interchangeable backends provide that group:
-
-* ``prod`` -- ristretto255 through one ctypes wrapper of the system
-  libsodium: prime order ~2^252, 32-byte canonical element encodings
-  (checked here too, whatever the libsodium version: an encoding with
-  bit 255 set is refused), 32-byte scalars.
-* ``toy``  -- the order-101 subgroup of Z_607^*: small enough that tests
-  can check every identity by exhaustive exponent-table lookup.
+SHA-512).  ``setup_group("prod")`` gives ristretto255 through one ctypes
+wrapper of the system libsodium: prime order ~2^252, 32-byte canonical
+element encodings (checked here too, whatever the libsodium version: an
+encoding with bit 255 set is refused), 32-byte scalars.  The tests run the
+same code on an order-101 group of their own (``tests/toygroup.py``)
+through the ``GroupContext`` interface.
 
 A group element is its canonical encoding, a ``bytes`` string of
-``element_size`` (32 bytes for ristretto255, a 2-byte big-endian residue
-mod 607 for the toy group), so it is hashed and written as it is;
-scalars are plain ints in [0, p).  All arithmetic goes through the
-context object so calling code never branches on the backend.  Contexts
+``element_size``, so it is hashed and written as it is; scalars are plain
+ints in [0, p).  All arithmetic goes through the context object.  Contexts
 are immutable and safe to share across threads.
 
 An element is validated where it enters the program (``decode_element``,
 ``Ring``, the verifiers, the ledger); a value the program computed is
 never re-checked.  A ring key, link tag, statement or payer key must not
 be the identity either (``is_nonidentity``); a computed R or T may be.
-Both backends decode by one rule, ``GroupContext.decode_element``.  In
+Every group decodes by one rule, ``GroupContext.decode_element``.  In
 these operations ``verify`` costs n+3 scalar multiplications and n+t
 point adds (``exp``, ``mul``), and ``presign``/``preverify`` n+3 and
 n+t+2.
@@ -116,10 +112,6 @@ class Record:
     __delattr__ = __setattr__
 
 
-class UnknownBackendError(ValueError):
-    """Raised when setup_group() is asked for an unregistered backend."""
-
-
 _SYSTEM = random.SystemRandom()
 SeededRandomness = random.Random   # imported by perfbench/workloads.py
 
@@ -138,7 +130,7 @@ def frame_parts(domain_tag: bytes, parts: Iterable[bytes]) -> bytes:
 
 
 class GroupContext:
-    """Common interface of the group backends.
+    """Interface of a group: ristretto255 here, the test groups too.
 
     Attributes set by subclasses: ``order`` (the prime p),
     ``scalar_size``/``element_size`` (canonical encoding widths in bytes),
@@ -203,50 +195,6 @@ class GroupContext:
                 return k
 
 
-# --- toy backend -----------------------------------------------------------
-
-TOY_MODULUS = 607
-TOY_ORDER = 101
-TOY_G = 7  # smallest residue of multiplicative order 101 mod 607
-TOY_H = 8  # second smallest
-
-
-def _toy(residue: int) -> bytes:
-    return residue.to_bytes(2, "big")
-
-
-class ToyGroup(GroupContext):
-    """Order-101 subgroup of Z_607^*, the exhaustive test oracle backend.
-    An element is its residue as 2 big-endian bytes."""
-
-    order = TOY_ORDER
-    scalar_size = 2
-    element_size = 2
-    generator_g = _toy(TOY_G)
-    generator_h = _toy(TOY_H)
-    identity = _toy(1)
-
-    def mul(self, a: bytes, b: bytes) -> bytes:
-        return _toy(int.from_bytes(a, "big") * int.from_bytes(b, "big")
-                    % TOY_MODULUS)
-
-    def exp(self, a: bytes, k: int) -> bytes:
-        return _toy(pow(int.from_bytes(a, "big"), k % TOY_ORDER, TOY_MODULUS))
-
-    def is_element(self, a: Element) -> bool:
-        return (
-            isinstance(a, bytes) and len(a) == 2
-            and 1 <= (residue := int.from_bytes(a, "big")) < TOY_MODULUS
-            and pow(residue, TOY_ORDER, TOY_MODULUS) == 1
-        )
-
-    def elements(self) -> list[bytes]:
-        """All 101 subgroup elements, for exhaustive checks."""
-        return [_toy(pow(TOY_G, k, TOY_MODULUS)) for k in range(TOY_ORDER)]
-
-
-# --- ristretto255 backend --------------------------------------------------
-
 RISTRETTO_ORDER = 2**252 + 27742317777372353535851937790883648493
 
 
@@ -302,7 +250,7 @@ def _point(name: str, *args: bytes) -> bytes:
 
 
 def _sha512(data: bytes) -> bytes:
-    """SHA-512 from libsodium, the one hash of both backends."""
+    """SHA-512 from libsodium, the one hash of every group."""
     out = ctypes.create_string_buffer(64)
     _sodium().crypto_hash_sha512(out, data, len(data))
     return out.raw
@@ -352,21 +300,13 @@ class RistrettoGroup(GroupContext):
                 and _sodium().crypto_core_ristretto255_is_valid_point(a) == 1)
 
 
-_BACKENDS = {"prod": RistrettoGroup, "toy": ToyGroup}
-
-
 @functools.lru_cache(maxsize=None)
 def setup_group(backend_id: str) -> GroupContext:
-    """Return the group context for a registered backend ("prod" or "toy").
+    """Return the group context for ``"prod"``, ristretto255.
 
-    Deterministic: both generators are fixed by the backend, h by the
-    hash-to-group derivation string rather than by sampling.
+    Deterministic: both generators are fixed, h by the hash-to-group
+    derivation string rather than by sampling.
     """
-    try:
-        backend = _BACKENDS[backend_id]
-    except KeyError:
-        raise UnknownBackendError(
-            f"unknown group backend {backend_id!r}; expected one of "
-            f"{sorted(_BACKENDS)}"
-        ) from None
-    return backend()
+    if backend_id != "prod":
+        raise ValueError(f"unknown group backend {backend_id!r}")
+    return RistrettoGroup()

@@ -161,7 +161,8 @@ def distinct_keypairs(ctx: GroupContext, count: int, rng=_SYSTEM
                       ) -> list[KeyPair]:
     """``count`` key pairs with distinct public keys, in draw order.
 
-    Resamples on a duplicate key; collisions are routine in the toy group.
+    Resamples on a duplicate key; collisions are routine in a small group,
+    such as the tests' order-101 toy group (``tests/toygroup.py``).
     """
     if count >= ctx.order:   # there are order - 1 keys g^sk with sk != 0
         raise ValueError(f"{count} keys asked; the group has {ctx.order - 1}")

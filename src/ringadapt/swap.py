@@ -390,8 +390,9 @@ def run_swap(ctx: GroupContext, *, ring: Ring, window: SignerWindow,
 
     Without a fault the run terminates in phase alice-claimed with both
     chains confirmed.  With a fault it terminates aborted with neither
-    of the swap's transactions confirmed, but on toy a tampered
-    pre-signature passes its check by chance about 1 time in 101 (see
+    of the swap's transactions confirmed, but on the tests' order-101 toy
+    group (``tests/toygroup.py``) a tampered pre-signature passes its
+    check by chance about 1 time in 101 (see
     ``test_toy_chance_events_are_counted``).  A plan that is neither
     ``FaultPlan()`` nor a key of ``_FAULTS`` raises ``ValueError``.
     """

@@ -4,7 +4,7 @@ Layout: a 2-byte header (version, object tag) followed by the payload.
 Payloads contain nothing but fixed-width fields, so the communication
 cost of each object is exactly its algebraic size: a pre-signature or
 signature payload is (n+1)*S_z + t*S_g bytes, a statement pair 2*S_g,
-where S_z and S_g are the backend's scalar and element widths.  The
+where S_z and S_g are the group's scalar and element widths.  The
 header is bookkeeping and excluded from those counts.
 
 Scalars are little-endian fixed width; an element is its own canonical

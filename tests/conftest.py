@@ -5,11 +5,20 @@ import pytest
 from ringadapt import Ring, SignerWindow, setup_group
 from ringadapt.bench import run_bench
 from ringadapt.scheme import _commit, distinct_keypairs
+from toygroup import ToyGroup
+
+TOY = ToyGroup()
+
+
+def group(name):
+    """The group a toy/prod parametrization names: the tests' own toy
+    group, or the library's ``setup_group("prod")``."""
+    return TOY if name == "toy" else setup_group(name)
 
 
 @pytest.fixture(scope="session")
 def toy():
-    return setup_group("toy")
+    return TOY
 
 
 @pytest.fixture(scope="session")
@@ -27,11 +36,6 @@ def prod_sweep(prod):
 @pytest.fixture
 def rng():
     return random.Random(12345)
-
-
-def toy_element(residue):
-    """The toy group's element for a residue mod 607: 2 big-endian bytes."""
-    return residue.to_bytes(2, "big")
 
 
 def ristretto_alias(a):

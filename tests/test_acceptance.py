@@ -15,7 +15,7 @@ import itertools
 import random
 from contextlib import contextmanager
 
-from conftest import build_ring, build_window
+from conftest import build_ring, build_window, group
 from ringadapt import (Signature, adapt, ext, gen_r, link, presign, preverify,
                        setup_group, verify, verify_relation, wire)
 from ringadapt.bench import by_algorithm
@@ -223,7 +223,7 @@ def test_criterion_6_size_law():
     with criterion(6, "size law: (n+1)S_z + t*S_g for n in 10..100, both "
                       "backends; statement = 2*S_g"):
         for backend in ("toy", "prod"):
-            ctx = setup_group(backend)
+            ctx = group(backend)
             rng = random.Random(1)
             statement, _ = gen_r(ctx, rng)
             assert len(wire.encode_statement(ctx, statement)) \

@@ -39,8 +39,9 @@ def test_table_annotations(toy):
 def test_csv_schema(toy):
     out = io.StringIO()
     write_csv(run_bench(toy, [4]), out)
+    assert "\r" not in out.getvalue()
     lines = out.getvalue().strip().splitlines()
-    assert lines[0].split(",") == list(CSV_COLUMNS)
+    assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 1 + len(ALGORITHMS)
 
 

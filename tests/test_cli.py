@@ -11,8 +11,11 @@ from pathlib import Path
 
 import pytest
 
+from conftest import TOY
 from ringadapt import setup_group, wire
 from ringadapt.cli import build_parser, main
+
+PROD = setup_group("prod")
 
 
 def run(capsys, *argv):
@@ -396,9 +399,8 @@ def test_seed_is_refused_where_no_randomness_is_drawn(workspace, capsys,
 def test_wrong_group_key_file_exits_2(workspace, capsys, tmp_path):
     # A toy-group key, or any secret file of another width, is refused
     # with the decoder's error, after the file's name.
-    toy = setup_group("toy")
-    prod_key = wire.encode_scalar(setup_group("prod"), 5)
-    for data, error in ((wire.encode_scalar(toy, 5), "truncated scalar"),
+    prod_key = wire.encode_scalar(PROD, 5)
+    for data, error in ((wire.encode_scalar(TOY, 5), "truncated scalar"),
                         (prod_key[:-1], "truncated scalar"),
                         (prod_key + b"\0", "trailing bytes after payload")):
         key = tmp_path / "other.key"
@@ -483,7 +485,6 @@ def test_keygen_stdout_and_pubkey_ring(capsys, tmp_path):
     assert printed[0] != printed[1]
 
 
-PROD = setup_group("prod")
 G_HEX = wire.encode_element(PROD, PROD.generator_g).hex()
 
 
@@ -511,12 +512,11 @@ def test_keygen_requires_out(capsys):
     assert "--out" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("group", ["prod"])
-def test_zero_key_file_exits_2(capsys, workspace, group):
+def test_zero_key_file_exits_2(capsys, workspace):
     # A key or witness file holding 0 opens only the identity (g^0, h^0):
     # the error names the file, and nothing is written.
     zero = workspace["ring"].parent / "zero.key"
-    zero.write_bytes(wire.encode_scalar(setup_group(group), 0))
+    zero.write_bytes(wire.encode_scalar(PROD, 0))
     out = workspace["ring"].parent / "out.bin"
     assert _presign(workspace, capsys)[0] == 0
     ring = str(workspace["ring"])

@@ -14,15 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ristretto_alias, toy_element
+from conftest import ristretto_alias
 from ringadapt import groups, setup_group, wire
-from ringadapt.groups import (H_DERIVATION_STRING, TOY_MODULUS, TOY_ORDER,
-                              UnknownBackendError, frame_parts)
+from ringadapt.groups import H_DERIVATION_STRING, frame_parts
+from toygroup import TOY_MODULUS, TOY_ORDER, ToyGroup, toy_element
 
 
 def test_setup_is_deterministic():
-    a = setup_group("toy")
-    b = setup_group("toy")
+    a = ToyGroup()
+    b = ToyGroup()
     assert (a.generator_g, a.generator_h, a.order) == \
         (b.generator_g, b.generator_h, b.order)
     p1 = setup_group("prod")
@@ -32,8 +32,10 @@ def test_setup_is_deterministic():
 
 
 def test_unknown_backend_rejected():
-    with pytest.raises(UnknownBackendError):
-        setup_group("nope")
+    # The toy group lives in the tests; the library knows only "prod".
+    for name in ("nope", "toy"):
+        with pytest.raises(ValueError, match="unknown group backend"):
+            setup_group(name)
 
 
 def test_toy_parameters(toy):

@@ -9,9 +9,9 @@ import random
 
 import pytest
 
-from conftest import build_ring, build_window
+from conftest import build_ring, build_window, group
 from ringadapt import (PreSignature, Signature, StatementPair, gen_r, presign,
-                       preverify, schnorr, setup_group, verify, wire)
+                       preverify, schnorr, verify, wire)
 from ringadapt.scheme import DOMAIN_CHALLENGE, DOMAIN_RING_DIGEST, Ring
 from ringadapt.swap import MockLedger, ledger_submit
 
@@ -20,7 +20,7 @@ BACKENDS = ["toy", "prod"]
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_ring_rejects_identity_key(backend):
-    ctx = setup_group(backend)
+    ctx = group(backend)
     ring, _ = build_ring(ctx, 3, random.Random(1))
     keys = [ring.keys[0], ctx.identity, ring.keys[2]]
     with pytest.raises(ValueError):
@@ -37,7 +37,7 @@ def test_ring_rejects_identity_key(backend):
 def test_identity_ring_key_spend_is_malformed(backend):
     """A t=1 spend by the identity's window: z = r and tag = identity
     open it with no secret, so only the ring check stops it."""
-    ctx = setup_group(backend)
+    ctx = group(backend)
     rng = random.Random(2)
     ring, _ = build_ring(ctx, 3, rng)
     keys = (ring.keys[0], ctx.identity, ring.keys[2])
@@ -64,7 +64,7 @@ def test_identity_tag_and_statement_are_rejected(backend):
     """Moving one tag's value onto the other keeps the tag product, the
     one thing the equation over T checks, so only the tag check stops a
     split that leaves the identity behind."""
-    ctx = setup_group(backend)
+    ctx = group(backend)
     rng = random.Random(3)
     ring, members = build_ring(ctx, 4, rng)
     window = build_window(ctx, ring, members, 3, 2)
@@ -95,7 +95,7 @@ def test_identity_tag_and_statement_are_rejected(backend):
 def test_identity_payer_key_is_rejected(backend):
     """With pk = identity, any s and c = H(pk, g^s, m) verify: a chain-A
     spend signed with no secret."""
-    ctx = setup_group(backend)
+    ctx = group(backend)
     rng = random.Random(4)
     tx = wire.SwapTransaction("A", b"mallory", 1, 1, payer_key=ctx.identity)
     message = wire.encode_transaction(ctx, tx)

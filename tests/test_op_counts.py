@@ -21,8 +21,9 @@ import pytest
 from conftest import build_ring, build_window
 from ringadapt import (PreSignature, Ring, Signature, adapt, ext, gen_r,
                        keygen, link, presign, preverify, schnorr, verify, wire)
-from ringadapt.groups import RistrettoGroup, ToyGroup
+from ringadapt.groups import RistrettoGroup
 from ringadapt.swap import MockLedger, ledger_submit
+from toygroup import ToyGroup
 
 
 class Counting:

@@ -10,15 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (build_ring, build_window, presign_intermediates,
-                      toy_element)
+from conftest import build_ring, build_window, group, presign_intermediates
 from ringadapt import (KeyMismatchError, PreSignature, Ring, Signature,
                        SignerWindow, StatementPair, adapt, ext, gen_r, keygen,
-                       link, presign, preverify, setup_group, verify,
-                       verify_relation)
+                       link, presign, preverify, verify, verify_relation)
 from ringadapt.bench import run_bench
 from ringadapt.scheme import _presign_body, distinct_keypairs
 from ringadapt.swap import swap_demo
+from toygroup import toy_element
 
 # Ring used by the frozen vectors: secrets (2, 3, 7) under g = 7 mod 607.
 VEC_SKS = (2, 3, 7)
@@ -542,7 +541,7 @@ class TestConstruction:
     def test_presign_without_rng(self, backend):
         # No rng, as the CLI passes, draws from the OS; so does an
         # explicit random.SystemRandom().
-        ctx = setup_group(backend)
+        ctx = group(backend)
         ring, members = build_ring(ctx, 4, random.Random(3))
         window = build_window(ctx, ring, members, 1, 2)
         for rng in ((), (random.SystemRandom(),)):

@@ -5,13 +5,13 @@ import random
 import pytest
 
 import straightline as oracle
-from conftest import build_ring, build_window, toy_element
-from ringadapt import (KeyPair, StatementPair, gen_r, keygen, schnorr,
-                       setup_group)
+from conftest import build_ring, build_window, group
+from ringadapt import KeyPair, StatementPair, gen_r, keygen, schnorr
 from ringadapt import adapt as ring_adapt
 from ringadapt import ext as ring_ext
 from ringadapt import presign as ring_presign
 from ringadapt import verify as ring_verify
+from toygroup import toy_element
 
 
 class Fixed:
@@ -83,7 +83,7 @@ def test_non_element_key_is_rejected(backend):
     # Both verifiers check the key before using it, so both backends
     # return False for a key is_element rejects, even with an honest
     # signature.
-    ctx = setup_group(backend)
+    ctx = group(backend)
     rng = random.Random(3)
     keypair = keygen(ctx, rng)
     statement, w = gen_r(ctx, rng)

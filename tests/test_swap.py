@@ -9,13 +9,14 @@ import random
 
 import pytest
 
-from conftest import build_ring, build_window, ristretto_alias, toy_element
+from conftest import build_ring, build_window, group, ristretto_alias
 from ringadapt import (KeyPair, PreSignature, Ring, Signature, SignerWindow,
-                       adapt, gen_r, keygen, presign, schnorr, setup_group,
-                       swap, verify, wire)
+                       adapt, gen_r, keygen, presign, schnorr, swap, verify,
+                       wire)
 from ringadapt.swap import (FAULT_PLANS, FaultPlan, MockLedger, Phase,
                             SwapTransaction, ledger_submit, make_demo_parties,
                             run_swap, swap_demo)
+from toygroup import toy_element
 
 
 def _ring_tx(ring, t, payee, nonce):
@@ -139,7 +140,7 @@ class TestLedger:
                               ("prod", b"\xff" * 32)],
                              ids=["toy", "prod"])
     def test_non_element_keys_are_malformed(self, backend, junk):
-        ctx = setup_group(backend)
+        ctx = group(backend)
         rng = random.Random(21)
         ledger_a = MockLedger(ctx, "A")
         ledger_b = MockLedger(ctx, "B")
@@ -165,7 +166,7 @@ class TestLedger:
     def test_resigned_plain_copy_is_a_double_spend(self, backend):
         # A second, differently signed copy of a confirmed transaction is
         # a double spend.
-        ctx = setup_group(backend)
+        ctx = group(backend)
         rng = random.Random(23)   # toy's two nonces r + w differ
         ledger = MockLedger(ctx, "A")
         bob = keygen(ctx, rng)
@@ -188,7 +189,7 @@ class TestLedger:
     def test_plain_payer_key_spends_once(self, backend):
         # After a happy swap Bob's chain-A key has paid: a new transaction
         # it validly signs is a double spend, as a reused ring key is.
-        ctx = setup_group(backend)
+        ctx = group(backend)
         run = swap_demo(ctx, 6, 2, seed=3)
         assert run.state.phase is Phase.ALICE_CLAIMED
         bob = make_demo_parties(ctx, 6, 2, seed=3)[2]
@@ -342,7 +343,7 @@ class TestSwapRuns:
         digest = hashlib.sha256()
         plans = [None, *FAULT_PLANS.values()]
         for backend, n, t in (("toy", 6, 2), ("prod", 16, 4)):
-            ctx = setup_group(backend)
+            ctx = group(backend)
             for seed, plan in itertools.product(range(5), plans):
                 r = swap_demo(ctx, ring_size=n, threshold=t, seed=seed,
                               fault=plan)
@@ -416,7 +417,7 @@ class TestSwapRuns:
         # transcript pin read it): as he broadcasts, Bob spends his
         # chain-A key to himself, so Alice's claim at step 6 links
         # against his spend.  This is the only path to step 6's abort.
-        ctx = setup_group(backend)
+        ctx = group(backend)
         plan = FaultPlan(corruption="bob-race")
 
         def race(run, sig):
@@ -525,7 +526,7 @@ def _admit_all(ledger, submissions, cold=False):
 class TestRingCache:
     @pytest.mark.parametrize("backend", ["toy", "prod"])
     def test_warm_and_cold_ledgers_agree(self, backend, monkeypatch):
-        ctx = setup_group(backend)
+        ctx = group(backend)
         rng = random.Random(31)
         ring, members = build_ring(ctx, 6, rng)
         other, other_members = build_ring(ctx, 4, rng)

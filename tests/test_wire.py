@@ -1,5 +1,6 @@
 """Wire codec: round trips, exact size laws, decode as the validity gate."""
 
+import functools
 import random
 import tracemalloc
 
@@ -7,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_ring, build_window
+from conftest import build_ring, build_window, group
 from ringadapt import (PreSignature, Signature, gen_r, keygen, presign,
-                       schnorr, setup_group, wire)
+                       schnorr, wire)
 
 
 def _random_sig_objects(ctx, rng, n, t):
@@ -79,7 +80,7 @@ class TestRoundTrips:
 def _every_decoding(ctx, rng):
     """(decoder name, bytes, extra arguments) covering each wire.decode_*."""
     ring, _ = build_ring(ctx, 3, rng)
-    psig, sig = _random_sig_objects(ctx, rng, 3, 2)
+    psig, sig = _random_sig_objects(ctx, rng, 4, 2)
     statement, _ = gen_r(ctx, rng)
     tx_a = wire.SwapTransaction("A", b"alice", 5, 123,
                                 payer_key=ring.keys[0])
@@ -90,8 +91,8 @@ def _every_decoding(ctx, rng):
         ("decode_scalar", wire.encode_scalar(ctx, 5)),
         ("decode_ring", wire.encode_ring(ctx, ring)),
         ("decode_statement", wire.encode_statement(ctx, statement)),
-        ("decode_presignature", wire.encode_presignature(ctx, psig), 3, 2),
-        ("decode_signature", wire.encode_signature(ctx, sig), 3, 2),
+        ("decode_presignature", wire.encode_presignature(ctx, psig), 4, 2),
+        ("decode_signature", wire.encode_signature(ctx, sig), 4, 2),
         ("decode_plain_presignature", wire.encode_plain_presignature(
             ctx, schnorr.PlainPreSignature(5, 77))),
         ("decode_plain_signature", wire.encode_plain_signature(
@@ -106,7 +107,7 @@ def _every_decoding(ctx, rng):
 def test_every_decoder_takes_any_bytes_like(backend, kind):
     # Both backends decode a bytearray or memoryview to what the same
     # bytes decode to, and raise nothing but WireError on one.
-    ctx = setup_group(backend)
+    ctx = group(backend)
     cases = _every_decoding(ctx, random.Random(4))
     assert {case[0] for case in cases} == \
         {name for name in dir(wire) if name.startswith("decode_")}
@@ -117,10 +118,37 @@ def test_every_decoder_takes_any_bytes_like(backend, kind):
         assert (type(value), value) == (type(expected), expected), name
 
 
+@functools.lru_cache(maxsize=None)
+def _valid_encodings(backend):
+    return _every_decoding(group(backend), random.Random(5))
+
+
+@pytest.mark.parametrize("backend", ["toy", "prod"])
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_accepted_bit_flips_reencode_to_themselves(backend, data):
+    # A valid encoding with 1-3 bits flipped is refused, or it decodes to
+    # a value whose encoding is those very bytes.  An element is its own
+    # encoding, so element aliases are test_ristretto255.py's to catch.
+    ctx = group(backend)
+    name, encoding, *args = data.draw(
+        st.sampled_from(_valid_encodings(backend)))
+    flipped = bytearray(encoding)
+    for bit in data.draw(st.sets(st.integers(0, 8 * len(encoding) - 1),
+                                 min_size=1, max_size=3)):
+        flipped[bit // 8] ^= 1 << bit % 8
+    try:
+        value = getattr(wire, name)(ctx, bytes(flipped), *args)
+    except wire.WireError:
+        return
+    encode = getattr(wire, name.replace("decode_", "encode_"))
+    assert encode(ctx, value) == flipped, name
+
+
 class TestSizeLaw:
     @pytest.mark.parametrize("backend", ["toy", "prod"])
     def test_signature_payload_formula(self, backend):
-        ctx = setup_group(backend)
+        ctx = group(backend)
         rng = random.Random(3)
         for n in range(10, 101, 10):
             t = n // 2
@@ -134,7 +162,7 @@ class TestSizeLaw:
 
     @pytest.mark.parametrize("backend", ["toy", "prod"])
     def test_signature_threshold_inverts_the_size_law(self, backend):
-        ctx = setup_group(backend)
+        ctx = group(backend)
         rng = random.Random(4)
         n = 6
         for t in range(1, n + 1):
@@ -301,10 +329,9 @@ class TestRejection:
 
     @settings(max_examples=150)
     @given(st.binary(max_size=64))
-    def test_fuzzed_bytes_never_decode_invalid(self, data):
+    def test_fuzzed_bytes_never_decode_invalid(self, toy, data):
         # Decode either raises WireError or returns an object that
         # satisfies the type invariants.
-        toy = setup_group("toy")
         try:
             ring = wire.decode_ring(toy, data)
         except wire.WireError:
@@ -332,7 +359,7 @@ def test_claimed_sizes_cost_only_the_bytes_held(backend):
     # A decoder walks the bytes it holds: a ring size or n read from
     # context that the payload cannot back is refused at its first
     # missing field, without first naming every field the claim implies.
-    ctx = setup_group(backend)
+    ctx = group(backend)
     tx = wire._header(wire.TAG_TRANSACTION) + b"B\xff\xff"
     sig = wire._header(wire.TAG_SIGNATURE)
     cases = (
