@@ -92,14 +92,18 @@ def cmd_genr(ctx, args) -> int:
     return 0
 
 
+def _ring_key(ctx, flag: str, value: str):
+    if flag == "--key":
+        return ctx.exp(ctx.generator_g, _secret(ctx, value))
+    try:
+        return wire.decode_element(ctx, bytes.fromhex(value))
+    except ValueError as exc:
+        raise ValueError(f"--pubkey {value}: {exc}") from None
+
+
 def cmd_ring_build(ctx, args) -> int:
-    keys = [ctx.exp(ctx.generator_g, _secret(ctx, path))
-            for path in args.key or []]
-    for hexval in args.pubkey or []:
-        try:
-            keys.append(wire.decode_element(ctx, bytes.fromhex(hexval)))
-        except ValueError as exc:
-            raise ValueError(f"--pubkey {hexval}: {exc}") from None
+    # --key and --pubkey values, in command-line order, are the ring.
+    keys = [_ring_key(ctx, *given) for given in args.ring_keys or []]
     _write(args.out, wire.encode_ring(ctx, Ring(ctx, keys)))
     return 0
 
@@ -189,6 +193,15 @@ def cmd_bench(ctx, args) -> int:
     return 0
 
 
+class _InOrder(argparse._AppendAction):
+    """``append`` of (flag, value), so that options sharing a ``dest``
+    keep the order the command line gives them."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        super().__call__(parser, namespace, (option_string, values),
+                         option_string)
+
+
 # Options are (flag, add_argument keywords); shared ones are declared once.
 REQUIRED = {"required": True}
 RING = ("--ring", REQUIRED)
@@ -208,8 +221,10 @@ COMMANDS = {
         ("--out", {"required": True, "help": "statement output file"}),
         ("--witness-out", {"required": True, "help": "witness output file"})]),
     "ring-build": (cmd_ring_build, "assemble a ring from keys", [
-        ("--key", {"action": "append", "help": "key file (repeatable)"}),
-        ("--pubkey", {"action": "append",
+        ("--key", {"action": _InOrder, "dest": "ring_keys", "metavar": "KEY",
+                   "help": "key file (repeatable)"}),
+        ("--pubkey", {"action": _InOrder, "dest": "ring_keys",
+                      "metavar": "PUBKEY",
                       "help": "hex wire public key (repeatable)"}),
         OUT]),
     "presign": (cmd_presign, "produce a ring pre-signature", [

@@ -70,10 +70,15 @@ class Ring:
             # Duplicate keys would make distinct windows aggregate to the
             # same value, silently weakening linkability.  Checked before
             # the keys, so a refused ring costs no group operation.
-            raise ValueError("duplicate ring keys")
-        if not all(map(ctx.is_nonidentity, keys)):
-            raise ValueError("ring key is not a group element other than "
-                             "the identity")
+            first = {}
+            for i, key in enumerate(keys):
+                if first.setdefault(key, i) != i:
+                    raise ValueError(
+                        f"duplicate ring keys {first[key]} and {i}")
+        for i, key in enumerate(keys):
+            if not ctx.is_nonidentity(key):
+                raise ValueError(f"ring key {i} is not a group element other "
+                                 "than the identity")
         self.keys = self.encodings = keys
         self.d = ctx.hash_to_scalar(DOMAIN_RING_DIGEST, keys)
 

@@ -2,18 +2,17 @@ import random
 
 import pytest
 
-from ringadapt import Ring, SignerWindow, setup_group
+from ringadapt import (Ring, SignerWindow, adapt, gen_r, presign, schnorr,
+                       setup_group)
 from ringadapt.bench import run_bench
 from ringadapt.scheme import _commit, distinct_keypairs
+from ringadapt.wire import SwapTransaction, encode_transaction
 from toygroup import ToyGroup
 
 TOY = ToyGroup()
-
-
-def group(name):
-    """The group a toy/prod parametrization names: the tests' own toy
-    group, or the library's ``setup_group("prod")``."""
-    return TOY if name == "toy" else setup_group(name)
+PROD = setup_group("prod")
+# A test that runs on both groups takes ``ctx``, one of these objects.
+BOTH = pytest.mark.parametrize("ctx", [TOY, PROD], ids=["toy", "prod"])
 
 
 @pytest.fixture(scope="session")
@@ -23,7 +22,7 @@ def toy():
 
 @pytest.fixture(scope="session")
 def prod():
-    return setup_group("prod")
+    return PROD
 
 
 @pytest.fixture(scope="session")
@@ -53,6 +52,29 @@ def build_ring(ctx, n, rng):
 def build_window(ctx, ring, members, start, width):
     secrets = [members[(start + i) % len(members)].sk for i in range(width)]
     return SignerWindow(ctx, ring, start, secrets)
+
+
+def ring_spend(ctx, ring, window, payee, nonce, rng):
+    """An honest chain-B spend by ``window`` to ``payee``: the
+    transaction, its pre-signature and the adapted signature.  Draws the
+    statement, then the pre-signature, from ``rng``."""
+    tx = SwapTransaction("B", payee, 1, nonce, ring_keys=ring.keys,
+                         threshold=window.width)
+    statement, witness = gen_r(ctx, rng)
+    psig = presign(ctx, ring, window, encode_transaction(ctx, tx), statement,
+                   rng)
+    return tx, psig, adapt(ctx, psig, witness)
+
+
+def plain_spend(ctx, payer, payee, nonce, rng):
+    """An honest chain-A spend by the key pair ``payer`` to ``payee``,
+    drawn as ``ring_spend`` draws: the transaction, its pre-signature and
+    the adapted Schnorr signature."""
+    tx = SwapTransaction("A", payee, 1, nonce, payer_key=payer.pk)
+    statement, witness = gen_r(ctx, rng)
+    psig = schnorr.presign(ctx, payer, encode_transaction(ctx, tx),
+                           statement.w1, rng)
+    return tx, psig, schnorr.adapt(ctx, psig, witness)
 
 
 def presign_intermediates(ctx, ring, window, message, statement, nonce,

@@ -15,9 +15,9 @@ import itertools
 import random
 from contextlib import contextmanager
 
-from conftest import build_ring, build_window, group
+from conftest import PROD, TOY, build_ring, build_window
 from ringadapt import (Signature, adapt, ext, gen_r, link, presign, preverify,
-                       setup_group, verify, verify_relation, wire)
+                       verify, verify_relation, wire)
 from ringadapt.bench import by_algorithm
 from ringadapt.scheme import _presign_body
 from ringadapt.swap import FAULT_PLANS, MockLedger, ledger_submit, swap_demo
@@ -222,8 +222,7 @@ def test_criterion_6_size_law():
     """Payload sizes equal the communication-cost formulas byte for byte."""
     with criterion(6, "size law: (n+1)S_z + t*S_g for n in 10..100, both "
                       "backends; statement = 2*S_g"):
-        for backend in ("toy", "prod"):
-            ctx = group(backend)
+        for ctx in (TOY, PROD):
             rng = random.Random(1)
             statement, _ = gen_r(ctx, rng)
             assert len(wire.encode_statement(ctx, statement)) \
@@ -236,10 +235,9 @@ def test_criterion_6_size_law():
                     - wire.HEADER_SIZE == expected
                 assert len(wire.encode_signature(ctx, sig)) \
                     - wire.HEADER_SIZE == expected
-        prod = setup_group("prod")
         # reference point: 32-byte fields, n=10, t=5 -> 512 bytes
-        psig, _ = _random_sig_objects(prod, random.Random(2), 10, 5)
-        assert len(wire.encode_presignature(prod, psig)) \
+        psig, _ = _random_sig_objects(PROD, random.Random(2), 10, 5)
+        assert len(wire.encode_presignature(PROD, psig)) \
             - wire.HEADER_SIZE == 512
 
 

@@ -11,11 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import TOY
-from ringadapt import setup_group, wire
+from conftest import PROD, TOY
+from ringadapt import wire
 from ringadapt.cli import build_parser, main
-
-PROD = setup_group("prod")
 
 
 def run(capsys, *argv):
@@ -52,42 +50,65 @@ def workspace(tmp_path, capsys):
     return paths
 
 
-def _presign(workspace, capsys, out=None, slots=(1, 2)):
+# Each helper runs one command on the workspace's files and returns
+# (exit code, stdout); a test points it at other files with
+# {**workspace, name: path}.
+def _presign(workspace, capsys, slots=(1, 2)):
     keys = [arg for slot in slots
             for arg in ("--key", str(workspace["keys"][slot]))]
     return run(capsys, "presign", "--ring", str(workspace["ring"]), *keys,
                "--message", str(workspace["message"]),
                "--statement", str(workspace["statement"]),
-               "--out", str(out or workspace["presig"]))
+               "--out", str(workspace["presig"]))
+
+
+def _adapt(workspace, capsys):
+    return run(capsys, "adapt", "--ring", str(workspace["ring"]),
+               "--presig", str(workspace["presig"]),
+               "--witness", str(workspace["witness"]),
+               "--out", str(workspace["sig"]))
+
+
+def _sign(workspace, capsys, slots=(1, 2)):
+    """Presign and adapt; both exit 0."""
+    assert _presign(workspace, capsys, slots=slots)[0] == 0
+    assert _adapt(workspace, capsys) == (0, "")
+
+
+def _preverify(workspace, capsys, t=2):
+    return run(capsys, "preverify", "--ring", str(workspace["ring"]),
+               "--threshold", str(t), "--message", str(workspace["message"]),
+               "--statement", str(workspace["statement"]),
+               "--presig", str(workspace["presig"]))
+
+
+def _verify(workspace, capsys, t=2):
+    return run(capsys, "verify", "--ring", str(workspace["ring"]),
+               "--threshold", str(t), "--message", str(workspace["message"]),
+               "--sig", str(workspace["sig"]))
+
+
+def _ext(workspace, capsys):
+    return run(capsys, "ext", "--ring", str(workspace["ring"]),
+               "--statement", str(workspace["statement"]),
+               "--presig", str(workspace["presig"]),
+               "--sig", str(workspace["sig"]))
 
 
 def test_presign_preverify_adapt_verify_ext(workspace, capsys):
     code, _ = _presign(workspace, capsys)
     assert code == 0
 
-    code, out = run(capsys, "preverify",
-                    "--ring", str(workspace["ring"]), "--threshold", "2",
-                    "--message", str(workspace["message"]),
-                    "--statement", str(workspace["statement"]),
-                    "--presig", str(workspace["presig"]))
+    code, out = _preverify(workspace, capsys)
     assert (code, out.strip()) == (0, "1")
 
-    code, _ = run(capsys, "adapt", "--ring", str(workspace["ring"]),
-                  "--presig", str(workspace["presig"]),
-                  "--witness", str(workspace["witness"]),
-                  "--out", str(workspace["sig"]))
+    code, _ = _adapt(workspace, capsys)
     assert code == 0
 
-    code, out = run(capsys, "verify",
-                    "--ring", str(workspace["ring"]), "--threshold", "2",
-                    "--message", str(workspace["message"]),
-                    "--sig", str(workspace["sig"]))
+    code, out = _verify(workspace, capsys)
     assert (code, out.strip()) == (0, "1")
 
-    code, out = run(capsys, "ext", "--ring", str(workspace["ring"]),
-                    "--statement", str(workspace["statement"]),
-                    "--presig", str(workspace["presig"]),
-                    "--sig", str(workspace["sig"]))
+    code, out = _ext(workspace, capsys)
     assert code == 0
     witness_hex = workspace["witness"].read_bytes().hex()
     assert out.strip() == witness_hex
@@ -96,88 +117,42 @@ def test_presign_preverify_adapt_verify_ext(workspace, capsys):
 def test_wrapping_window_round_trip(workspace, capsys):
     # Keys 3 and 0 start the window at 3: it wraps, as every window
     # verification aggregates may.
-    code, _ = _presign(workspace, capsys, slots=(3, 0))
-    assert code == 0
-    code, _ = run(capsys, "adapt", "--ring", str(workspace["ring"]),
-                  "--presig", str(workspace["presig"]),
-                  "--witness", str(workspace["witness"]),
-                  "--out", str(workspace["sig"]))
-    assert code == 0
-    code, out = run(capsys, "verify",
-                    "--ring", str(workspace["ring"]), "--threshold", "2",
-                    "--message", str(workspace["message"]),
-                    "--sig", str(workspace["sig"]))
+    _sign(workspace, capsys, slots=(3, 0))
+    code, out = _verify(workspace, capsys)
     assert (code, out.strip()) == (0, "1")
 
 
 def test_verify_rejects_wrong_message(workspace, capsys, tmp_path):
-    _presign(workspace, capsys)
-    run(capsys, "adapt", "--ring", str(workspace["ring"]),
-        "--presig", str(workspace["presig"]),
-        "--witness", str(workspace["witness"]), "--out", str(workspace["sig"]))
+    _sign(workspace, capsys)
     other = tmp_path / "other.bin"
     other.write_bytes(b"pay mallory everything")
-    code, out = run(capsys, "verify",
-                    "--ring", str(workspace["ring"]), "--threshold", "2",
-                    "--message", str(other), "--sig", str(workspace["sig"]))
+    code, out = _verify({**workspace, "message": other}, capsys)
     assert (code, out.strip()) == (1, "0")
 
 
 def test_ext_mismatch_prints_failure_mark(workspace, capsys, tmp_path):
-    _presign(workspace, capsys)
-    other_presig = tmp_path / "presig2.bin"
-    code, _ = run(capsys, "presign",
-                  "--ring", str(workspace["ring"]),
-                  "--key", str(workspace["keys"][1]),
-                  "--key", str(workspace["keys"][2]),
-                  "--message", str(workspace["message"]),
-                  "--statement", str(workspace["statement"]),
-                  "--out", str(other_presig))
+    _sign(workspace, capsys)
+    other = {**workspace, "presig": tmp_path / "presig2.bin"}
+    code, _ = _presign(other, capsys)
     assert code == 0
-    run(capsys, "adapt", "--ring", str(workspace["ring"]),
-        "--presig", str(workspace["presig"]),
-        "--witness", str(workspace["witness"]), "--out", str(workspace["sig"]))
-    code, out = run(capsys, "ext", "--ring", str(workspace["ring"]),
-                    "--statement", str(workspace["statement"]),
-                    "--presig", str(other_presig),
-                    "--sig", str(workspace["sig"]))
+    code, out = _ext(other, capsys)
     assert code == 1
     assert out.strip() == "⊥"
 
 
 def test_link_subcommand(workspace, capsys, tmp_path):
-    _presign(workspace, capsys)
-    run(capsys, "adapt", "--ring", str(workspace["ring"]),
-        "--presig", str(workspace["presig"]),
-        "--witness", str(workspace["witness"]), "--out", str(workspace["sig"]))
+    _sign(workspace, capsys)
     # overlapping window (1,2) vs (2,2): share key 2
-    presig_b = tmp_path / "presig_b.bin"
     sig_b = tmp_path / "sig_b.bin"
-    code, _ = run(capsys, "presign",
-                  "--ring", str(workspace["ring"]),
-                  "--key", str(workspace["keys"][2]),
-                  "--key", str(workspace["keys"][3]),
-                  "--message", str(workspace["message"]),
-                  "--statement", str(workspace["statement"]),
-                  "--out", str(presig_b))
-    assert code == 0
-    run(capsys, "adapt", "--ring", str(workspace["ring"]),
-        "--presig", str(presig_b),
-        "--witness", str(workspace["witness"]), "--out", str(sig_b))
+    _sign({**workspace, "presig": tmp_path / "presig_b.bin", "sig": sig_b},
+          capsys, (2, 3))
     code, out = run(capsys, "link", "--ring", str(workspace["ring"]),
                     "--sig-a", str(workspace["sig"]), "--sig-b", str(sig_b))
     assert (code, out.strip()) == (0, "1")
     # disjoint window (0,1) vs window (2,2)
-    presig_c = tmp_path / "presig_c.bin"
     sig_c = tmp_path / "sig_c.bin"
-    run(capsys, "presign", "--ring", str(workspace["ring"]),
-        "--key", str(workspace["keys"][0]),
-        "--message", str(workspace["message"]),
-        "--statement", str(workspace["statement"]),
-        "--out", str(presig_c))
-    run(capsys, "adapt", "--ring", str(workspace["ring"]),
-        "--presig", str(presig_c),
-        "--witness", str(workspace["witness"]), "--out", str(sig_c))
+    _sign({**workspace, "presig": tmp_path / "presig_c.bin", "sig": sig_c},
+          capsys, (0,))
     code, out = run(capsys, "link", "--ring", str(workspace["ring"]),
                     "--sig-a", str(sig_b), "--sig-b", str(sig_c))
     assert (code, out.strip()) == (1, "0")
@@ -191,16 +166,9 @@ def test_link_subcommand(workspace, capsys, tmp_path):
             assert main(["keygen", "--out", str(key_path)]) == 0
         args += ["--key", str(key_path)]
     assert main(args) == 0
-    presig_d = tmp_path / "presig_d.bin"
     sig_d = tmp_path / "sig_d.bin"
-    run(capsys, "presign", "--ring", str(ring_d),
-        "--key", str(workspace["keys"][2]),
-        "--message", str(workspace["message"]),
-        "--statement", str(workspace["statement"]),
-        "--out", str(presig_d))
-    run(capsys, "adapt", "--ring", str(ring_d),
-        "--presig", str(presig_d),
-        "--witness", str(workspace["witness"]), "--out", str(sig_d))
+    _sign({**workspace, "ring": ring_d, "presig": tmp_path / "presig_d.bin",
+           "sig": sig_d}, capsys, (2,))
     code, out = run(capsys, "link", "--ring", str(workspace["ring"]),
                     "--sig-a", str(workspace["sig"]), "--sig-b", str(sig_d),
                     "--ring-b", str(ring_d))
@@ -210,11 +178,7 @@ def test_link_subcommand(workspace, capsys, tmp_path):
 def test_decode_failure_exits_2(workspace, capsys, tmp_path):
     garbage = tmp_path / "garbage.bin"
     garbage.write_bytes(b"\xff\xff\xff")
-    code = main(["preverify", "--ring", str(garbage), "--threshold", "2",
-                 "--message", str(workspace["message"]),
-                 "--statement", str(workspace["statement"]),
-                 "--presig", str(workspace["presig"])])
-    capsys.readouterr()
+    code, _ = _preverify({**workspace, "ring": garbage}, capsys)
     assert code == 2
 
 
@@ -254,10 +218,7 @@ def test_presign_window_starts_at_the_first_key(workspace, capsys):
     for j in range(4):
         for t in range(1, 5):
             _sign(workspace, capsys, [(j + i) % 4 for i in range(t)])
-            assert run(capsys, "verify", "--ring", str(workspace["ring"]),
-                       "--threshold", str(t),
-                       "--message", str(workspace["message"]),
-                       "--sig", str(workspace["sig"])) == (0, "1\n"), (j, t)
+            assert _verify(workspace, capsys, t) == (0, "1\n"), (j, t)
     # Keys out of ring order: the second key does not open ring key 2.
     workspace["presig"].unlink()
     code = main(["presign", "--ring", str(workspace["ring"]),
@@ -272,50 +233,27 @@ def test_presign_window_starts_at_the_first_key(workspace, capsys):
     assert not workspace["presig"].exists()
 
 
-def _sign(workspace, capsys, slots):
-    """Presign and adapt with the workspace's files; both exit 0."""
-    assert _presign(workspace, capsys, slots=slots)[0] == 0
-    assert run(capsys, "adapt", "--ring", str(workspace["ring"]),
-               "--presig", str(workspace["presig"]),
-               "--witness", str(workspace["witness"]),
-               "--out", str(workspace["sig"])) == (0, "")
-
-
 @pytest.mark.parametrize("slots", [(0,), (1, 2)], ids=["t=1", "t=2"])
 def test_files_give_their_threshold(workspace, capsys, slots):
     # adapt, ext and link read t from each file's length.
     _sign(workspace, capsys, slots)
-    ring = ("--ring", str(workspace["ring"]))
-    files = {name: str(workspace[name])
-             for name in ("message", "statement", "presig", "sig")}
-    t = str(len(slots))
-    assert run(capsys, "preverify", *ring, "--threshold", t,
-               "--message", files["message"],
-               "--statement", files["statement"],
-               "--presig", files["presig"]) == (0, "1\n")
-    assert run(capsys, "verify", *ring, "--threshold", t,
-               "--message", files["message"],
-               "--sig", files["sig"]) == (0, "1\n")
-    assert run(capsys, "ext", *ring, "--statement", files["statement"],
-               "--presig", files["presig"], "--sig", files["sig"]) == (
+    t = len(slots)
+    assert _preverify(workspace, capsys, t) == (0, "1\n")
+    assert _verify(workspace, capsys, t) == (0, "1\n")
+    assert _ext(workspace, capsys) == (
         0, workspace["witness"].read_bytes().hex() + "\n")
-    assert run(capsys, "link", *ring, "--sig-a", files["sig"],
-               "--sig-b", files["sig"]) == (0, "1\n")
+    assert run(capsys, "link", "--ring", str(workspace["ring"]),
+               "--sig-a", str(workspace["sig"]),
+               "--sig-b", str(workspace["sig"])) == (0, "1\n")
 
 
 def test_verdicts_take_the_threshold_as_policy(workspace, capsys):
     # A well-formed t = 2 file under another --threshold, in range or
     # not, is a false verdict, as the library's verify and preverify say.
-    _sign(workspace, capsys, (1, 2))
-    ring = ("--ring", str(workspace["ring"]))
-    for t in ("1", "3", "0", "5"):
-        assert run(capsys, "verify", *ring, "--threshold", t,
-                   "--message", str(workspace["message"]),
-                   "--sig", str(workspace["sig"])) == (1, "0\n")
-        assert run(capsys, "preverify", *ring, "--threshold", t,
-                   "--message", str(workspace["message"]),
-                   "--statement", str(workspace["statement"]),
-                   "--presig", str(workspace["presig"])) == (1, "0\n")
+    _sign(workspace, capsys)
+    for t in (1, 3, 0, 5):
+        assert _verify(workspace, capsys, t) == (1, "0\n")
+        assert _preverify(workspace, capsys, t) == (1, "0\n")
 
 
 def test_adapt_takes_no_threshold(workspace, capsys, tmp_path):
@@ -333,7 +271,7 @@ def test_adapt_takes_no_threshold(workspace, capsys, tmp_path):
 def test_bad_signature_files_name_the_fault(workspace, capsys, tmp_path):
     # The length fixes t before decoding; the decoder still names what
     # is wrong with a file that is not a signature of this ring.
-    _sign(workspace, capsys, (1, 2))
+    _sign(workspace, capsys)
     sig = workspace["sig"].read_bytes()
     bad = tmp_path / "bad.bin"
     cases = [
@@ -359,7 +297,7 @@ def test_seed_is_refused_where_no_randomness_is_drawn(workspace, capsys,
     # Only swap-demo takes --seed, which picks its scenario: the other
     # commands draw from the OS or draw nothing.  Each argv is refused
     # with --seed and runs without it.
-    _sign(workspace, capsys, (1, 2))
+    _sign(workspace, capsys)
     ring = ("--ring", str(workspace["ring"]))
     files = {name: str(workspace[name])
              for name in ("message", "statement", "witness", "presig", "sig")}
@@ -455,24 +393,22 @@ def test_genr_out_naming_the_witness_file_exits_2(capsys, tmp_path, symlink):
     assert code == 2
     assert capsys.readouterr() == (
         "", f"error: --out {out} is the witness file\n")
-    ctx = setup_group("prod")
-    assert 0 < wire.decode_scalar(ctx, witness.read_bytes()) < ctx.order
+    assert 0 < wire.decode_scalar(PROD, witness.read_bytes()) < PROD.order
     assert witness.stat().st_mode & 0o777 == 0o600
 
 
 def test_keygen_stdout_and_pubkey_ring(capsys, tmp_path):
     # The key file is the secret's wire scalar; stdout is the public key.
-    ctx = setup_group("prod")
     printed = []
     for name in ("a", "b"):
         key = tmp_path / f"{name}.key"
         code, out = run(capsys, "keygen", "--out", str(key))
         assert code == 0
-        sk = wire.decode_scalar(ctx, key.read_bytes())
-        assert key.read_bytes() == wire.encode_scalar(ctx, sk)
-        pk = ctx.exp(ctx.generator_g, sk)
-        assert out == wire.encode_element(ctx, pk).hex() + "\n"
-        assert wire.encode_scalar(ctx, sk).hex() not in out
+        sk = wire.decode_scalar(PROD, key.read_bytes())
+        assert key.read_bytes() == wire.encode_scalar(PROD, sk)
+        pk = PROD.exp(PROD.generator_g, sk)
+        assert out == wire.encode_element(PROD, pk).hex() + "\n"
+        assert wire.encode_scalar(PROD, sk).hex() not in out
         rings = [tmp_path / f"{name}-{i}.bin" for i in range(2)]
         assert main(["ring-build", "--key", str(key),
                      "--out", str(rings[0])]) == 0
@@ -485,7 +421,37 @@ def test_keygen_stdout_and_pubkey_ring(capsys, tmp_path):
     assert printed[0] != printed[1]
 
 
+def test_ring_build_keeps_the_command_line_order(capsys, tmp_path):
+    # --key and --pubkey values are the ring's keys in the order given,
+    # the order presign's window is read in.
+    key_a = tmp_path / "a.key"
+    hex_a = run(capsys, "keygen", "--out", str(key_a))[1].strip()
+    hex_b = run(capsys, "keygen", "--out", str(tmp_path / "b.key"))[1].strip()
+    a, b = (wire.decode_element(PROD, bytes.fromhex(h))
+            for h in (hex_a, hex_b))
+    ring = tmp_path / "ring.bin"
+    for argv, keys in ((("--pubkey", hex_b, "--key", str(key_a)), (b, a)),
+                       (("--key", str(key_a), "--pubkey", hex_b), (a, b))):
+        assert run(capsys, "ring-build", *argv, "--out", str(ring)) == (0, "")
+        assert wire.decode_ring(PROD, ring.read_bytes()).keys == keys
+
+
 G_HEX = wire.encode_element(PROD, PROD.generator_g).hex()
+
+
+def test_ring_build_names_the_refused_key(capsys, tmp_path):
+    # A repeated key names both positions, the identity its own; nothing
+    # is written.
+    identity = wire.encode_element(PROD, PROD.identity).hex()
+    out = tmp_path / "r.bin"
+    for pubkeys, error in (
+            ((G_HEX, G_HEX), "duplicate ring keys 0 and 1"),
+            ((G_HEX, identity), "ring key 1 is not a group element other "
+                                "than the identity")):
+        argv = [arg for hexval in pubkeys for arg in ("--pubkey", hexval)]
+        assert main(["ring-build", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("hexval, error", [
@@ -707,10 +673,7 @@ def test_child_entry_delivers_more_than_a_pipe_holds(unbuffered):
 @BUFFERING
 def test_child_verify_exit_codes_and_lines(workspace, capsys, tmp_path,
                                            unbuffered):
-    _presign(workspace, capsys)
-    run(capsys, "adapt", "--ring", str(workspace["ring"]),
-        "--presig", str(workspace["presig"]),
-        "--witness", str(workspace["witness"]), "--out", str(workspace["sig"]))
+    _sign(workspace, capsys)
     garbage = tmp_path / "garbage.bin"
     garbage.write_bytes(b"\xff\xff\xff")
     base = ("verify", "--ring", str(workspace["ring"]),
@@ -796,9 +759,10 @@ CLI_SURFACE = {
         (("--witness-out",), "store", True, None, None, None, None,
          "witness output file")]),
     "ring-build": ("assemble a ring from keys", [
-        _opt("--key", help_="key file (repeatable)", action="append"),
-        _opt("--pubkey", help_="hex wire public key (repeatable)",
-             action="append"),
+        (("--key",), "append", False, None, None, None, "KEY",
+         "key file (repeatable)"),
+        (("--pubkey",), "append", False, None, None, None, "PUBKEY",
+         "hex wire public key (repeatable)"),
         _req("--out")]),
     "presign": ("produce a ring pre-signature", [
         _req("--ring"),

@@ -1,5 +1,5 @@
-"""Smoke test: every demo script, and the README's CLI block, runs to
-completion on the prod backend."""
+"""Smoke test: every demo script, and the README's library and CLI
+blocks, run to completion on the prod backend."""
 
 import os
 import subprocess
@@ -20,11 +20,22 @@ def test_demo_runs(demo):
     assert result.returncode == 0, result.stderr
 
 
-def _readme_cli_block():
+def _readme_block(heading, language):
+    """The first ``language`` code block under the README's ``heading``."""
     text = (ROOT / "README.md").read_text()
-    section = text[text.index("\n## CLI\n"):]
-    start = section.index("```sh\n") + len("```sh\n")
+    section = text[text.index(f"\n## {heading}\n"):]
+    fence = f"```{language}\n"
+    start = section.index(fence) + len(fence)
     return section[start:section.index("```", start)]
+
+
+def _readme_cli_block():
+    return _readme_block("CLI", "sh")
+
+
+def test_readme_library_block_runs():
+    # The quick start as written: its asserts are the checks.
+    exec(_readme_block("Library quick start", "python"), {})
 
 
 def test_readme_cli_block_runs(tmp_path):

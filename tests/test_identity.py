@@ -9,35 +9,32 @@ import random
 
 import pytest
 
-from conftest import build_ring, build_window, group
+from conftest import BOTH, build_ring, build_window
 from ringadapt import (PreSignature, Signature, StatementPair, gen_r, presign,
                        preverify, schnorr, verify, wire)
 from ringadapt.scheme import DOMAIN_CHALLENGE, DOMAIN_RING_DIGEST, Ring
 from ringadapt.swap import MockLedger, ledger_submit
 
-BACKENDS = ["toy", "prod"]
 
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_ring_rejects_identity_key(backend):
-    ctx = group(backend)
+@BOTH
+def test_ring_rejects_identity_key(ctx):
     ring, _ = build_ring(ctx, 3, random.Random(1))
     keys = [ring.keys[0], ctx.identity, ring.keys[2]]
-    with pytest.raises(ValueError):
+    error = "^ring key 1 is not a group element other than the identity$"
+    with pytest.raises(ValueError, match=error):
         Ring(ctx, keys)
     data = wire.encode_ring(ctx, ring)
     start = wire.HEADER_SIZE + ctx.element_size     # ring key 1
     end = start + ctx.element_size
     data = data[:start] + ctx.identity + data[end:]
-    with pytest.raises(wire.WireError):
+    with pytest.raises(wire.WireError, match=error):
         wire.decode_ring(ctx, data)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_identity_ring_key_spend_is_malformed(backend):
+@BOTH
+def test_identity_ring_key_spend_is_malformed(ctx):
     """A t=1 spend by the identity's window: z = r and tag = identity
     open it with no secret, so only the ring check stops it."""
-    ctx = group(backend)
     rng = random.Random(2)
     ring, _ = build_ring(ctx, 3, rng)
     keys = (ring.keys[0], ctx.identity, ring.keys[2])
@@ -59,12 +56,11 @@ def test_identity_ring_key_spend_is_malformed(backend):
     assert (result.accepted, result.reason) == (False, "malformed")
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_identity_tag_and_statement_are_rejected(backend):
+@BOTH
+def test_identity_tag_and_statement_are_rejected(ctx):
     """Moving one tag's value onto the other keeps the tag product, the
     one thing the equation over T checks, so only the tag check stops a
     split that leaves the identity behind."""
-    ctx = group(backend)
     rng = random.Random(3)
     ring, members = build_ring(ctx, 4, rng)
     window = build_window(ctx, ring, members, 3, 2)
@@ -91,11 +87,10 @@ def test_identity_tag_and_statement_are_rejected(backend):
     assert not preverify(ctx, ring, psig, 2, message, identity_pair)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_identity_payer_key_is_rejected(backend):
+@BOTH
+def test_identity_payer_key_is_rejected(ctx):
     """With pk = identity, any s and c = H(pk, g^s, m) verify: a chain-A
     spend signed with no secret."""
-    ctx = group(backend)
     rng = random.Random(4)
     tx = wire.SwapTransaction("A", b"mallory", 1, 1, payer_key=ctx.identity)
     message = wire.encode_transaction(ctx, tx)

@@ -23,9 +23,8 @@ from hypothesis import settings, strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, invariant,
                                  precondition, rule)
 
-from conftest import ristretto_alias
-from ringadapt import (Ring, Signature, SignerWindow, adapt, gen_r, presign,
-                       schnorr, setup_group)
+from conftest import PROD, plain_spend, ring_spend, ristretto_alias
+from ringadapt import Ring, Signature, SignerWindow
 from ringadapt.scheme import distinct_keypairs
 from ringadapt.swap import (REJECT_BAD_SIGNATURE, REJECT_DOUBLE_SPEND,
                             REJECT_MALFORMED, MockLedger, ledger_submit)
@@ -33,7 +32,7 @@ from ringadapt.wire import (CHAIN_PLAIN, CHAIN_RING, MAX_RING_SIZE,
                             SwapTransaction, WireError, decode_transaction,
                             encode_transaction)
 
-CTX = setup_group("prod")
+CTX = PROD
 N = 6
 MEMBERS = distinct_keypairs(CTX, N, random.Random(61))
 RING = Ring(CTX, [kp.pk for kp in MEMBERS])
@@ -56,25 +55,14 @@ def _spend(start, t, seed, payee=b"payee"):
     rng = random.Random(seed)
     window = SignerWindow(CTX, RING, start,
                           [MEMBERS[(start + i) % N].sk for i in range(t)])
-    tx = SwapTransaction(CHAIN_RING, payee, 1, rng.randrange(2**64),
-                         ring_keys=RING.keys, threshold=t)
-    statement, witness = gen_r(CTX, rng)
-    psig = presign(CTX, RING, window, encode_transaction(CTX, tx), statement,
-                   rng)
-    return tx, psig, adapt(CTX, psig, witness)
+    return ring_spend(CTX, RING, window, payee, rng.randrange(2**64), rng)
 
 
 def _plain_spend(key, seed, payee=b"payee"):
     """An honest chain-A spend by payer ``MEMBERS[key]`` to ``payee``: the
-    transaction and its adapted Schnorr signature."""
+    transaction, its pre-signature and the adapted Schnorr signature."""
     rng = random.Random(seed)
-    payer = MEMBERS[key]
-    tx = SwapTransaction(CHAIN_PLAIN, payee, 1, rng.randrange(2**64),
-                         payer_key=payer.pk)
-    statement, witness = gen_r(CTX, rng)
-    psig = schnorr.presign(CTX, payer, encode_transaction(CTX, tx),
-                           statement.w1, rng)
-    return tx, schnorr.adapt(CTX, psig, witness)
+    return plain_spend(CTX, MEMBERS[key], payee, rng.randrange(2**64), rng)
 
 
 class LedgerModel(RuleBasedStateMachine):
@@ -169,7 +157,7 @@ class LedgerModel(RuleBasedStateMachine):
 
     @rule(key=STARTS, seed=SEEDS)
     def plain_spend(self, key, seed):
-        tx, sig = _plain_spend(key, seed)
+        tx, _, sig = _plain_spend(key, seed)
         if key in self.spent_keys:
             self._submit(self.plain_ledger, tx, sig, REJECT_DOUBLE_SPEND)
             return
@@ -189,12 +177,12 @@ class LedgerModel(RuleBasedStateMachine):
     def spent_key_signs_a_new_transaction(self, index, seed):
         _, key = list(self.confirmed_plain.values())[
             index % len(self.confirmed_plain)]
-        tx, sig = _plain_spend(key, seed, payee=b"someone-else")
+        tx, _, sig = _plain_spend(key, seed, payee=b"someone-else")
         self._submit(self.plain_ledger, tx, sig, REJECT_DOUBLE_SPEND)
 
     @rule(key=STARTS, seed=SEEDS)
     def aliased_payer_key(self, key, seed):
-        tx, sig = _plain_spend(key, seed)
+        tx, _, sig = _plain_spend(key, seed)
         aliased = SwapTransaction(CHAIN_PLAIN, tx.payee, tx.amount, tx.nonce,
                                   payer_key=ristretto_alias(tx.payer_key))
         self._submit(self.plain_ledger, aliased, sig, REJECT_MALFORMED)

@@ -18,9 +18,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import build_ring, build_window
-from ringadapt import (PreSignature, Ring, Signature, adapt, ext, gen_r,
-                       keygen, link, presign, preverify, schnorr, verify, wire)
+from conftest import build_ring, build_window, plain_spend, ring_spend
+from ringadapt import (PreSignature, Ring, Signature, SignerWindow, adapt, ext,
+                       gen_r, keygen, link, presign, preverify, schnorr,
+                       verify, wire)
 from ringadapt.groups import RistrettoGroup
 from ringadapt.swap import MockLedger, ledger_submit
 from toygroup import ToyGroup
@@ -110,23 +111,14 @@ def _ring_spend(ctx, n, t):
     rng = random.Random(10 * n + t)
     ring, members = build_ring(ctx, n, rng)
     window = build_window(ctx, ring, members, 0, t)
-    statement, w = gen_r(ctx, rng)
-    tx = wire.SwapTransaction("B", b"bob", 1, 2, ring_keys=ring.keys,
-                              threshold=t)
-    sig = adapt(ctx, presign(ctx, ring, window,
-                             wire.encode_transaction(ctx, tx), statement,
-                             rng), w)
+    tx, _, sig = ring_spend(ctx, ring, window, b"bob", 2, rng)
     return tx, sig
 
 
 def _plain_spend(ctx):
     """A chain-A transaction and its signature."""
     rng = random.Random(5)
-    bob = keygen(ctx, rng)
-    statement, w = gen_r(ctx, rng)
-    tx = wire.SwapTransaction("A", b"alice", 1, 2, payer_key=bob.pk)
-    sig = schnorr.adapt(ctx, schnorr.presign(
-        ctx, bob, wire.encode_transaction(ctx, tx), statement.w1, rng), w)
+    tx, _, sig = plain_spend(ctx, keygen(ctx, rng), b"alice", 2, rng)
     return tx, sig
 
 
@@ -177,19 +169,32 @@ def test_exact_warm_ring_ledger_submit_counts(n, t):
     assert ctx.take() == {}
 
 
-@pytest.mark.parametrize("backend", [CountingToy, CountingRistretto])
-def test_exact_duplicate_key_ring_counts_nothing(backend):
-    ctx = backend()
+@pytest.mark.parametrize("counting", [CountingToy, CountingRistretto])
+def test_exact_duplicate_key_ring_counts_nothing(counting):
+    ctx = counting()
     ring, _ = build_ring(ctx, 4, random.Random(4))
     keys = (*ring.keys, ring.keys[1])
     tx = wire.SwapTransaction("B", b"bob", 1, 2, ring_keys=keys, threshold=2)
     sig = Signature(1, (0,) * len(keys), ring.keys[:2])   # of the right shape
     ctx.take()
-    with pytest.raises(ValueError, match="^duplicate ring keys$"):
+    with pytest.raises(ValueError, match="^duplicate ring keys 1 and 4$"):
         Ring(ctx, keys)
     assert ledger_submit(MockLedger(ctx, "B"), tx, sig).reason == "malformed"
     # The repeat is found by comparing bytes, before any key is checked.
     assert ctx.take() == {}
+
+
+@pytest.mark.parametrize("counting", [CountingToy, CountingRistretto])
+def test_exact_bad_ring_key_counts_stop_at_it(counting):
+    ctx = counting()
+    ring, _ = build_ring(ctx, 4, random.Random(4))
+    keys = (ring.keys[0], ctx.identity, *ring.keys[2:])
+    ctx.take()
+    with pytest.raises(ValueError, match="^ring key 1 is not a group "
+                       "element other than the identity$"):
+        Ring(ctx, keys)
+    # Key 0 is checked, key 1 refused, and keys 2 and 3 never looked at.
+    assert ctx.take() == {"is_element": 2}
 
 
 def test_exact_forced_field_counts_nothing():
@@ -299,6 +304,21 @@ def test_exact_oversized_ring_counts_nothing():
                          sig).reason == "malformed"
     # The ring size is compared before any key is checked.
     assert ctx.take() == {}
+
+
+@pytest.mark.parametrize("t", [1, wire.MAX_RING_SIZE])
+def test_exact_largest_ring_ledger_submit_counts(t):
+    # The largest ring a chain-B ledger admits, cold: g, g^2, ..., whose
+    # window at 0 holds the secrets 1..t.
+    ctx = CountingRistretto()
+    n = wire.MAX_RING_SIZE
+    ring = Ring(ctx, itertools.accumulate([ctx.generator_g] * n, ctx.mul))
+    window = SignerWindow(ctx, ring, 0, range(1, t + 1))
+    tx, _, sig = ring_spend(ctx, ring, window, b"bob", 2, random.Random(t))
+    ctx.take()
+    assert ledger_submit(MockLedger(ctx, "B"), tx, sig).accepted
+    assert ctx.take() == {"exp": n + 3, "mul": n + t,
+                          "is_element": n + t, "hash": 2}
 
 
 @pytest.mark.parametrize("n", [1, 4, 8])

@@ -2,10 +2,8 @@
 
 import random
 
-import pytest
-
 import straightline as oracle
-from conftest import build_ring, build_window, group
+from conftest import BOTH, TOY, build_ring, build_window
 from ringadapt import KeyPair, StatementPair, gen_r, keygen, schnorr
 from ringadapt import adapt as ring_adapt
 from ringadapt import ext as ring_ext
@@ -78,12 +76,11 @@ def test_tamper_rejected(toy, rng):
     assert not schnorr.preverify(toy, keypair.pk, off, b"m", statement.w1)
 
 
-@pytest.mark.parametrize("backend", ["toy", "prod"])
-def test_non_element_key_is_rejected(backend):
+@BOTH
+def test_non_element_key_is_rejected(ctx):
     # Both verifiers check the key before using it, so both backends
     # return False for a key is_element rejects, even with an honest
     # signature.
-    ctx = group(backend)
     rng = random.Random(3)
     keypair = keygen(ctx, rng)
     statement, w = gen_r(ctx, rng)
@@ -91,7 +88,7 @@ def test_non_element_key_is_rejected(backend):
     sig = schnorr.adapt(ctx, psig, w)
     g = ctx.generator_g
     bad_keys = ([toy_element(0), toy_element(2), toy_element(607), 7, None]
-                if backend == "toy"
+                if ctx is TOY
                 else [5, b"\xff" * 32, g[:31], bytearray(g), None])
     for pk in bad_keys:
         assert not ctx.is_element(pk)

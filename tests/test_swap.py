@@ -9,19 +9,14 @@ import random
 
 import pytest
 
-from conftest import build_ring, build_window, group, ristretto_alias
+from conftest import (BOTH, PROD, TOY, build_ring, build_window, plain_spend,
+                      ring_spend, ristretto_alias)
 from ringadapt import (KeyPair, PreSignature, Ring, Signature, SignerWindow,
-                       adapt, gen_r, keygen, presign, schnorr, swap, verify,
-                       wire)
+                       gen_r, keygen, schnorr, swap, verify, wire)
 from ringadapt.swap import (FAULT_PLANS, FaultPlan, MockLedger, Phase,
                             SwapTransaction, ledger_submit, make_demo_parties,
                             run_swap, swap_demo)
 from toygroup import toy_element
-
-
-def _ring_tx(ring, t, payee, nonce):
-    return SwapTransaction("B", payee, 1, nonce, ring_keys=ring.keys,
-                           threshold=t)
 
 
 def _copy_by_value(ctx, tx):
@@ -45,14 +40,6 @@ def _forged_copy(tx, **fields):
     forged = _force(tx, **fields)
     assert forged != tx
     return forged
-
-
-def _signed_ring_tx(ctx, ring, window, payee, nonce, rng):
-    statement, w = gen_r(ctx, rng)
-    tx = _ring_tx(ring, window.width, payee, nonce)
-    psig = presign(ctx, ring, window, wire.encode_transaction(ctx, tx),
-                   statement, rng)
-    return tx, adapt(ctx, psig, w)
 
 
 class TestLedger:
@@ -85,7 +72,7 @@ class TestLedger:
         ledger = MockLedger(toy, "B")
         ring, members = build_ring(toy, 5, rng)
         w_a = build_window(toy, ring, members, 0, 2)
-        tx1, sig1 = _signed_ring_tx(toy, ring, w_a, b"x", 1, rng)
+        tx1, _, sig1 = ring_spend(toy, ring, w_a, b"x", 1, rng)
         assert ledger_submit(ledger, tx1, sig1).accepted
         assert ledger.published_tags == set(sig1.tags)
         again = ledger_submit(ledger, _copy_by_value(toy, tx1), sig1)
@@ -95,12 +82,12 @@ class TestLedger:
         assert (again.accepted, again.reason) == (False, "malformed")
         # overlapping window: shares member 1
         w_b = build_window(toy, ring, members, 1, 2)
-        tx2, sig2 = _signed_ring_tx(toy, ring, w_b, b"y", 2, rng)
+        tx2, _, sig2 = ring_spend(toy, ring, w_b, b"y", 2, rng)
         result = ledger_submit(ledger, tx2, sig2)
         assert (result.accepted, result.reason) == (False, "double-spend-link")
         # disjoint window: members 3, 4
         w_c = build_window(toy, ring, members, 3, 2)
-        tx3, sig3 = _signed_ring_tx(toy, ring, w_c, b"z", 3, rng)
+        tx3, _, sig3 = ring_spend(toy, ring, w_c, b"z", 3, rng)
         assert ledger_submit(ledger, tx3, sig3).accepted
 
     def test_malformed_submissions(self, toy, rng):
@@ -108,10 +95,9 @@ class TestLedger:
         ledger_b = MockLedger(toy, "B")
         ring, members = build_ring(toy, 3, rng)
         window = build_window(toy, ring, members, 0, 1)
-        tx_b, sig_b = _signed_ring_tx(toy, ring, window, b"x", 1, rng)
+        tx_b, _, sig_b = ring_spend(toy, ring, window, b"x", 1, rng)
         assert ledger_submit(ledger_a, tx_b, sig_b).reason == "malformed"
-        bob = keygen(toy, rng)
-        tx_a = SwapTransaction("A", b"y", 1, 2, payer_key=bob.pk)
+        tx_a, _, sig_a = plain_spend(toy, keygen(toy, rng), b"y", 2, rng)
         assert ledger_submit(ledger_b, tx_a, sig_b).reason == "malformed"
         assert ledger_submit(ledger_b, tx_b, "junk").reason == "malformed"
         psig_b = PreSignature(sig_b.z, sig_b.challenges, sig_b.tags)
@@ -127,46 +113,36 @@ class TestLedger:
             forced = _force(tx_b, **fields)
             assert forced == tx_b
             assert ledger_submit(ledger_b, forced, sig_b).reason == "malformed"
-        statement, w = gen_r(toy, rng)
-        sig_a = schnorr.adapt(toy, schnorr.presign(
-            toy, bob, wire.encode_transaction(toy, tx_a), statement.w1, rng), w)
         for fields in (dict(amount=3.0), dict(amount=2**64)):
             forged = _forged_copy(tx_a, **fields)
             assert ledger_submit(ledger_a, forged, sig_a).reason == "malformed"
         assert not ledger_a.confirmed and not ledger_b.confirmed
 
-    @pytest.mark.parametrize("backend, junk",
-                             [("toy", toy_element(2)),
-                              ("prod", b"\xff" * 32)],
+    @pytest.mark.parametrize("ctx, junk", [(TOY, toy_element(2)),
+                                           (PROD, b"\xff" * 32)],
                              ids=["toy", "prod"])
-    def test_non_element_keys_are_malformed(self, backend, junk):
-        ctx = group(backend)
+    def test_non_element_keys_are_malformed(self, ctx, junk):
         rng = random.Random(21)
         ledger_a = MockLedger(ctx, "A")
         ledger_b = MockLedger(ctx, "B")
         ring, members = build_ring(ctx, 3, rng)
         window = build_window(ctx, ring, members, 0, 1)
-        _, sig_b = _signed_ring_tx(ctx, ring, window, b"x", 1, rng)
+        _, _, sig_b = ring_spend(ctx, ring, window, b"x", 1, rng)
         bad_ring = SwapTransaction("B", b"x", 1, 1,
                                    ring_keys=(junk, *ring.keys[1:]),
                                    threshold=1)
         assert ledger_submit(ledger_b, bad_ring, sig_b).reason == "malformed"
-        bob = keygen(ctx, rng)
-        statement, w = gen_r(ctx, rng)
-        tx_a = SwapTransaction("A", b"y", 1, 2, payer_key=bob.pk)
-        sig_a = schnorr.adapt(ctx, schnorr.presign(
-            ctx, bob, wire.encode_transaction(ctx, tx_a), statement.w1, rng), w)
+        _, _, sig_a = plain_spend(ctx, keygen(ctx, rng), b"y", 2, rng)
         bad_payer = SwapTransaction("A", b"y", 1, 2, payer_key=junk)
         assert ledger_submit(ledger_a, bad_payer, sig_a).reason == "malformed"
         for ledger in (ledger_a, ledger_b):
             assert not ledger.confirmed
             assert not ledger.published_tags
 
-    @pytest.mark.parametrize("backend", ["toy", "prod"])
-    def test_resigned_plain_copy_is_a_double_spend(self, backend):
+    @BOTH
+    def test_resigned_plain_copy_is_a_double_spend(self, ctx):
         # A second, differently signed copy of a confirmed transaction is
         # a double spend.
-        ctx = group(backend)
         rng = random.Random(23)   # toy's two nonces r + w differ
         ledger = MockLedger(ctx, "A")
         bob = keygen(ctx, rng)
@@ -185,20 +161,14 @@ class TestLedger:
         assert (result.accepted, result.reason) == (False, "double-spend-link")
         assert ledger.confirmed == {tx: first}
 
-    @pytest.mark.parametrize("backend", ["toy", "prod"])
-    def test_plain_payer_key_spends_once(self, backend):
+    @BOTH
+    def test_plain_payer_key_spends_once(self, ctx):
         # After a happy swap Bob's chain-A key has paid: a new transaction
         # it validly signs is a double spend, as a reused ring key is.
-        ctx = group(backend)
         run = swap_demo(ctx, 6, 2, seed=3)
         assert run.state.phase is Phase.ALICE_CLAIMED
         bob = make_demo_parties(ctx, 6, 2, seed=3)[2]
-        tx = SwapTransaction("A", b"bob-self", 1, 9, payer_key=bob.pk)
-        message = wire.encode_transaction(ctx, tx)
-        rng = random.Random(4)
-        statement, w = gen_r(ctx, rng)
-        sig = schnorr.adapt(ctx, schnorr.presign(ctx, bob, message,
-                                                 statement.w1, rng), w)
+        tx, _, sig = plain_spend(ctx, bob, b"bob-self", 9, random.Random(4))
         assert ledger_submit(MockLedger(ctx, "A"), tx, sig).accepted
         result = ledger_submit(run.ledger_plain, tx, sig)
         assert (result.accepted, result.reason) == (False, "double-spend-link")
@@ -213,9 +183,9 @@ class TestLedger:
         for t in (1, 2):
             ledger = MockLedger(prod, "B")
             window = build_window(prod, ring, members, 0, t)
-            tx1, sig1 = _signed_ring_tx(prod, ring, window, b"x", 1, rng)
+            tx1, _, sig1 = ring_spend(prod, ring, window, b"x", 1, rng)
             assert ledger_submit(ledger, tx1, sig1).accepted
-            tx2, sig2 = _signed_ring_tx(prod, ring, window, b"y", 2, rng)
+            tx2, _, sig2 = ring_spend(prod, ring, window, b"y", 2, rng)
             aliased = Signature(sig2.z, sig2.challenges,
                                 tuple(map(ristretto_alias, sig2.tags)))
             result = ledger_submit(ledger, tx2, aliased)
@@ -227,18 +197,14 @@ class TestLedger:
         verdicts = []
         for nonce, payer in enumerate(
                 (bob, KeyPair(bob.sk, ristretto_alias(bob.pk)))):
-            tx = SwapTransaction("A", b"alice", 1, nonce, payer_key=payer.pk)
-            statement, w = gen_r(prod, rng)
-            sig = schnorr.adapt(prod, schnorr.presign(
-                prod, payer, wire.encode_transaction(prod, tx), statement.w1,
-                rng), w)
+            tx, _, sig = plain_spend(prod, payer, b"alice", nonce, rng)
             result = ledger_submit(ledger, tx, sig)
             verdicts.append((result.accepted, result.reason))
         assert verdicts == [(True, None), (False, "malformed")]
         # The identity's alias, a known secret, gets a verdict, not an
         # exception from libsodium, as a tag or as a ring key.
         identity_alias = ristretto_alias(prod.identity)
-        tx, sig = _signed_ring_tx(prod, ring, build_window(
+        tx, _, sig = ring_spend(prod, ring, build_window(
             prod, ring, members, 2, 1), b"z", 3, rng)
         forged = Signature(sig.z, sig.challenges, (identity_alias,))
         assert not verify(prod, ring, forged, 1, wire.encode_transaction(
@@ -252,7 +218,7 @@ class TestLedger:
         ledger = MockLedger(toy, "B")
         ring, members = build_ring(toy, 4, rng)
         window = build_window(toy, ring, members, 0, 2)
-        tx, sig = _signed_ring_tx(toy, ring, window, b"x", 1, rng)
+        tx, _, sig = ring_spend(toy, ring, window, b"x", 1, rng)
         bad = type(sig)((sig.z + 1) % toy.order, sig.challenges, sig.tags)
         assert ledger_submit(ledger, tx, bad).reason == "bad-signature"
         assert not ledger.confirmed
@@ -264,7 +230,7 @@ class TestLedger:
         sizes = []
         for start in (0, 2, 4):
             window = build_window(toy, ring, members, start, 2)
-            tx, sig = _signed_ring_tx(toy, ring, window, b"p", start, rng)
+            tx, _, sig = ring_spend(toy, ring, window, b"p", start, rng)
             assert ledger_submit(ledger, tx, sig).accepted
             sizes.append((len(ledger.confirmed), len(ledger.published_tags)))
         assert sizes == sorted(sizes)
@@ -342,8 +308,7 @@ class TestSwapRuns:
         # steps or their fault hooks must leave it unchanged.
         digest = hashlib.sha256()
         plans = [None, *FAULT_PLANS.values()]
-        for backend, n, t in (("toy", 6, 2), ("prod", 16, 4)):
-            ctx = group(backend)
+        for ctx, n, t in ((TOY, 6, 2), (PROD, 16, 4)):
             for seed, plan in itertools.product(range(5), plans):
                 r = swap_demo(ctx, ring_size=n, threshold=t, seed=seed,
                               fault=plan)
@@ -410,26 +375,20 @@ class TestSwapRuns:
                                fault=plan)
             assert result.outcome() == "neither-confirmed", (t, seed)
 
-    @pytest.mark.parametrize("backend", ["toy", "prod"])
+    @BOTH
     def test_bob_racing_alice_to_chain_a_leaves_the_run_mixed(
-            self, backend, monkeypatch):
+            self, ctx, monkeypatch):
         # ROADMAP item 9's race, not in _FAULTS (FAULT_PLANS and the
         # transcript pin read it): as he broadcasts, Bob spends his
         # chain-A key to himself, so Alice's claim at step 6 links
         # against his spend.  This is the only path to step 6's abort.
-        ctx = group(backend)
         plan = FaultPlan(corruption="bob-race")
 
         def race(run, sig):
             rng = random.Random(9)
-            tx = SwapTransaction("A", b"bob", 1, rng.randrange(2**64),
-                                 payer_key=run.bob_keypair.pk)
-            statement, w = gen_r(ctx, rng)
-            psig = schnorr.presign(ctx, run.bob_keypair,
-                                   wire.encode_transaction(ctx, tx),
-                                   statement.w1, rng)
-            assert ledger_submit(run.ledger_plain, tx,
-                                 schnorr.adapt(ctx, psig, w)).accepted
+            tx, _, own = plain_spend(ctx, run.bob_keypair, b"bob",
+                                     rng.randrange(2**64), rng)
+            assert ledger_submit(run.ledger_plain, tx, own).accepted
             return sig
 
         monkeypatch.setitem(swap._FAULTS, plan, (
@@ -524,23 +483,22 @@ def _admit_all(ledger, submissions, cold=False):
 
 
 class TestRingCache:
-    @pytest.mark.parametrize("backend", ["toy", "prod"])
-    def test_warm_and_cold_ledgers_agree(self, backend, monkeypatch):
-        ctx = group(backend)
+    @BOTH
+    def test_warm_and_cold_ledgers_agree(self, ctx, monkeypatch):
         rng = random.Random(31)
         ring, members = build_ring(ctx, 6, rng)
         other, other_members = build_ring(ctx, 4, rng)
-        tx1, sig1 = _signed_ring_tx(
-            ctx, ring, build_window(ctx, ring, members, 0, 2), b"a", 1, rng)
-        overlap = _signed_ring_tx(
-            ctx, ring, build_window(ctx, ring, members, 1, 2), b"b", 2, rng)
-        disjoint = _signed_ring_tx(
-            ctx, ring, build_window(ctx, ring, members, 3, 2), b"c", 3, rng)
-        elsewhere = _signed_ring_tx(
-            ctx, other, build_window(ctx, other, other_members, 0, 3), b"d",
-            4, rng)
-        last = _signed_ring_tx(
-            ctx, ring, build_window(ctx, ring, members, 5, 1), b"e", 5, rng)
+
+        def signed(keys, holders, start, t, payee, nonce):
+            tx, _, sig = ring_spend(ctx, keys, build_window(
+                ctx, keys, holders, start, t), payee, nonce, rng)
+            return tx, sig
+
+        tx1, sig1 = signed(ring, members, 0, 2, b"a", 1)
+        overlap = signed(ring, members, 1, 2, b"b", 2)
+        disjoint = signed(ring, members, 3, 2, b"c", 3)
+        elsewhere = signed(other, other_members, 0, 3, b"d", 4)
+        last = signed(ring, members, 5, 1, b"e", 5)
         decoded = (_copy_by_value(ctx, tx1), wire.decode_signature(
             ctx, wire.encode_signature(ctx, sig1), 6, 2))
         duplicate = _force(tx1, ring_keys=ring.keys[:-1] + ring.keys[:1])
@@ -609,7 +567,7 @@ class TestRingCache:
             secrets = [1 + (offset + j) % 100 for j in range(size)]
             ring = Ring(toy, [elements[sk] for sk in secrets])
             window = SignerWindow(toy, ring, 0, secrets[:1])
-            tx, sig = _signed_ring_tx(toy, ring, window, b"p", i, rng)
+            tx, _, sig = ring_spend(toy, ring, window, b"p", i, rng)
             if i % 7 == 0:
                 sig = Signature((sig.z + 1) % toy.order, sig.challenges,
                                 sig.tags)

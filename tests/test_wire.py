@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_ring, build_window, group
+from conftest import BOTH, build_ring, build_window
 from ringadapt import (PreSignature, Signature, gen_r, keygen, presign,
                        schnorr, wire)
 
@@ -103,11 +103,10 @@ def _every_decoding(ctx, rng):
 
 
 @pytest.mark.parametrize("kind", [bytearray, memoryview])
-@pytest.mark.parametrize("backend", ["toy", "prod"])
-def test_every_decoder_takes_any_bytes_like(backend, kind):
+@BOTH
+def test_every_decoder_takes_any_bytes_like(ctx, kind):
     # Both backends decode a bytearray or memoryview to what the same
     # bytes decode to, and raise nothing but WireError on one.
-    ctx = group(backend)
     cases = _every_decoding(ctx, random.Random(4))
     assert {case[0] for case in cases} == \
         {name for name in dir(wire) if name.startswith("decode_")}
@@ -119,20 +118,19 @@ def test_every_decoder_takes_any_bytes_like(backend, kind):
 
 
 @functools.lru_cache(maxsize=None)
-def _valid_encodings(backend):
-    return _every_decoding(group(backend), random.Random(5))
+def _valid_encodings(ctx):
+    return _every_decoding(ctx, random.Random(5))
 
 
-@pytest.mark.parametrize("backend", ["toy", "prod"])
+@BOTH
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(data=st.data())
-def test_accepted_bit_flips_reencode_to_themselves(backend, data):
+def test_accepted_bit_flips_reencode_to_themselves(ctx, data):
     # A valid encoding with 1-3 bits flipped is refused, or it decodes to
     # a value whose encoding is those very bytes.  An element is its own
     # encoding, so element aliases are test_ristretto255.py's to catch.
-    ctx = group(backend)
     name, encoding, *args = data.draw(
-        st.sampled_from(_valid_encodings(backend)))
+        st.sampled_from(_valid_encodings(ctx)))
     flipped = bytearray(encoding)
     for bit in data.draw(st.sets(st.integers(0, 8 * len(encoding) - 1),
                                  min_size=1, max_size=3)):
@@ -146,9 +144,8 @@ def test_accepted_bit_flips_reencode_to_themselves(backend, data):
 
 
 class TestSizeLaw:
-    @pytest.mark.parametrize("backend", ["toy", "prod"])
-    def test_signature_payload_formula(self, backend):
-        ctx = group(backend)
+    @BOTH
+    def test_signature_payload_formula(self, ctx):
         rng = random.Random(3)
         for n in range(10, 101, 10):
             t = n // 2
@@ -160,9 +157,8 @@ class TestSizeLaw:
                 == expected + wire.HEADER_SIZE
             assert wire.signature_payload_size(ctx, n, t) == expected
 
-    @pytest.mark.parametrize("backend", ["toy", "prod"])
-    def test_signature_threshold_inverts_the_size_law(self, backend):
-        ctx = group(backend)
+    @BOTH
+    def test_signature_threshold_inverts_the_size_law(self, ctx):
         rng = random.Random(4)
         n = 6
         for t in range(1, n + 1):
@@ -354,12 +350,11 @@ class TestRejection:
             assert tx.chain_id in ("A", "B")
 
 
-@pytest.mark.parametrize("backend", ["toy", "prod"])
-def test_claimed_sizes_cost_only_the_bytes_held(backend):
+@BOTH
+def test_claimed_sizes_cost_only_the_bytes_held(ctx):
     # A decoder walks the bytes it holds: a ring size or n read from
     # context that the payload cannot back is refused at its first
     # missing field, without first naming every field the claim implies.
-    ctx = group(backend)
     tx = wire._header(wire.TAG_TRANSACTION) + b"B\xff\xff"
     sig = wire._header(wire.TAG_SIGNATURE)
     cases = (
