@@ -91,10 +91,13 @@ def run_bench(ctx: GroupContext, sizes: Iterable[int]) -> list[BenchRecord]:
     """All nine algorithms at each ring size n of ``sizes``, t = n/2, with
     the ``REPS`` samples taken round-robin over every cell, so a change of
     host speed during the sweep reaches every n alike.  An empty ``sizes``
-    raises ValueError."""
+    or a size below 1 raises ValueError."""
     points = [(n, max(1, n // 2)) for n in sizes]
     if not points:
         raise ValueError("no ring size to sweep")
+    smallest = min(n for n, _ in points)
+    if smallest < 1:
+        raise ValueError(f"ring size {smallest} is below 1")
     cases = [(n, t, *case) for n, t in points for case in _cases(ctx, n, t)]
     timers = [timeit.Timer(fn) for _, _, _, fn, _ in cases]
     # Calls per sample, doubled until one lasts 0.2 ms: then neither the

@@ -1,10 +1,12 @@
+"""Shared scaffolding: the two groups as objects (``TOY``, ``PROD`` and the
+``BOTH`` mark) and builders of rings, windows and honest spends."""
+
 import random
 
 import pytest
 
 from ringadapt import (Ring, SignerWindow, adapt, gen_r, presign, schnorr,
                        setup_group)
-from ringadapt.bench import run_bench
 from ringadapt.scheme import _commit, distinct_keypairs
 from ringadapt.wire import SwapTransaction, encode_transaction
 from toygroup import ToyGroup
@@ -23,13 +25,6 @@ def toy():
 @pytest.fixture(scope="session")
 def prod():
     return PROD
-
-
-@pytest.fixture(scope="session")
-def prod_sweep(prod):
-    """One prod bench sweep over n = 10, 20, ..., 100, shared by the tests
-    that read the scaling shape."""
-    return run_bench(prod, range(10, 101, 10))
 
 
 @pytest.fixture

@@ -1,9 +1,13 @@
-"""Bench harness: record shapes, size column, scaling sanity over the one
-prod sweep that acceptance criterion 8 also reads."""
+"""Bench harness: record shapes, the size and cost columns, the CSV, and
+the sweeps it refuses.  The scaling shape of a prod sweep is acceptance
+criterion 8."""
 
 import io
 
-from ringadapt.bench import CSV_COLUMNS, by_algorithm, run_bench, write_csv
+import pytest
+
+from ringadapt.bench import CSV_COLUMNS, run_bench, write_csv
+from ringadapt.cli import main
 
 ALGORITHMS = {"setup", "keygen", "genr", "presign", "preverify", "adapt",
               "verify", "ext", "link"}
@@ -45,13 +49,12 @@ def test_csv_schema(toy):
     assert len(lines) == 1 + len(ALGORITHMS)
 
 
-
-def test_prod_scaling_sanity(prod_sweep):
-    # Means must grow with n for the ring-dependent algorithms; allow a
-    # small dip for timer noise.
-    for algorithm in ("presign", "preverify", "verify"):
-        times = by_algorithm(prod_sweep, algorithm)
-        means = [times[n].mean_ns for n in (10, 40, 70, 100)]
-        assert means[-1] > means[0]
-        for earlier, later in zip(means, means[1:]):
-            assert later >= 0.75 * earlier, f"{algorithm} dipped"
+def test_ring_size_below_1_is_named(toy, capsys):
+    # Refused before any cell is built, so the error names the size and
+    # not the empty ring that n = 0 would make.
+    assert main(["bench", "--min-n", "0", "--max-n", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: ring size 0 is below 1\n")
+    for sizes, smallest in (([-3], -3), (range(2, -1, -1), 0)):
+        with pytest.raises(ValueError,
+                           match=f"^ring size {smallest} is below 1$"):
+            run_bench(toy, sizes)

@@ -63,6 +63,14 @@ class CountingRistretto(Counting, RistrettoGroup):
     pass
 
 
+def ring_cost(n, t, **extra):
+    """verify's counts on an n-key ring with t tags, n+3 scalar
+    multiplications and n+t point adds, with ``extra``'s counts added."""
+    cost = Counter(exp=n + 3, mul=n + t)
+    cost.update(extra)
+    return dict(cost)
+
+
 def _cells():
     for n in range(1, 9):
         for t in range(1, n + 1):
@@ -82,17 +90,15 @@ def test_exact_counts_for_every_cell():
 
         psig = presign(ctx, ring, window, b"m", statement, rng)
         # Computed values (R, T, the tags) are encoded without a check.
-        assert ctx.take() == {"exp": n + 3, "mul": n + t + 2,
-                              "hash": 1}, (n, t, j)
+        assert ctx.take() == ring_cost(n, t, mul=2, hash=1), (n, t, j)
         assert preverify(ctx, ring, psig, t, b"m", statement)
         # Shape check: t tags and the two statement components.
-        assert ctx.take() == {"exp": n + 3, "mul": n + t + 2,
-                              "is_element": t + 2, "hash": 1}, (n, t, j)
+        assert ctx.take() == ring_cost(n, t, mul=2, is_element=t + 2,
+                                       hash=1), (n, t, j)
         sig = adapt(ctx, psig, w)
         flat["adapt"].add(tuple(sorted(ctx.take().items())))
         assert verify(ctx, ring, sig, t, b"m")
-        assert ctx.take() == {"exp": n + 3, "mul": n + t,
-                              "is_element": t, "hash": 1}, (n, t, j)
+        assert ctx.take() == ring_cost(n, t, is_element=t, hash=1), (n, t, j)
         assert ext(ctx, statement, psig, sig) == w
         flat["ext"].add(tuple(sorted(ctx.take().items())))
         assert link(sig, psig)
@@ -135,8 +141,7 @@ def test_exact_ring_ledger_submit_counts(n, t):
     assert ledger_submit(MockLedger(ctx, "B"), tx, sig).accepted
     # Ring(...) checks the n keys and verify the t tags; the ring digest
     # and the challenge are the two hashes.
-    assert ctx.take() == {"exp": n + 3, "mul": n + t,
-                          "is_element": n + t, "hash": 2}
+    assert ctx.take() == ring_cost(n, t, is_element=n + t, hash=2)
 
 
 def test_exact_plain_ledger_submit_counts():
@@ -161,8 +166,7 @@ def test_exact_warm_ring_ledger_submit_counts(n, t):
     ctx.take()
     assert ledger_submit(ledger, copies[0], sig).accepted
     # The ring comes from the ledger's cache: verify's counts alone.
-    assert ctx.take() == {"exp": n + 3, "mul": n + t,
-                          "is_element": t, "hash": 1}
+    assert ctx.take() == ring_cost(n, t, is_element=t, hash=1)
     result = ledger_submit(ledger, copies[1], sig)
     assert result.reason == "double-spend-link"
     # An exact replay is answered before any group operation.
@@ -317,8 +321,7 @@ def test_exact_largest_ring_ledger_submit_counts(t):
     tx, _, sig = ring_spend(ctx, ring, window, b"bob", 2, random.Random(t))
     ctx.take()
     assert ledger_submit(MockLedger(ctx, "B"), tx, sig).accepted
-    assert ctx.take() == {"exp": n + 3, "mul": n + t,
-                          "is_element": n + t, "hash": 2}
+    assert ctx.take() == ring_cost(n, t, is_element=n + t, hash=2)
 
 
 @pytest.mark.parametrize("n", [1, 4, 8])

@@ -1,5 +1,6 @@
-"""Main implementation vs the straight-line oracle, intermediate by
-intermediate."""
+"""Main implementation vs the straight-line oracle: the verdicts on
+rejected and mutated input.  Acceptance criterion 2 compares honest
+traces intermediate by intermediate."""
 
 import random
 
@@ -8,76 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import straightline as oracle
-from conftest import build_ring, build_window, presign_intermediates
-from ringadapt import (PreSignature, Signature, adapt, ext, gen_r, presign,
-                       preverify, verify)
-from ringadapt.scheme import _presign_body
-
-
-def random_case(toy, rng):
-    n = 1 + rng.randrange(8)
-    t = 1 + rng.randrange(n)
-    start = rng.randrange(n)
-    ring, members = build_ring(toy, n, rng)
-    window = build_window(toy, ring, members, start, t)
-    statement, w = gen_r(toy, rng)
-    message = bytes(rng.randrange(256) for _ in range(8))
-    nonce = toy.random_scalar_nonzero(rng)
-    # Decoys come from all of Z_p, as presign draws them.
-    decoys = {i: rng.randrange(toy.order) for i in range(n) if i != start}
-    return ring, window, statement, w, message, nonce, decoys
-
-
-def random_cases(toy, rng, trials):
-    """``trials`` random cases, then one whose decoys include a forced 0."""
-    for _ in range(trials):
-        yield random_case(toy, rng)
-    while True:
-        case = random_case(toy, rng)
-        decoys = case[-1]
-        if decoys:
-            decoys[min(decoys)] = 0
-            yield case
-            return
-
-
-def assert_matches_oracle(toy, case):
-    """Every intermediate of one case's presign, adapt and ext equals the
-    oracle's; returns the pre-signature and the adapted signature."""
-    ring, window, statement, w, message, nonce, decoys = case
-    psig = _presign_body(toy, ring, window, message, statement, nonce, decoys)
-    commit_g, commit_h, challenge, window_challenge = presign_intermediates(
-        toy, ring, window, message, statement, nonce, decoys)
-    expected = oracle.presign(ring.keys, window.start, window.secrets,
-                              message, statement.w1, statement.w2, nonce,
-                              decoys)
-    assert ring.d == expected["d"]
-    assert list(window.tags) == expected["tags"]
-    assert commit_g == expected["commit_g"]
-    assert commit_h == expected["commit_h"]
-    assert challenge == expected["challenge"]
-    assert window_challenge == expected["window_challenge"]
-    assert psig.challenges[window.start] == window_challenge
-    assert psig.z_tilde == expected["z_tilde"]
-    assert list(psig.challenges) == expected["challenges"]
-
-    sig = adapt(toy, psig, w)
-    assert sig.z == (expected["z_tilde"] + w) % oracle.ORDER
-    assert ext(toy, statement, psig, sig) == w
-    return psig, sig
-
-
-def test_every_intermediate_matches(toy):
-    rng = random.Random(2024)
-    for case in random_cases(toy, rng, 120):
-        psig, sig = assert_matches_oracle(toy, case)
-        ring, window, statement, _, message, _, _ = case
-        assert oracle.preverify(ring.keys, psig.z_tilde,
-                                list(psig.challenges), list(psig.tags),
-                                window.width, message, statement.w1,
-                                statement.w2)
-        assert oracle.verify(ring.keys, sig.z, list(sig.challenges),
-                             list(sig.tags), window.width, message)
+from conftest import build_ring, build_window
+from ringadapt import (PreSignature, Signature, gen_r, presign, preverify,
+                       verify)
 
 
 IDENTITY = oracle.element(pow(oracle.H, 0, oracle.MODULUS))

@@ -1,19 +1,19 @@
 """Core scheme behavior over the toy group, with frozen oracle values.
 
 Expected numbers were computed with the straight-line oracle in
-straightline.py (raw modular arithmetic, no shared code).
+straightline.py (raw modular arithmetic, no shared code).  The round-trip
+grid, adaptability, the tamper sweep and linkability are acceptance
+criteria 1, 3, 4 and 5 in test_acceptance.py.
 """
 
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import BOTH, build_ring, build_window, presign_intermediates
 from ringadapt import (KeyMismatchError, PreSignature, Ring, Signature,
                        SignerWindow, StatementPair, adapt, ext, gen_r, keygen,
-                       link, presign, preverify, verify, verify_relation)
+                       presign, preverify, verify, verify_relation)
 from ringadapt.bench import run_bench
 from ringadapt.scheme import _presign_body, distinct_keypairs
 from ringadapt.swap import swap_demo
@@ -159,41 +159,6 @@ class TestPresignFrozen:
 
 
 class TestRoundTrip:
-    def test_small_grid(self, toy):
-        rng = random.Random(99)
-        for n in range(1, 7):
-            ring, members = build_ring(toy, n, rng)
-            for t in range(1, n + 1):
-                for start in range(n):
-                    window = build_window(toy, ring, members, start, t)
-                    statement, w = gen_r(toy, rng)
-                    message = bytes([n, t, start])
-                    psig = presign(toy, ring, window, message, statement, rng)
-                    assert preverify(toy, ring, psig, t, message, statement)
-                    sig = adapt(toy, psig, w)
-                    assert verify(toy, ring, sig, t, message)
-                    assert ext(toy, statement, psig, sig) == w
-
-    def test_degenerate_single_key(self, toy, rng):
-        ring, members = build_ring(toy, 1, rng)
-        window = build_window(toy, ring, members, 0, 1)
-        statement, w = gen_r(toy, rng)
-        psig = presign(toy, ring, window, b"solo", statement, rng)
-        assert len(psig.challenges) == 1 and len(psig.tags) == 1
-        assert preverify(toy, ring, psig, 1, b"solo", statement)
-        assert verify(toy, ring, adapt(toy, psig, w), 1, b"solo")
-
-    def test_prod_round_trip(self, prod):
-        rng = random.Random(5)
-        ring, members = build_ring(prod, 6, rng)
-        window = build_window(prod, ring, members, 1, 3)
-        statement, w = gen_r(prod, rng)
-        psig = presign(prod, ring, window, b"prod message", statement, rng)
-        assert preverify(prod, ring, psig, 3, b"prod message", statement)
-        sig = adapt(prod, psig, w)
-        assert verify(prod, ring, sig, 3, b"prod message")
-        assert ext(prod, statement, psig, sig) == w
-
     def test_prod_randomized_cells(self, prod):
         rng = random.Random(6)
         for _ in range(6):
@@ -210,45 +175,8 @@ class TestRoundTrip:
             assert verify(prod, ring, sig, t, message)
             assert ext(prod, statement, psig, sig) == w
 
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(1, 8), st.data())
-    def test_round_trip_property(self, toy, n, data):
-        t = data.draw(st.integers(1, n))
-        start = data.draw(st.integers(0, n - 1))
-        seed = data.draw(st.integers(0, 2**32))
-        message = data.draw(st.binary(max_size=32))
-        rng = random.Random(seed)
-        ring, members = build_ring(toy, n, rng)
-        window = build_window(toy, ring, members, start, t)
-        statement, w = gen_r(toy, rng)
-        psig = presign(toy, ring, window, message, statement, rng)
-        assert preverify(toy, ring, psig, t, message, statement)
-        sig = adapt(toy, psig, w)
-        assert verify(toy, ring, sig, t, message)
-        assert ext(toy, statement, psig, sig) == w
-
 
 class TestAdaptability:
-    def test_out_of_distribution_presignatures(self, toy):
-        # Valid pre-signatures that honest signing would never emit (zero
-        # or repeated decoy challenges, forced nonces) must still adapt
-        # into verifying signatures.
-        rng = random.Random(31)
-        ring, members = build_ring(toy, 5, rng)
-        window = build_window(toy, ring, members, 1, 2)
-        statement, w = gen_r(toy, rng)
-        weird = [
-            (1, {0: 0, 2: 0, 3: 0, 4: 0}),
-            (1, {0: 1, 2: 1, 3: 1, 4: 1}),
-            (100, {0: 55, 2: 0, 3: 100, 4: 1}),
-            (7, {0: 4, 2: 4, 3: 4, 4: 4}),
-        ]
-        for nonce, decoys in weird:
-            psig = _presign_body(toy, ring, window, b"odd", statement,
-                                 nonce, decoys)
-            assert preverify(toy, ring, psig, 2, b"odd", statement)
-            assert verify(toy, ring, adapt(toy, psig, w), 2, b"odd")
-
     def test_wrong_witness_fails_verification(self, toy, rng):
         ring, members = build_ring(toy, 4, rng)
         window = build_window(toy, ring, members, 0, 2)
@@ -259,44 +187,6 @@ class TestAdaptability:
 
 
 class TestTamper:
-    def test_full_sweep_fixed_seed(self, toy):
-        # Seed chosen so that no perturbation accidentally re-satisfies the
-        # challenge equation (a 1/101 event per trial in the toy field).
-        rng = random.Random(0)
-        members = [keygen(toy, rng) for _ in range(5)]
-        ring = Ring(toy, [kp.pk for kp in members])
-        window = SignerWindow(toy, ring, 1,
-                              [members[i].sk for i in (1, 2, 3)])
-        statement, w = gen_r(toy, rng)
-        message = b"tamper sweep message"
-        sig = adapt(toy, presign(toy, ring, window, message, statement, rng),
-                    w)
-        assert verify(toy, ring, sig, 3, message)
-        g = toy.generator_g
-        for i in range(5):
-            challenges = list(sig.challenges)
-            challenges[i] = (challenges[i] + 1) % toy.order
-            assert not verify(toy, ring,
-                              Signature(sig.z, tuple(challenges), sig.tags),
-                              3, message)
-        assert not verify(toy, ring,
-                          Signature((sig.z + 1) % toy.order, sig.challenges,
-                                    sig.tags), 3, message)
-        for i in range(3):
-            tags = list(sig.tags)
-            tags[i] = toy.mul(tags[i], g)
-            assert not verify(toy, ring,
-                              Signature(sig.z, sig.challenges, tuple(tags)),
-                              3, message)
-        for i in range(5):
-            keys = list(ring.keys)
-            keys[i] = toy.mul(keys[i], g)
-            assert not verify(toy, Ring(toy, keys), sig, 3, message)
-        for i in range(len(message)):
-            mutated = bytearray(message)
-            mutated[i] ^= 1
-            assert not verify(toy, ring, sig, 3, bytes(mutated))
-
     def test_reordered_ring_rejected(self, toy, rng):
         ring, members = build_ring(toy, 4, rng)
         window = build_window(toy, ring, members, 0, 2)
@@ -422,53 +312,7 @@ class TestExtraction:
         assert ext(toy, statement, psig, adapt(toy, psig, w)) == w
 
 
-class TestLink:
-    def test_shared_key_links(self, toy, rng):
-        ring, members = build_ring(toy, 6, rng)
-        statement, w = gen_r(toy, rng)
-        sig_a = adapt(toy, presign(toy, ring,
-                                   build_window(toy, ring, members, 0, 3),
-                                   b"a", statement, rng), w)
-        sig_b = adapt(toy, presign(toy, ring,
-                                   build_window(toy, ring, members, 2, 2),
-                                   b"b", statement, rng), w)
-        assert link(sig_a, sig_b)  # share member 2
-        assert link(sig_b, sig_a)
-
-    def test_disjoint_windows_do_not_link(self, toy, rng):
-        ring, members = build_ring(toy, 6, rng)
-        statement, w = gen_r(toy, rng)
-        sig_a = adapt(toy, presign(toy, ring,
-                                   build_window(toy, ring, members, 0, 2),
-                                   b"a", statement, rng), w)
-        sig_b = adapt(toy, presign(toy, ring,
-                                   build_window(toy, ring, members, 3, 2),
-                                   b"b", statement, rng), w)
-        assert not link(sig_a, sig_b)
-
-    def test_self_link(self, toy, rng):
-        ring, members = build_ring(toy, 2, rng)
-        statement, w = gen_r(toy, rng)
-        sig = adapt(toy, presign(toy, ring,
-                                 build_window(toy, ring, members, 0, 1),
-                                 b"a", statement, rng), w)
-        assert link(sig, sig)
-
-    def test_tags_deterministic_across_messages(self, toy, rng):
-        ring, members = build_ring(toy, 5, rng)
-        window = build_window(toy, ring, members, 1, 2)
-        statement, w = gen_r(toy, rng)
-        psig_a = presign(toy, ring, window, b"first", statement, rng)
-        psig_b = presign(toy, ring, window, b"second", statement, rng)
-        assert psig_a.tags == psig_b.tags
-        assert link(adapt(toy, psig_a, w), adapt(toy, psig_b, w))
-
-
 class TestConstruction:
-    def test_duplicate_ring_keys_rejected(self, toy):
-        with pytest.raises(ValueError, match="duplicate"):
-            Ring(toy, tuple(map(toy_element, (49, 343, 49))))
-
     def test_ring_checks_types_then_duplicates_then_keys(self, toy):
         a, b = toy_element(49), toy_element(343)
         # A list key is refused by type, before set() could raise
