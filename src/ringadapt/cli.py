@@ -186,8 +186,8 @@ def cmd_swap_demo(ctx, args) -> int:
 
 def cmd_bench(ctx, args) -> int:
     from . import bench
-    if args.step == 0:
-        raise ValueError("--step must not be 0")
+    if args.step < 1:
+        raise ValueError("--step must be at least 1")
     sizes = range(args.min_n, args.max_n + 1, args.step)
     bench.write_csv(bench.run_bench(ctx, sizes), sys.stdout)
     return 0

@@ -20,8 +20,8 @@ never re-checked.  A ring key, link tag, statement or payer key must not
 be the identity either (``is_nonidentity``); a computed R or T may be.
 Every group decodes by one rule, ``GroupContext.decode_element``.  In
 these operations ``verify`` costs n+3 scalar multiplications and n+t
-point adds (``exp``, ``mul``), and ``presign``/``preverify`` n+3 and
-n+t+2.
+point adds (``exp``, ``mul``), ``preverify`` n+3 and n+t+2, and
+``presign`` n-t+2 and n-t+2.
 
 Every function that draws randomness takes ``rng``, any ``random.Random``,
 and draws through ``rng.randrange``: ``random.Random(seed)`` replays a run,

@@ -23,14 +23,19 @@ The algebra (all indices mod n, all scalar arithmetic mod p):
 * verifying takes s = z~ (or s = z and no W) and checks sum(C) == c.
 
 Both compute prod_i y_i^{c_i} folded, as prod_k pk_k^{d*e_k} where e_k
-sums c_i over the t windows holding key k, and l^{sum(C)} as
-(prod_k tag_k)^{d*sum(C)}: n+3 scalar multiplications and n+t point adds,
-two more adds when W is given (presign, preverify).
+sums c_i over the t windows holding key k.  The verifiers compute
+l^{sum(C)} as (prod_k tag_k)^{d*sum(C)}: n+3 scalar multiplications and
+n+t point adds, two more adds when W is given (preverify).  The signer's
+own keys are g^sk and its tags h^sk, so it folds them into g and h:
+R = g^{r + d*sum_m sk_m*e_{j+m}} * W1 * prod_{k outside} pk_k^{d*e_k} and
+T = h^{r + d*sum(sk)*sum(C)} * W2, n-t+2 scalar multiplications and n-t+2
+point adds (presign).
 """
 
 from __future__ import annotations
 
 from functools import cached_property, reduce
+from operator import mul
 from typing import Optional
 
 from .groups import _SYSTEM, Element, GroupContext, Record, require_exact
@@ -195,11 +200,13 @@ def verify_relation(ctx: GroupContext, statement: StatementPair, w: int) -> bool
 
 
 def _commit(ctx: GroupContext, ring: Ring, base: int, challenges, tags,
-            statement: Optional[StatementPair], message: bytes
+            statement: Optional[StatementPair], message: bytes,
+            window: Optional[SignerWindow] = None
             ) -> tuple[Element, Element, int]:
     """R = g^base * prod_i y_i^{c_i} and T = h^base * l^{sum(C)}, each
     times its statement component if given, and c = H(PK, R, T, m).
-    Folded: key k's exponent d*e_k sums c_i over windows i = k-t+1..k."""
+    Folded: key k's exponent d*e_k sums c_i over windows i = k-t+1..k.
+    A signer passes its ``window``, whose keys and tags fold into g and h."""
     p = ctx.order
     d = ring.d
     t = len(tags)
@@ -208,10 +215,20 @@ def _commit(ctx: GroupContext, ring: Ring, base: int, challenges, tags,
     for k in range(len(ring)):
         e += challenges[k] - challenges[k - t]
         exponents.append(d * e % p)
-    commit_g = ctx.mul(ctx.exp(ctx.generator_g, base),
-                       reduce(ctx.mul, map(ctx.exp, ring.keys, exponents)))
-    commit_h = ctx.mul(ctx.exp(ctx.generator_h, base),
-                       ctx.exp(reduce(ctx.mul, tags), d * sum(challenges) % p))
+    keys, base_g = ring.keys, base
+    tag_exponent = d * sum(challenges) % p
+    if window is None:
+        commit_h = ctx.mul(ctx.exp(ctx.generator_h, base),
+                           ctx.exp(reduce(ctx.mul, tags), tag_exponent))
+    else:
+        j = window.start   # rotate the window to the front, then drop it
+        keys, exponents = keys[j:] + keys[:j], exponents[j:] + exponents[:j]
+        base_g = (base + sum(map(mul, window.secrets, exponents))) % p
+        keys, exponents = keys[t:], exponents[t:]
+        commit_h = ctx.exp(ctx.generator_h,
+                           (base + sum(window.secrets) * tag_exponent) % p)
+    commit_g = reduce(ctx.mul, map(ctx.exp, keys, exponents),
+                      ctx.exp(ctx.generator_g, base_g))
     if statement is not None:
         commit_g = ctx.mul(commit_g, statement.w1)
         commit_h = ctx.mul(commit_h, statement.w2)
@@ -228,11 +245,11 @@ def _presign_body(ctx: GroupContext, ring: Ring, window: SignerWindow,
     """
     p = ctx.order
     j = window.start
-    # With c_j = 0 the signing equation is the verifier's.
+    # With c_j = 0 the signing equation is the verifier's, window folded.
     challenges = [0 if i == j else decoy_challenges[i]
                   for i in range(len(ring))]
     challenge = _commit(ctx, ring, nonce, challenges, window.tags, statement,
-                        message)[2]
+                        message, window)[2]
     challenges[j] = (challenge - sum(challenges)) % p
     z_tilde = (nonce - challenges[j] * ring.d * sum(window.secrets)) % p
     return PreSignature(z_tilde, tuple(challenges), window.tags)

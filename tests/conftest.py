@@ -1,12 +1,13 @@
 """Shared scaffolding: the two groups as objects (``TOY``, ``PROD`` and the
-``BOTH`` mark) and builders of rings, windows and honest spends."""
+``BOTH`` mark), builders of rings, windows and honest spends, and the
+signer recomputed by the verifier's equation."""
 
 import random
 
 import pytest
 
-from ringadapt import (Ring, SignerWindow, adapt, gen_r, presign, schnorr,
-                       setup_group)
+from ringadapt import (PreSignature, Ring, SignerWindow, adapt, gen_r,
+                       presign, schnorr, setup_group)
 from ringadapt.scheme import _commit, distinct_keypairs
 from ringadapt.wire import SwapTransaction, encode_transaction
 from toygroup import ToyGroup
@@ -81,3 +82,15 @@ def presign_intermediates(ctx, ring, window, message, statement, nonce,
     commit_g, commit_h, c = _commit(ctx, ring, nonce, challenges,
                                     window.tags, statement, message)
     return commit_g, commit_h, c, (c - sum(challenges)) % ctx.order
+
+
+def unfolded_presign(ctx, ring, window, message, statement, nonce, decoys):
+    """The pre-signature by the verifier's equation, no window key folded
+    into g or h: c_j from ``presign_intermediates`` and
+    z~ = nonce - c_j*d*sum(window.secrets).  It reads only the window's
+    start, secrets and tags, so secrets need not open the ring's keys."""
+    c_j = presign_intermediates(ctx, ring, window, message, statement, nonce,
+                                decoys)[3]
+    z_tilde = (nonce - c_j * ring.d * sum(window.secrets)) % ctx.order
+    return PreSignature(z_tilde, [c_j if i == window.start else decoys[i]
+                                  for i in range(len(ring))], window.tags)

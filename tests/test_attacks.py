@@ -11,10 +11,11 @@ here drops to 0 on prod, and to a chance count on toy.
 
 import random
 
-from conftest import BOTH, TOY, build_ring, build_window, ring_spend
+from conftest import (BOTH, TOY, build_ring, build_window, ring_spend,
+                      unfolded_presign)
 from ringadapt import (Ring, Signature, SignerWindow, StatementPair, adapt,
                        ext, gen_r, verify)
-from ringadapt.scheme import _presign_body, distinct_keypairs
+from ringadapt.scheme import distinct_keypairs
 from ringadapt.swap import MockLedger, SwapTransaction, ledger_submit
 from ringadapt.wire import encode_transaction
 
@@ -31,8 +32,10 @@ def rogue_key_forgery(ctx, rng):
     With honest keys h1..h3 and a victim key pk_v, the attacker adds
     pk_adv = g^x / pk_v.  The window (pk_v, pk_adv) at ring position 1
     then aggregates to g^(x d), which the attacker opens with the secrets
-    (x, 0) and tags whose product is h^x.  Returns (transaction,
-    signature).
+    (x, 0) and tags whose product is h^x.  It signs by the verifier's
+    equation (``unfolded_presign``): ``presign`` folds each window key's
+    secret into g's exponent, which (x, 0) cannot do.  Returns
+    (transaction, signature).
     """
     h1, h2, h3, victim = distinct_keypairs(ctx, 4, rng)
     x = ctx.random_scalar_nonzero(rng)
@@ -50,8 +53,8 @@ def rogue_key_forgery(ctx, rng):
     statement, w = gen_r(ctx, rng)
     nonce = ctx.random_scalar_nonzero(rng)
     decoys = {i: rng.randrange(ctx.order) for i in range(len(ring)) if i != 1}
-    psig = _presign_body(ctx, ring, window, encode_transaction(ctx, tx),
-                         statement, nonce, decoys)
+    psig = unfolded_presign(ctx, ring, window, encode_transaction(ctx, tx),
+                            statement, nonce, decoys)
     return tx, adapt(ctx, psig, w)
 
 

@@ -548,17 +548,22 @@ def test_bench_csv_schema(capsys):
     assert all(int(r[3]) > 0 for r in body)
 
 
-@pytest.mark.parametrize("argv", [("--min-n", "50", "--max-n", "30"),
-                                  ("--step", "-1")], ids=["min>max", "step<0"])
+@pytest.mark.parametrize("argv", [("--min-n", "50", "--max-n", "30")],
+                         ids=["min>max"])
 def test_bench_empty_sweep_exits_2(capsys, argv):
     # No ring size: an error, not a CSV header with no rows.
     assert main(["bench", *argv]) == 2
     assert capsys.readouterr() == ("", "error: no ring size to sweep\n")
 
 
-def test_bench_zero_step_exits_2(capsys):
-    assert main(["bench", "--step", "0"]) == 2
-    assert capsys.readouterr() == ("", "error: --step must not be 0\n")
+@pytest.mark.parametrize("argv", [("--step", "0"), ("--step", "-1"),
+                                  ("--min-n", "4", "--max-n", "2",
+                                   "--step", "-1")],
+                         ids=["zero", "negative", "descending"])
+def test_bench_step_below_1_exits_2(capsys, argv):
+    # A step below 1 is refused, not read as a descending sweep.
+    assert main(["bench", *argv]) == 2
+    assert capsys.readouterr() == ("", "error: --step must be at least 1\n")
 
 
 @pytest.mark.parametrize("doc", ["[]", '{"group": "toy-607", "sk": 5, '

@@ -1,11 +1,14 @@
 """Exact group-operation counts of the scheme algorithms.
 
 Unlike the timed scaling criterion, these counts are deterministic, so
-they pin the cost model exactly: presign, preverify and verify make n+3
-scalar multiplications (g^s, h^s, one per ring key, one for the tag
-product) and no inversion.  verify makes n+t point adds (n-1 folding the
-ring-key powers, t-1 the tags, one per h^s and g^s), and presign and
-preverify two more for the statement.  adapt/ext/link do not depend on n.
+they pin the cost model exactly: preverify and verify make n+3 scalar
+multiplications (g^s, h^s, one per ring key, one for the tag product)
+and no inversion.  verify makes n+t point adds (n-1 folding the ring-key
+powers, t-1 the tags, one per h^s and g^s), and preverify two more for
+the statement.  presign folds its own t keys and tags into g^s and h^s:
+n-t+2 scalar multiplications (g^s, h^s, one per key outside the window)
+and n-t+2 point adds (n-t for those keys, two for the statement), so 2
+and 2 at t = n.  adapt/ext/link do not depend on n.
 An element is validated only where it enters (ring, tags, statement,
 payer key), never when the program writes a value it computed.
 """
@@ -90,7 +93,8 @@ def test_exact_counts_for_every_cell():
 
         psig = presign(ctx, ring, window, b"m", statement, rng)
         # Computed values (R, T, the tags) are encoded without a check.
-        assert ctx.take() == ring_cost(n, t, mul=2, hash=1), (n, t, j)
+        assert ctx.take() == {"exp": n - t + 2, "mul": n - t + 2,
+                              "hash": 1}, (n, t, j)
         assert preverify(ctx, ring, psig, t, b"m", statement)
         # Shape check: t tags and the two statement components.
         assert ctx.take() == ring_cost(n, t, mul=2, is_element=t + 2,

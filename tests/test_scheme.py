@@ -10,10 +10,11 @@ import random
 
 import pytest
 
-from conftest import BOTH, build_ring, build_window, presign_intermediates
+from conftest import (BOTH, build_ring, build_window, presign_intermediates,
+                      unfolded_presign)
 from ringadapt import (KeyMismatchError, PreSignature, Ring, Signature,
                        SignerWindow, StatementPair, adapt, ext, gen_r, keygen,
-                       presign, preverify, verify, verify_relation)
+                       presign, preverify, verify, verify_relation, wire)
 from ringadapt.bench import run_bench
 from ringadapt.scheme import _presign_body, distinct_keypairs
 from ringadapt.swap import swap_demo
@@ -156,6 +157,39 @@ class TestPresignFrozen:
         assert sig.z == 28
         assert verify(toy, ring, sig, 2, self.MESSAGE)
         assert ext(toy, statement, psig, sig) == 17
+
+
+class TestPresignFold:
+    """presign folds its window into g^s and h^s; its output must be the
+    unfolded signer's, byte for byte, from the same nonce and decoys."""
+
+    @staticmethod
+    def _check(ctx, n, t, j, rng):
+        ring, members = build_ring(ctx, n, rng)
+        window = build_window(ctx, ring, members, j, t)
+        statement, _ = gen_r(ctx, rng)
+        nonce = ctx.random_scalar_nonzero(rng)
+        decoys = {i: rng.randrange(ctx.order) for i in range(n) if i != j}
+        message = bytes([n, t, j])
+        inputs = (ctx, ring, window, message, statement, nonce, decoys)
+        folded = _presign_body(*inputs)
+        assert (wire.encode_presignature(ctx, folded)
+                == wire.encode_presignature(ctx, unfolded_presign(*inputs))
+                ), (n, t, j)
+        assert preverify(ctx, ring, folded, t, message, statement), (n, t, j)
+
+    def test_every_toy_cell(self, toy):
+        rng = random.Random(39)
+        for n in range(1, 7):
+            for t in range(1, n + 1):
+                for j in range(n):
+                    for _ in range(3):
+                        self._check(toy, n, t, j, rng)
+
+    # (16, 4), t = n, and a window that wraps past the last key.
+    @pytest.mark.parametrize("n,t,j", [(16, 4, 5), (5, 5, 2), (7, 3, 6)])
+    def test_prod_cells(self, prod, n, t, j):
+        self._check(prod, n, t, j, random.Random(n * t + j))
 
 
 class TestRoundTrip:
