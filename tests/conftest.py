@@ -1,13 +1,15 @@
 """Shared scaffolding: the two groups as objects (``TOY``, ``PROD`` and the
-``BOTH`` mark), builders of rings, windows and honest spends, and the
-signer recomputed by the verifier's equation."""
+``BOTH`` mark) with the oracle's matching groups (``ORACLE``), builders of
+rings, windows and honest spends, and the oracle's spends, which sign with
+any secrets."""
 
 import random
 
 import pytest
 
-from ringadapt import (PreSignature, Ring, SignerWindow, adapt, gen_r,
-                       presign, schnorr, setup_group)
+import straightline as oracle
+from ringadapt import (Ring, Signature, SignerWindow, adapt, gen_r, presign,
+                       schnorr, setup_group)
 from ringadapt.scheme import _commit, distinct_keypairs
 from ringadapt.wire import SwapTransaction, encode_transaction
 from toygroup import ToyGroup
@@ -16,6 +18,8 @@ TOY = ToyGroup()
 PROD = setup_group("prod")
 # A test that runs on both groups takes ``ctx``, one of these objects.
 BOTH = pytest.mark.parametrize("ctx", [TOY, PROD], ids=["toy", "prod"])
+# The straight-line oracle's group for each of them.
+ORACLE = {TOY: oracle.TOY, PROD: oracle.RISTRETTO}
 
 
 @pytest.fixture(scope="session")
@@ -84,13 +88,20 @@ def presign_intermediates(ctx, ring, window, message, statement, nonce,
     return commit_g, commit_h, c, (c - sum(challenges)) % ctx.order
 
 
-def unfolded_presign(ctx, ring, window, message, statement, nonce, decoys):
-    """The pre-signature by the verifier's equation, no window key folded
-    into g or h: c_j from ``presign_intermediates`` and
-    z~ = nonce - c_j*d*sum(window.secrets).  It reads only the window's
-    start, secrets and tags, so secrets need not open the ring's keys."""
-    c_j = presign_intermediates(ctx, ring, window, message, statement, nonce,
-                                decoys)[3]
-    z_tilde = (nonce - c_j * ring.d * sum(window.secrets)) % ctx.order
-    return PreSignature(z_tilde, [c_j if i == window.start else decoys[i]
-                                  for i in range(len(ring))], window.tags)
+def oracle_spend(ctx, keys, start, secrets, payee, nonce, rng):
+    """A chain-B spend to ``payee`` over ``keys``, signed by the oracle
+    for the window at ``start`` with ``secrets``, which need not open the
+    window's keys; its tags are h^secret.  Draws the statement, the
+    presign nonce and the decoys as ``ring_spend`` draws them.  Returns
+    (transaction, signature)."""
+    tx = SwapTransaction("B", payee, 1, nonce, ring_keys=tuple(keys),
+                         threshold=len(secrets))
+    statement, witness = gen_r(ctx, rng)
+    r = ctx.random_scalar_nonzero(rng)
+    decoys = {i: rng.randrange(ctx.order)
+              for i in range(len(keys)) if i != start}
+    trace = oracle.presign(ORACLE[ctx], keys, start, secrets,
+                           encode_transaction(ctx, tx), statement.w1,
+                           statement.w2, r, decoys)
+    return tx, Signature((trace["z_tilde"] + witness) % ctx.order,
+                         trace["challenges"], trace["tags"])

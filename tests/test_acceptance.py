@@ -7,6 +7,10 @@ weaker copy of it.  Fixed cases run after a criterion's random trials,
 so they leave its seeded draws as they were.
 
 Criterion notes:
+* Oracle equivalence runs on both groups: the seeded toy traces, every
+  toy cell with n <= 6, and three prod cells, one at n = 16, a ring
+  larger than any toy case.  It is the one test that presign's folded
+  window matches the unfolded equations.
 * The tamper sweep runs on the production backend.  In the 101-element
   toy field a random perturbation re-satisfies the challenge equation
   with probability ~1/101 per trial, so a zero-failure sweep of ~10^4
@@ -20,7 +24,8 @@ import random
 from contextlib import contextmanager
 
 import straightline as oracle
-from conftest import PROD, TOY, build_ring, build_window, presign_intermediates
+from conftest import (ORACLE, PROD, TOY, build_ring, build_window,
+                      presign_intermediates)
 from ringadapt import (Signature, adapt, ext, gen_r, link, presign, preverify,
                        verify, verify_relation, wire)
 from ringadapt.bench import by_algorithm, run_bench
@@ -73,18 +78,21 @@ def test_criterion_1_correctness_grid(toy):
         assert failures == 0
 
 
+def make_case(ctx, n, t, start, rng):
+    ring, members = build_ring(ctx, n, rng)
+    window = build_window(ctx, ring, members, start, t)
+    statement, w = gen_r(ctx, rng)
+    message = bytes(rng.randrange(256) for _ in range(8))
+    nonce = ctx.random_scalar_nonzero(rng)
+    # Decoys come from all of Z_p, as presign draws them.
+    decoys = {i: rng.randrange(ctx.order) for i in range(n) if i != start}
+    return ring, window, statement, w, message, nonce, decoys
+
+
 def random_case(toy, rng):
     n = 1 + rng.randrange(8)
     t = 1 + rng.randrange(n)
-    start = rng.randrange(n)
-    ring, members = build_ring(toy, n, rng)
-    window = build_window(toy, ring, members, start, t)
-    statement, w = gen_r(toy, rng)
-    message = bytes(rng.randrange(256) for _ in range(8))
-    nonce = toy.random_scalar_nonzero(rng)
-    # Decoys come from all of Z_p, as presign draws them.
-    decoys = {i: rng.randrange(toy.order) for i in range(n) if i != start}
-    return ring, window, statement, w, message, nonce, decoys
+    return make_case(toy, n, t, rng.randrange(n), rng)
 
 
 def random_cases(toy, rng, trials):
@@ -100,14 +108,16 @@ def random_cases(toy, rng, trials):
             return
 
 
-def assert_matches_oracle(toy, case):
+def assert_matches_oracle(ctx, case):
     """Every intermediate of one case's presign, adapt and ext equals the
-    oracle's, and the oracle's own preverify and verify accept both."""
+    oracle's on the matching group, and the oracle's own preverify and
+    verify accept both."""
     ring, window, statement, w, message, nonce, decoys = case
-    psig = _presign_body(toy, ring, window, message, statement, nonce, decoys)
+    group = ORACLE[ctx]
+    psig = _presign_body(ctx, ring, window, message, statement, nonce, decoys)
     commit_g, commit_h, challenge, window_challenge = presign_intermediates(
-        toy, ring, window, message, statement, nonce, decoys)
-    expected = oracle.presign(ring.keys, window.start, window.secrets,
+        ctx, ring, window, message, statement, nonce, decoys)
+    expected = oracle.presign(group, ring.keys, window.start, window.secrets,
                               message, statement.w1, statement.w2, nonce,
                               decoys)
     assert ring.d == expected["d"]
@@ -120,22 +130,33 @@ def assert_matches_oracle(toy, case):
     assert psig.z_tilde == expected["z_tilde"]
     assert list(psig.challenges) == expected["challenges"]
 
-    sig = adapt(toy, psig, w)
-    assert sig.z == (expected["z_tilde"] + w) % oracle.ORDER
-    assert ext(toy, statement, psig, sig) == w
-    assert oracle.preverify(ring.keys, psig.z_tilde, list(psig.challenges),
-                            list(psig.tags), window.width, message,
-                            statement.w1, statement.w2)
-    assert oracle.verify(ring.keys, sig.z, list(sig.challenges),
-                         list(sig.tags), window.width, message)
+    sig = adapt(ctx, psig, w)
+    assert sig.z == (expected["z_tilde"] + w) % ctx.order
+    assert ext(ctx, statement, psig, sig) == w
+    assert oracle.preverify(group, ring.keys, psig.z_tilde, psig.challenges,
+                            psig.tags, window.width, message, statement.w1,
+                            statement.w2)
+    assert oracle.verify(group, ring.keys, sig.z, sig.challenges, sig.tags,
+                         window.width, message)
 
 
-def test_criterion_2_oracle_equivalence(toy):
-    """Straight-line oracle reproduces every intermediate bit for bit."""
-    with criterion(2, "oracle equivalence on 100+ random traces"):
+def test_criterion_2_oracle_equivalence(toy, prod):
+    """Straight-line oracle reproduces every intermediate bit for bit, on
+    toy and on ristretto255."""
+    with criterion(2, "oracle equivalence on 100+ random toy traces, every "
+                      "toy cell n <= 6 and three prod cells"):
         rng = random.Random(424242)
         for case in random_cases(toy, rng, 100):
             assert_matches_oracle(toy, case)
+        rng = random.Random(39)
+        for n in range(1, 7):
+            for t, j in itertools.product(range(1, n + 1), range(n)):
+                for _ in range(3):
+                    assert_matches_oracle(toy, make_case(toy, n, t, j, rng))
+        # (16, 4), t = n, and a window that wraps past the last key.
+        for n, t, j in [(16, 4, 5), (5, 5, 2), (7, 3, 6)]:
+            assert_matches_oracle(prod, make_case(prod, n, t, j,
+                                                  random.Random(n * t + j)))
 
 
 def test_criterion_3_adaptability(toy):

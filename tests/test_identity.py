@@ -9,10 +9,10 @@ import random
 
 import pytest
 
-from conftest import BOTH, build_ring, build_window
+from conftest import BOTH, build_ring, build_window, oracle_spend
 from ringadapt import (PreSignature, Signature, StatementPair, gen_r, presign,
                        preverify, schnorr, verify, wire)
-from ringadapt.scheme import DOMAIN_CHALLENGE, DOMAIN_RING_DIGEST, Ring
+from ringadapt.scheme import Ring
 from ringadapt.swap import MockLedger, ledger_submit
 
 
@@ -33,26 +33,13 @@ def test_ring_rejects_identity_key(ctx):
 
 @BOTH
 def test_identity_ring_key_spend_is_malformed(ctx):
-    """A t=1 spend by the identity's window: z = r and tag = identity
-    open it with no secret, so only the ring check stops it."""
+    """A t=1 spend by the identity's window: the secret 0 opens it, and
+    its tag is the identity, so only the ring check stops it."""
     rng = random.Random(2)
     ring, _ = build_ring(ctx, 3, rng)
     keys = (ring.keys[0], ctx.identity, ring.keys[2])
-    tx = wire.SwapTransaction("B", b"mallory", 1, 1, ring_keys=keys,
-                              threshold=1)
-    message = wire.encode_transaction(ctx, tx)
-    d = ctx.hash_to_scalar(DOMAIN_RING_DIGEST, keys)
-    r = ctx.random_scalar_nonzero(rng)
-    challenges = [rng.randrange(ctx.order), 0, rng.randrange(ctx.order)]
-    commit_g = ctx.exp(ctx.generator_g, r)
-    for pk, c in zip(keys, challenges):    # window i's key is pk_i^d
-        commit_g = ctx.mul(commit_g, ctx.exp(pk, d * c))
-    commit_h = ctx.exp(ctx.generator_h, r)  # the tag product is the identity
-    c = ctx.hash_to_scalar(DOMAIN_CHALLENGE,
-                           [*keys, commit_g, commit_h, message])
-    challenges[1] = (c - sum(challenges)) % ctx.order
-    forged = Signature(r, challenges, (ctx.identity,))
-    result = ledger_submit(MockLedger(ctx, "B"), tx, forged)
+    forged = oracle_spend(ctx, keys, 1, (0,), b"mallory", 1, rng)
+    result = ledger_submit(MockLedger(ctx, "B"), *forged)
     assert (result.accepted, result.reason) == (False, "malformed")
 
 

@@ -28,7 +28,8 @@ def test_frozen_trace(toy):
     psig = schnorr.presign(toy, keypair, b"plain message", statement_g,
                            Fixed(9))
     assert (psig.challenge, psig.masked_response) == (83, 56)
-    expected = oracle.plain_presign(3, 9, b"plain message", statement_g)
+    expected = oracle.plain_presign(oracle.TOY, 3, 9, b"plain message",
+                                    statement_g)
     assert (psig.challenge, psig.masked_response) == expected
 
 
