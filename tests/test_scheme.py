@@ -2,19 +2,22 @@
 
 Expected numbers were computed with the straight-line oracle in
 straightline.py (its own group arithmetic, no shared code).  The
-round-trip grid, oracle equivalence (presign's fold included),
-adaptability, the tamper sweep and linkability are acceptance criteria
-1 to 5 in test_acceptance.py.
+round-trip grid, oracle equivalence of presign's body, adaptability, the
+tamper sweep and linkability are acceptance criteria 1 to 5 in
+test_acceptance.py; ``TestPresignFold`` holds the public ``presign``, its
+draws included, to the same oracle.
 """
 
 import random
 
 import pytest
 
-from conftest import BOTH, build_ring, build_window, presign_intermediates
+import straightline as oracle
+from conftest import (BOTH, ORACLE, build_ring, build_window,
+                      presign_intermediates)
 from ringadapt import (KeyMismatchError, PreSignature, Ring, Signature,
                        SignerWindow, StatementPair, adapt, ext, gen_r, keygen,
-                       presign, preverify, verify, verify_relation)
+                       presign, preverify, verify, verify_relation, wire)
 from ringadapt.bench import run_bench
 from ringadapt.scheme import _presign_body, distinct_keypairs
 from ringadapt.swap import swap_demo
@@ -157,6 +160,45 @@ class TestPresignFrozen:
         assert sig.z == 28
         assert verify(toy, ring, sig, 2, self.MESSAGE)
         assert ext(toy, statement, psig, sig) == 17
+
+
+class TestPresignFold:
+    """presign folds its window into g^s and h^s and draws its nonce, then
+    the decoys in ring order.  From those draws its output must be the
+    straight-line oracle's, which raises every key, byte for byte."""
+
+    @staticmethod
+    def _check(ctx, n, t, j, rng):
+        ring, members = build_ring(ctx, n, rng)
+        window = build_window(ctx, ring, members, j, t)
+        statement, _ = gen_r(ctx, rng)
+        message = bytes([n, t, j])
+        replay = random.Random()
+        replay.setstate(rng.getstate())
+        folded = presign(ctx, ring, window, message, statement, rng)
+        nonce = ctx.random_scalar_nonzero(replay)
+        decoys = {i: replay.randrange(ctx.order) for i in range(n) if i != j}
+        trace = oracle.presign(ORACLE[ctx], ring.keys, j, window.secrets,
+                               message, statement.w1, statement.w2, nonce,
+                               decoys)
+        expected = PreSignature(trace["z_tilde"], trace["challenges"],
+                                trace["tags"])
+        assert (wire.encode_presignature(ctx, folded)
+                == wire.encode_presignature(ctx, expected)), (n, t, j)
+        assert preverify(ctx, ring, folded, t, message, statement), (n, t, j)
+
+    def test_every_toy_cell(self, toy):
+        rng = random.Random(39)
+        for n in range(1, 7):
+            for t in range(1, n + 1):
+                for j in range(n):
+                    for _ in range(3):
+                        self._check(toy, n, t, j, rng)
+
+    # (16, 4), t = n, and a window that wraps past the last key.
+    @pytest.mark.parametrize("n,t,j", [(16, 4, 5), (5, 5, 2), (7, 3, 6)])
+    def test_prod_cells(self, prod, n, t, j):
+        self._check(prod, n, t, j, random.Random(n * t + j))
 
 
 class TestRoundTrip:
